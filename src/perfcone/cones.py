@@ -396,11 +396,6 @@ def _solve_linear_map(vmat, wmat) -> Optional[IntMatrix]:
     return tuple(rows)
 
 
-def cone_symmetries(c: Cone) -> Iterator[tuple[IntMatrix, tuple[int, ...]]]:
-    """(R, perm) pairs with R in GL(i,Z) permuting the generators up to sign."""
-    yield from _assignment_search(c.generators, c.generators, c.ambient)
-
-
 def _equivalence_invariants(c: Cone):
     red = reduce_to_span(c)
     minors = sorted(abs(x) for x in _max_rank_minors(red))

@@ -1,4 +1,5 @@
-"""Molien series, free Hilbert series, Koszul strand checks, Sym^l dimensions."""
+"""Molien series by cycle index, free Hilbert series, Koszul strand checks,
+Sym^l dimensions."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ from typing import Sequence
 
 from .cones import Cone, orth_lattice, sym2_pairs
 from .matrices import rank
-from .series import TruncatedSeries, product_free, rational_inverse
+from .series import TruncatedSeries, product_free
 from .stabilizers import GroupAction
 
 
@@ -30,46 +31,40 @@ def sp_invariant_dim(n: int, l: int) -> int:
 def molien(action: GroupAction, max_deg: int) -> TruncatedSeries:
     """Molien series (1/|G|) sum_g 1/det(1 - t rho(g)), truncated.
 
-    Each characteristic determinant is inverted as an exact rational series;
-    the averaged result must have nonnegative integer coefficients.
+    The group permutes a basis of the span, so det(1 - t rho(g)) is the
+    product of (1 - t^len) over the cycles of g, and the series is the average
+    of `product_free` over the cycle types (Polya's cycle index), summed in
+    integers.  Each coefficient of the sum must be divisible by |G|.
     """
-    total = [Fraction(0)] * (max_deg + 1)
-    for e in action.elements:
-        poly = _det_one_minus_t(e)
-        inv = rational_inverse(poly, max_deg)
+    total = [0] * (max_deg + 1)
+    for perm in action.perms:
+        free = product_free(_cycle_lengths(perm), max_deg)
         for k in range(max_deg + 1):
-            total[k] += inv[k]
+            total[k] += free[k]
     out = []
     for k, x in enumerate(total):
-        val = x / action.order
-        if val.denominator != 1 or val < 0:
-            raise AssertionError(f"Molien coefficient at degree {k} is {val}")
-        out.append(int(val))
+        val, rem = divmod(x, action.order)
+        if rem:
+            raise ValueError(
+                f"Molien sum {x} at degree {k} is not divisible by |G| = {action.order}"
+            )
+        out.append(val)
     return TruncatedSeries(tuple(out))
 
 
-def _det_one_minus_t(e) -> tuple[Fraction, ...]:
-    """Coefficients of det(1 - t*E) via the characteristic polynomial.
-
-    Faddeev-LeVerrier: det(lambda - E) = sum c_k lambda^(d-k) gives
-    det(1 - tE) = sum c_k t^k with c_0 = 1.
-    """
-    d = len(e)
-    m = [[Fraction(x) for x in row] for row in e]
-    coeffs = [Fraction(1)]
-    aux = [[Fraction(1) if i == j else Fraction(0) for j in range(d)] for i in range(d)]
-    for k in range(1, d + 1):
-        prod = [
-            [sum(m[i][t] * aux[t][j] for t in range(d)) for j in range(d)]
-            for i in range(d)
-        ]
-        tr = sum(prod[i][i] for i in range(d))
-        ck = -tr / k
-        coeffs.append(ck)
-        aux = [
-            [prod[i][j] + (ck if i == j else 0) for j in range(d)] for i in range(d)
-        ]
-    return tuple(coeffs)
+def _cycle_lengths(perm: Sequence[int]) -> list[int]:
+    lengths = []
+    seen = [False] * len(perm)
+    for start in range(len(perm)):
+        length = 0
+        j = start
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            length += 1
+        if length:
+            lengths.append(length)
+    return lengths
 
 
 # ---------------------------------------------------------------------------

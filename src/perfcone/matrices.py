@@ -15,7 +15,6 @@ from typing import Iterable, Optional, Sequence
 
 IntMatrix = tuple[tuple[int, ...], ...]
 IntVector = tuple[int, ...]
-RatMatrix = tuple[tuple[Fraction, ...], ...]
 
 
 def mat(rows: Iterable[Iterable[int]]) -> IntMatrix:
@@ -50,14 +49,6 @@ def matmul(a, b):
 
 def mat_vec(a, v):
     return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
-
-
-def vec_add(u, v):
-    return tuple(x + y for x, y in zip(u, v))
-
-
-def vec_scale(c, v):
-    return tuple(c * x for x in v)
 
 
 def vec_dot(u, v):
@@ -318,24 +309,6 @@ def invert_unimodular(a: IntMatrix) -> IntMatrix:
             )
             adj[j][i] = (-1) ** (i + j) * det(minor)
     return tuple(tuple(x * d for x in row) for row in adj)
-
-
-def invert_rational(a) -> RatMatrix:
-    """Exact inverse of a nonsingular square matrix over Q."""
-    n = len(a)
-    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        m[c], m[piv] = m[piv], m[c]
-        inv = 1 / m[c][c]
-        m[c] = [x * inv for x in m[c]]
-        for i in range(n):
-            if i != c and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return tuple(tuple(row[n:]) for row in m)
 
 
 def max_minors(a: IntMatrix, r: int) -> tuple[int, ...]:

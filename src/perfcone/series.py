@@ -136,8 +136,8 @@ def product_free(degrees: Sequence[int], n: int) -> TruncatedSeries:
 def rational_inverse(coeffs: Sequence[Fraction], n: int) -> tuple[Fraction, ...]:
     """Inverse of a rational power series (nonzero constant term) to degree n.
 
-    Helper for Molien averaging, which works over Q before the integrality of
-    the result is asserted.
+    The matrix form of Molien's theorem, kept in the tests as the oracle for
+    the cycle-index `invariants.molien`, inverts each det(1 - tE) with it.
     """
     c0 = Fraction(coeffs[0])
     if c0 == 0:

@@ -1,48 +1,48 @@
 """Stabilizer of a cone in GL(i,Z) and its image acting on Span(sigma).
 
 Only the image of the stabilizer on the span of the cone matters for the
-invariant series (elements acting trivially there, such as -1, are quotiented
-out), so the group is materialized as the set of generator permutations
-realizable by integral cone automorphisms, together with the matrices those
-permutations induce on a basis of the span.
+invariant series (automorphisms acting trivially there, such as -1, are
+quotiented out).  For a simplicial cone the rank-1 forms of the extremal rays
+are a basis of the span, so the image is the group of ray permutations
+realizable by integral cone automorphisms, and the Molien series is computed
+by cycle index, as an average over their cycle types (`invariants.molien`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .cones import Cone, _assignment_search, cone_rank, extremal_rays, sym2_coordinates
-from .matrices import rank, solve_rational, transpose
+from .matrices import rank
 
 
 @dataclass(frozen=True)
 class GroupAction:
-    """A finite group of exact matrices acting on Span(sigma).
+    """A finite group acting on Span(sigma) by permuting a basis.
 
-    `elements[k]` is the matrix of the k-th group element on the chosen basis
-    of the span (an independent subset of the generator forms); `perms[k]` is
-    the corresponding permutation of the spanning generator forms.
+    The basis is the rank-1 forms of the extremal rays, so `dim` is their
+    number; `perms[k]` is the k-th group element as a permutation of the rays
+    and `orbits` is the orbit partition of the rays.
     """
 
     dim: int
-    elements: tuple[tuple[tuple[Fraction, ...], ...], ...]
     order: int
     perms: tuple[tuple[int, ...], ...]
     orbits: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if self.order != len(self.elements) or self.order != len(self.perms):
+        if self.order != len(self.perms):
             raise ValueError("inconsistent group data")
 
 
 def stabilizer_action(c: Cone) -> GroupAction:
     """Image on Span(sigma) of the stabilizer of the cone in GL(i,Z).
 
-    Requires a cone whose generators span R^i.  An integral automorphism
-    preserves the cone exactly when it permutes the extremal rays up to sign,
-    and on the span it then acts by that permutation of the rank-1 forms.
+    Requires a simplicial cone whose generators span R^i.  An integral
+    automorphism preserves the cone exactly when it permutes the extremal rays
+    up to sign, and on the span it then acts by that permutation of the rank-1
+    forms.
     """
     if cone_rank(c) != c.ambient:
         raise ValueError("stabilizer computation needs a rank-i cone in Z^i")
@@ -53,24 +53,12 @@ def stabilizer_action(c: Cone) -> GroupAction:
 def _stabilizer_action_cached(c: Cone) -> GroupAction:
     ext = extremal_rays(c)
     rays = [c.generators[j] for j in ext]
+    if rank([sym2_coordinates(v) for v in rays]) != len(rays):
+        raise ValueError(
+            f"stabilizer action needs a simplicial cone: {len(rays)} extremal rays "
+            "with dependent rank-1 forms"
+        )
     perms = sorted({perm for _, perm in _assignment_search(rays, rays, c.ambient)})
-
-    forms = [sym2_coordinates(v) for v in rays]
-    basis_idx: list[int] = []
-    for j, f in enumerate(forms):
-        if rank([forms[i] for i in basis_idx] + [f]) > len(basis_idx):
-            basis_idx.append(j)
-    basis_rows = tuple(forms[i] for i in basis_idx)
-    coords = []
-    for f in forms:
-        sol = solve_rational(transpose(basis_rows), f)
-        assert sol is not None
-        coords.append(sol)
-
-    elements = []
-    for perm in perms:
-        cols = [coords[perm[b]] for b in basis_idx]
-        elements.append(transpose(cols))
 
     # orbit partition of the rays under the permutation group
     seen: set[int] = set()
@@ -91,8 +79,7 @@ def _stabilizer_action_cached(c: Cone) -> GroupAction:
         orbits.append(tuple(sorted(orbit)))
 
     action = GroupAction(
-        dim=len(basis_idx),
-        elements=tuple(elements),
+        dim=len(rays),
         order=len(perms),
         perms=tuple(perms),
         orbits=tuple(orbits),
@@ -112,52 +99,16 @@ def _check_closure(action: GroupAction) -> None:
 
 
 def invariant_dim_degree1(c: Cone) -> int:
-    """Dimension of the fixed subspace of Span(sigma).
+    """Dimension of the fixed subspace of Span(sigma): the number of ray orbits.
 
-    Computed as the average of traces over the group; cross-checked against
-    the corank of the stacked (E - 1) system.
+    Cross-checked by Burnside's lemma against the average number of rays each
+    group element fixes.
     """
     action = stabilizer_action(c)
-    d = action.dim
-    trace_sum = Fraction(0)
-    stacked = []
-    for e in action.elements:
-        for t in range(d):
-            trace_sum += e[t][t]
-            stacked.append(tuple(e[t][j] - (1 if t == j else 0) for j in range(d)))
-    by_trace = trace_sum / action.order
-    by_rank = d - rank(stacked)
-    if by_trace != by_rank:
-        raise AssertionError("trace average and fixed-space rank disagree")
-    return by_rank
-
-
-def sym2_action(q, i: int):
-    """Matrix induced by q on the basis (T_1..T_i, P_12, P_13, ..., P_{i-1,i}).
-
-    Implements the symmetric-square transformation
-    M(P_jk) = sum_{a,b} M_ja M_kb P_ab with the conventions P_aa = 2 T_a and
-    P_ab = P_ba.  Columns index the source basis elements.
-    """
-    if len(q) != i or any(len(row) != i for row in q):
-        raise ValueError("square matrix of size i required")
-    pairs = [(a, a) for a in range(i)] + [(a, b) for a in range(i) for b in range(a + 1, i)]
-    index = {p: t for t, p in enumerate(pairs)}
-    n = len(pairs)
-    cols = []
-    for (j, k) in pairs:
-        col = [0] * n
-        if j == k:
-            # image of T_j
-            for a in range(i):
-                col[index[(a, a)]] += q[j][a] * q[j][a]
-                for b in range(a + 1, i):
-                    col[index[(a, b)]] += q[j][a] * q[j][b]
-        else:
-            # image of P_jk
-            for a in range(i):
-                col[index[(a, a)]] += 2 * q[j][a] * q[k][a]
-                for b in range(a + 1, i):
-                    col[index[(a, b)]] += q[j][a] * q[k][b] + q[j][b] * q[k][a]
-        cols.append(tuple(col))
-    return transpose(cols)
+    fixed = sum(sum(1 for j, x in enumerate(p) if j == x) for p in action.perms)
+    if fixed != len(action.orbits) * action.order:
+        raise AssertionError(
+            f"fixed-point average {fixed}/{action.order} and orbit count "
+            f"{len(action.orbits)} disagree"
+        )
+    return len(action.orbits)

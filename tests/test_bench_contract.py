@@ -1,0 +1,44 @@
+"""The names the benchmark harness reaches into must still exist.
+
+`bench/tracing.py` rebinds every function in TRACED by name, and
+`bench/workloads.py` reads `cache_info()` of every cache in CACHES; a deleted
+or renamed one fails every traced benchmark process.  The two tuples are read
+from the source text, so neither file is imported or run.
+"""
+
+from __future__ import annotations
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def _names(filename: str, variable: str) -> tuple[tuple[str, str], ...]:
+    tree = ast.parse((BENCH / filename).read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == variable for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise LookupError(f"{variable} not found in bench/{filename}")
+
+
+def _resolve(module: str, attr: str):
+    owner = importlib.import_module(f"perfcone.{module}")
+    for part in attr.split("."):
+        owner = getattr(owner, part)
+    return owner
+
+
+@pytest.mark.parametrize("module,attr", _names("tracing.py", "TRACED"))
+def test_traced_function_exists(module, attr):
+    assert callable(_resolve(module, attr))
+
+
+@pytest.mark.parametrize("module,attr", _names("workloads.py", "CACHES"))
+def test_benchmarked_cache_exists(module, attr):
+    assert callable(_resolve(module, attr).cache_info)

@@ -5,6 +5,7 @@ import pytest
 
 from perfcone import cones as cn
 from perfcone import matrices as mx
+from perfcone import verify
 from perfcone.invariants import (
     dense_strand_cohomology,
     hilbert_free,
@@ -12,7 +13,11 @@ from perfcone.invariants import (
     molien,
     sp_invariant_dim,
 )
+from perfcone.series import rational_inverse
 from perfcone.stabilizers import GroupAction, invariant_dim_degree1, stabilizer_action
+
+# not a group: its degree-1 Molien sum is 3, which |G| = 2 does not divide
+NON_GROUP = GroupAction(dim=3, order=2, perms=((0, 1, 2), (1, 2, 0)), orbits=((0, 1, 2),))
 
 
 def brute_molien_permutations(perms, max_deg):
@@ -43,6 +48,62 @@ def brute_molien_permutations(perms, max_deg):
     return tuple(out)
 
 
+def span_basis_matrices(c):
+    """Exact matrices of the stabilizer image on a basis of Span(sigma).
+
+    The basis is an independent subset of the rank-1 forms of the extremal
+    rays; each group element maps the basis forms to permuted forms, written
+    in that basis by exact rational solves.
+    """
+    rays = [c.generators[j] for j in cn.extremal_rays(c)]
+    forms = [cn.sym2_coordinates(v) for v in rays]
+    basis_idx = []
+    for j, f in enumerate(forms):
+        if mx.rank([forms[i] for i in basis_idx] + [f]) > len(basis_idx):
+            basis_idx.append(j)
+    basis_rows = tuple(forms[i] for i in basis_idx)
+    coords = [mx.solve_rational(mx.transpose(basis_rows), f) for f in forms]
+    return [
+        mx.transpose([coords[perm[b]] for b in basis_idx])
+        for perm in stabilizer_action(c).perms
+    ]
+
+
+def det_one_minus_t(e):
+    """Coefficients of det(1 - t*E) via the characteristic polynomial.
+
+    Faddeev-LeVerrier: det(lambda - E) = sum c_k lambda^(d-k) gives
+    det(1 - tE) = sum c_k t^k with c_0 = 1.
+    """
+    d = len(e)
+    m = [[Fraction(x) for x in row] for row in e]
+    coeffs = [Fraction(1)]
+    aux = [[Fraction(1) if i == j else Fraction(0) for j in range(d)] for i in range(d)]
+    for k in range(1, d + 1):
+        prod = [
+            [sum(m[i][t] * aux[t][j] for t in range(d)) for j in range(d)]
+            for i in range(d)
+        ]
+        tr = sum(prod[i][i] for i in range(d))
+        ck = -tr / k
+        coeffs.append(ck)
+        aux = [
+            [prod[i][j] + (ck if i == j else 0) for j in range(d)] for i in range(d)
+        ]
+    return tuple(coeffs)
+
+
+def matrix_molien(c, max_deg):
+    """Oracle: Molien's theorem on the span-basis matrices, averaged over Q."""
+    elements = span_basis_matrices(c)
+    total = [Fraction(0)] * (max_deg + 1)
+    for e in elements:
+        inv = rational_inverse(det_one_minus_t(e), max_deg)
+        for k in range(max_deg + 1):
+            total[k] += inv[k]
+    return tuple(x / len(elements) for x in total)
+
+
 def test_molien_trivial_group():
     action = stabilizer_action(cn.catalog_cone("1"))
     assert action.order == 1
@@ -50,11 +111,32 @@ def test_molien_trivial_group():
 
 
 def test_molien_trivial_group_higher_dim_is_free_on_degree_ones():
-    from fractions import Fraction
-
-    ident = tuple(tuple(Fraction(int(i == j)) for j in range(3)) for i in range(3))
-    action = GroupAction(dim=3, elements=(ident,), order=1, perms=((0, 1, 2),), orbits=((0,), (1,), (2,)))
+    action = GroupAction(dim=3, order=1, perms=((0, 1, 2),), orbits=((0,), (1,), (2,)))
     assert molien(action, 6).coeffs == hilbert_free([1, 1, 1], 6).coeffs
+
+
+def test_molien_matches_matrix_oracle_on_tables_cones():
+    # every explicit catalog cone of dim <= 5, plus K4
+    tables_cones = [e.cone for e in cn.catalog(5) if e.cone is not None]
+    tables_cones.append(cn.catalog_cone("K4"))
+    assert len(tables_cones) == 14
+    for c in tables_cones:
+        assert molien(stabilizer_action(c), 8).coeffs == matrix_molien(c, 8), c.name
+
+
+def test_molien_rejects_non_group():
+    with pytest.raises(ValueError, match=r"\|G\| = 2"):
+        molien(NON_GROUP, 1)
+
+
+def test_verify_molien_check_fails_on_non_group(monkeypatch):
+    monkeypatch.setattr(verify, "stabilizer_action", lambda c: NON_GROUP)
+    results = {r.name: r for r in verify.check_molien_suite()}
+    integral = results["molien coefficients are nonnegative integers (catalog, depth 8)"]
+    assert integral.status == verify.FAIL
+    assert "K3:" in integral.detail
+    full_sym = results["molien equals hilbert_free for the full-symmetric catalog actions"]
+    assert full_sym.status == verify.FAIL
 
 
 def test_molien_s3_brute_force_oracle():

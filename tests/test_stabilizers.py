@@ -5,7 +5,9 @@ import pytest
 
 from perfcone import cones as cn
 from perfcone import matrices as mx
-from perfcone.stabilizers import invariant_dim_degree1, stabilizer_action, sym2_action
+from perfcone import stabilizers
+from perfcone import voronoi as vr
+from perfcone.stabilizers import GroupAction, invariant_dim_degree1, stabilizer_action
 
 
 def test_k3_stabilizer_is_s3_on_generators():
@@ -48,6 +50,15 @@ def test_stabilizer_requires_full_rank():
         stabilizer_action(c)
 
 
+def test_stabilizer_rejects_non_simplicial_cone():
+    # the Voronoi domain of D4: 12 minimal vector pairs, forms spanning only 10 dimensions
+    d4 = ((2, -1, 0, 0), (-1, 2, -1, -1), (0, -1, 2, 0), (0, -1, 0, 2))
+    p = vr.perfect_form(d4)
+    assert len(p.min_vectors) == 12
+    with pytest.raises(ValueError, match="simplicial"):
+        stabilizer_action(vr.domain(p))
+
+
 def test_group_order_divides_permutation_bound():
     for name in ("K3", "C4", "K4-1"):
         c = cn.catalog_cone(name)
@@ -74,38 +85,9 @@ def test_conjugated_cone_has_same_group_order():
         assert sorted(len(o) for o in action.orbits) == sorted(len(o) for o in base.orbits)
 
 
-def test_sym2_action_identity():
-    assert sym2_action(mx.identity(3), 3) == mx.identity(6)
-
-
-def test_sym2_action_swap():
-    # x1 <-> x2 swaps T1, T2 and fixes P12
-    m = sym2_action(((0, 1), (1, 0)), 2)
-    # basis order: T1, T2, P12
-    assert m == ((0, 1, 0), (1, 0, 0), (0, 0, 1))
-
-
-def test_sym2_action_shear_matches_symbolic_expansion():
-    # point map (x1, x2) -> (x1, x1 - x2): M(P_ij) = sum M_ia M_jb P_ab
-    m = ((1, 0), (1, -1))
-    got = sym2_action(m, 2)
-    # symbolic oracle: treat P_ij ~ y_i y_j, expand images of y_j y_k
-    # T1 = y1^2-ish: image (y1)^2 -> T1
-    # T2: image (y1 - y2)^2 = y1^2 - 2 y1 y2 + y2^2 -> T1 + T2 - P12
-    # P12: image 2*y1(y1 - y2) -> 2T1 - P12
-    assert mx.transpose(got) == (
-        (1, 0, 0),  # image of T1 in (T1, T2, P12) coordinates
-        (1, 1, -1),  # image of T2
-        (2, 0, -1),  # image of P12
-    )
-
-
-def test_sym2_action_contravariant():
-    # classes transform by pullback, so composition reverses
-    rng = random.Random(5)
-    for _ in range(5):
-        a = tuple(tuple(rng.randint(-2, 2) for _ in range(3)) for _ in range(3))
-        b = tuple(tuple(rng.randint(-2, 2) for _ in range(3)) for _ in range(3))
-        left = sym2_action(mx.matmul(a, b), 3)
-        right = mx.matmul(sym2_action(b, 3), sym2_action(a, 3))
-        assert left == right
+def test_invariant_dim_cross_checks_orbits_by_burnside(monkeypatch):
+    # three fixed points on average, but the orbits claim one
+    wrong = GroupAction(dim=3, order=1, perms=((0, 1, 2),), orbits=((0, 1, 2),))
+    monkeypatch.setattr(stabilizers, "stabilizer_action", lambda c: wrong)
+    with pytest.raises(AssertionError, match="disagree"):
+        invariant_dim_degree1(cn.catalog_cone("K3"))
