@@ -355,10 +355,6 @@ class ClassSum:
         return " + ".join(parts)
 
 
-def multiply(a: ClassSum, b: ClassSum) -> ClassSum:
-    return a * b
-
-
 def _subtype(c: BracketClass, split: Sequence[int]) -> BracketClass:
     """Type of the sub-monomial picking exponent split[j] from position j.
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
@@ -20,13 +19,16 @@ from . import polyhedral
 from .matrices import (
     IntMatrix,
     IntVector,
+    adjugate,
     det,
     f2_kernel,
     hnf,
     identity,
+    integral_map,
     invert_unimodular,
     kernel_basis,
     lattice_index,
+    mat_vec,
     matmul,
     rank,
     saturate,
@@ -311,9 +313,12 @@ def _assignment_search(
 ) -> Iterator[tuple[IntMatrix, tuple[int, ...]]]:
     """Yield (R, perm) with R in GL(ambient, Z) and R*src[j] = +-dst[perm[j]].
 
-    Both vector families must span the ambient space.  Candidates are pruned
-    by forcing the images of vectors that are linearly dependent on the part
-    already assigned.
+    Both vector families must span the ambient space.  A maximal independent
+    subset of the source is assigned first, by branching over signed targets;
+    the image of every other source vector is then forced.  The basis is
+    inverted once, as an integer adjugate adj with determinant d: a dependent
+    vector v has coefficients adj*v / d, so its forced image is
+    sum_i (adj*v)_i * w_i / d, and R = W*adj / d for the assigned images W.
     """
     n = len(src)
     if len(dst) != n:
@@ -329,34 +334,31 @@ def _assignment_search(
             chosen.append(v)
             order.append(j)
     order += [j for j in range(n) if j not in order]
+    adj, d = adjugate(transpose(chosen))
+    coeffs = {j: mat_vec(adj, src[j]) for j in order[ambient:]}
     dst_lookup = {sign_canonical(w): k for k, w in enumerate(dst)}
 
     perm = [-1] * n
     used = [False] * n
-    indep_pairs: list[tuple[IntVector, IntVector]] = []
+    images: list[IntVector] = []
 
     def extend(pos: int) -> Iterator[tuple[IntMatrix, tuple[int, ...]]]:
         if pos == n:
-            vmat = transpose([v for v, _ in indep_pairs])
-            wmat = transpose([w for _, w in indep_pairs])
-            r_matrix = _solve_linear_map(vmat, wmat)
+            r_matrix = integral_map(adj, d, images)
             if r_matrix is None or det(r_matrix) not in (1, -1):
                 return
             yield r_matrix, tuple(perm)
             return
-        j = src_order[pos]
-        v = src[j]
-        coeffs = solve_rational(transpose([p[0] for p in indep_pairs]), v) if indep_pairs else None
-        if coeffs is not None:
-            forced = [Fraction(0)] * ambient
-            for a, (_, w) in zip(coeffs, indep_pairs):
-                for t in range(ambient):
-                    forced[t] += a * w[t]
-            if any(x.denominator != 1 for x in forced):
-                return
-            fvec = tuple(int(x) for x in forced)
-            key = sign_canonical(fvec)
-            k = dst_lookup.get(key)
+        j = order[pos]
+        if pos >= ambient:
+            c = coeffs[j]
+            forced = []
+            for t in range(ambient):
+                q, rem = divmod(sum(a * w[t] for a, w in zip(c, images)), d)
+                if rem:
+                    return
+                forced.append(q)
+            k = dst_lookup.get(sign_canonical(forced))
             if k is None or used[k]:
                 return
             perm[j] = k
@@ -365,35 +367,20 @@ def _assignment_search(
             used[k] = False
             perm[j] = -1
             return
-        first = not indep_pairs
+        signs = (1,) if pos == 0 else (1, -1)
         for k in range(n):
             if used[k]:
                 continue
-            signs = (1,) if first else (1, -1)
             for s in signs:
-                w = tuple(s * x for x in dst[k])
                 perm[j] = k
                 used[k] = True
-                indep_pairs.append((v, w))
+                images.append(tuple(s * x for x in dst[k]))
                 yield from extend(pos + 1)
-                indep_pairs.pop()
+                images.pop()
                 used[k] = False
                 perm[j] = -1
 
-    src_order = order
     yield from extend(0)
-
-
-def _solve_linear_map(vmat, wmat) -> Optional[IntMatrix]:
-    """Integer matrix R with R * vmat = wmat (columns are vectors), or None."""
-    vrows = transpose(vmat)  # rows are the source vectors
-    rows = []
-    for t in range(len(vmat)):
-        sol = solve_rational(vrows, tuple(wmat[t]))
-        if sol is None or any(x.denominator != 1 for x in sol):
-            return None
-        rows.append(tuple(int(x) for x in sol))
-    return tuple(rows)
 
 
 def _equivalence_invariants(c: Cone):

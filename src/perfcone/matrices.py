@@ -4,13 +4,20 @@ Matrices are tuples of tuples (rows) of Python ints or Fractions; vectors are
 tuples.  Everything is exact: no floating point is used anywhere in this
 package.  Sizes stay tiny (at most ~25 rows/columns), so the algorithms favour
 clarity over asymptotics.
+
+Elimination is fraction-free (Bareiss): `det`, `rank` and `adjugate` work in
+integers, dividing only where the division is exact.  An integral map is
+found by inverting its source basis once, as an integer adjugate and a
+determinant, after which each candidate costs one integer product and a
+divisibility test (`integral_map`).  `solve_rational` stays for the few
+one-off solves over Q.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -111,26 +118,57 @@ def det(a: Sequence[Sequence[int]]) -> int:
     return sign * m[-1][-1]
 
 
-def rank(a: Sequence[Sequence]) -> int:
-    """Rank over the rationals."""
-    m = [[Fraction(x) for x in row] for row in a]
-    rows, cols = len(m), len(m[0]) if m else 0
+def _bareiss(m: list[list[int]], ncols: int, jordan: bool = False) -> tuple[list[int], int]:
+    """Fraction-free elimination of the integer rows `m`, in place.
+
+    Pivots on the first `ncols` columns in order, skipping a column with no
+    nonzero entry at or below the current row.  Each step replaces every row
+    below the pivot row (with `jordan`, every other row) by
+    pivot * row - entry * pivot_row, divided exactly by the previous pivot
+    (Bareiss, Math. Comp. 1968), so every entry stays a minor of the input.
+    Returns the pivot columns and the sign of the row permutation.
+    """
+    rows = len(m)
+    pivots: list[int] = []
+    sign = 1
+    prev = 1
     r = 0
-    for c in range(cols):
+    for c in range(ncols):
+        if r == rows:
+            break
         piv = next((i for i in range(r, rows) if m[i][c] != 0), None)
         if piv is None:
             continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            sign = -sign
+        top = m[r]
+        p = top[c]
+        for i in range(rows) if jordan else range(r + 1, rows):
+            if i == r:
+                continue
+            row = m[i]
+            f = row[c]
+            if f == 0 and p == prev:
+                continue
+            m[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+        pivots.append(c)
+        prev = p
         r += 1
-        if r == rows:
-            break
-    return r
+    return pivots, sign
+
+
+def rank(a: Sequence[Sequence]) -> int:
+    """Rank over the rationals, by fraction-free elimination.
+
+    Integer or `Fraction` entries; each row is first scaled to integers by
+    the lcm of its denominators.
+    """
+    m = []
+    for row in a:
+        den = lcm(*(x.denominator for x in row))
+        m.append([x.numerator * (den // x.denominator) for x in row])
+    return len(_bareiss(m, len(m[0]) if m else 0)[0])
 
 
 def hnf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
@@ -295,19 +333,56 @@ def solve_rational(a, b) -> Optional[tuple[Fraction, ...]]:
     return tuple(x)
 
 
+def adjugate(a: Sequence[Sequence[int]]) -> tuple[IntMatrix, int]:
+    """Adjugate and determinant of a square integer matrix: adj*a = det*I.
+
+    Fraction-free Gauss-Jordan elimination of [a | I], with the rows
+    permuted by P, ends at [d*I | d*a^-1] for d = det(P*a) = +-det(a); so
+    adj(a) = det(a) * a^-1 is the right block times the sign of P.  A
+    singular matrix has no full pivot sequence; its adjugate is then built
+    from its cofactors.
+    """
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise ValueError("adjugate of non-square matrix")
+    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    pivots, sign = _bareiss(m, n, jordan=True)
+    if len(pivots) == n:
+        d = sign * m[-1][n - 1] if n else 1
+        return tuple(tuple(sign * x for x in row[n:]) for row in m), d
+
+    def minor(r: int, c: int) -> int:
+        rest = (row for i, row in enumerate(a) if i != r)
+        return det(tuple(tuple(x for k, x in enumerate(row) if k != c) for row in rest))
+
+    return tuple(tuple((-1) ** (i + j) * minor(j, i) for j in range(n)) for i in range(n)), 0
+
+
+def integral_map(adj: IntMatrix, d: int, images: Sequence[IntVector]) -> Optional[IntMatrix]:
+    """The integer matrix R with R * basis[k] = images[k] for every k, or None.
+
+    `(adj, d)` is `adjugate` of the matrix whose columns are the basis
+    vectors, so R = W * adj / d for W the matrix whose columns are the
+    images; None when an entry of W * adj is not divisible by d.
+    """
+    n = len(adj)
+    out = []
+    for t in range(len(images[0])):
+        row = []
+        for s in range(n):
+            q, rem = divmod(sum(images[k][t] * adj[k][s] for k in range(n)), d)
+            if rem:
+                return None
+            row.append(q)
+        out.append(tuple(row))
+    return tuple(out)
+
+
 def invert_unimodular(a: IntMatrix) -> IntMatrix:
     """Exact inverse of a matrix with determinant +-1."""
-    d = det(a)
+    adj, d = adjugate(a)
     if d not in (1, -1):
         raise ValueError(f"matrix is not unimodular (determinant {d})")
-    n = len(a)
-    adj = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = tuple(
-                tuple(a[r][c] for c in range(n) if c != j) for r in range(n) if r != i
-            )
-            adj[j][i] = (-1) ** (i + j) * det(minor)
     return tuple(tuple(x * d for x in row) for row in adj)
 
 

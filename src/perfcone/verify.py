@@ -305,7 +305,7 @@ def check_molien_suite() -> list[CheckResult]:
     # Coefficients are nonnegative by construction; integrality is what can
     # fail, as a Molien sum not divisible by the group order.
     not_integral = []
-    for e in cn.catalog(5):
+    for e in cn.catalog(6):
         if e.cone is None:
             continue
         try:

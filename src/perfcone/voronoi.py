@@ -15,7 +15,16 @@ from typing import Sequence
 
 from . import polyhedral
 from .cones import Cone, cone_dim, cones_equivalent, reduce_to_span, sym2_coordinates, sym2_pairs
-from .matrices import IntVector, det, rank, sign_canonical, vec_dot
+from .matrices import (
+    IntVector,
+    adjugate,
+    det,
+    integral_map,
+    rank,
+    sign_canonical,
+    transpose,
+    vec_dot,
+)
 
 
 @dataclass(frozen=True)
@@ -284,6 +293,7 @@ def equivalent_forms(p1: PerfectForm, p2: PerfectForm) -> bool:
             basis.append(v)
         if len(basis) == g:
             break
+    adj, d = adjugate(transpose(basis))
     targets = [v for v in p2.min_vectors] + [tuple(-x for x in v) for v in p2.min_vectors]
 
     basis_gram = [[q1.pairing(a, b) for b in basis] for a in basis]
@@ -291,7 +301,7 @@ def equivalent_forms(p1: PerfectForm, p2: PerfectForm) -> bool:
     def extend(assigned: list[IntVector]) -> bool:
         k = len(assigned)
         if k == g:
-            u = _transition(basis, assigned)
+            u = integral_map(adj, d, assigned)
             if u is None:
                 return False
             # U maps basis -> assigned; the gram match on a basis makes the
@@ -309,20 +319,6 @@ def equivalent_forms(p1: PerfectForm, p2: PerfectForm) -> bool:
         return False
 
     return extend([])
-
-
-def _transition(basis: Sequence[IntVector], images: Sequence[IntVector]):
-    """Integer matrix U with U*basis_j = images_j, or None."""
-    from .matrices import solve_rational, transpose
-
-    g = len(basis[0])
-    rows = []
-    for t in range(g):
-        sol = solve_rational(tuple(basis), tuple(im[t] for im in images))
-        if sol is None or any(x.denominator != 1 for x in sol):
-            return None
-        rows.append(tuple(int(x) for x in sol))
-    return tuple(rows)
 
 
 def first_perfect_form(g: int) -> PerfectForm:
@@ -371,6 +367,7 @@ def domain_automorphism_perms(p: PerfectForm) -> tuple[tuple[int, ...], ...]:
             basis.append(v)
         if len(basis) == g:
             break
+    adj, d = adjugate(transpose(basis))
     gram = [[q.pairing(a, b) for b in basis] for a in basis]
     targets = list(vectors) + [tuple(-x for x in v) for v in vectors]
     index = {v: i for i, v in enumerate(vectors)}
@@ -379,7 +376,7 @@ def domain_automorphism_perms(p: PerfectForm) -> tuple[tuple[int, ...], ...]:
     def extend(assigned: list[IntVector]):
         k = len(assigned)
         if k == g:
-            u = _transition(basis, assigned)
+            u = integral_map(adj, d, assigned)
             if u is None:
                 return
             images = [sign_canonical(tuple(sum(u[t][s] * v[s] for s in range(g)) for t in range(g))) for v in vectors]

@@ -2,14 +2,18 @@
 
 `bench/tracing.py` rebinds every function in TRACED by name, and
 `bench/workloads.py` reads `cache_info()` of every cache in CACHES; a deleted
-or renamed one fails every traced benchmark process.  The two tuples are read
-from the source text, so neither file is imported or run.
+or renamed one fails every traced benchmark process.  The functions in
+GENERATORS are wrapped so that each resumption is a span, which times a
+plain function wrongly without any error, so they must stay generator
+functions.  The names are read from the source text, so neither file is
+imported or run.
 """
 
 from __future__ import annotations
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -17,7 +21,7 @@ import pytest
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-def _names(filename: str, variable: str) -> tuple[tuple[str, str], ...]:
+def _names(filename: str, variable: str):
     tree = ast.parse((BENCH / filename).read_text())
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
@@ -42,3 +46,8 @@ def test_traced_function_exists(module, attr):
 @pytest.mark.parametrize("module,attr", _names("workloads.py", "CACHES"))
 def test_benchmarked_cache_exists(module, attr):
     assert callable(_resolve(module, attr).cache_info)
+
+
+@pytest.mark.parametrize("module,attr", sorted(_names("tracing.py", "GENERATORS")))
+def test_traced_generator_is_generator_function(module, attr):
+    assert inspect.isgeneratorfunction(_resolve(module, attr))

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -187,3 +188,126 @@ def test_complete_to_unimodular():
     full = cn.complete_to_unimodular(rows)
     assert mx.det(full) in (1, -1)
     assert full[: len(rows)] == rows
+
+
+# ---------------------------------------------------------------------------
+# The integral-symmetry search against its Fraction Gauss-Jordan predecessor
+# ---------------------------------------------------------------------------
+
+
+def _solve_linear_map(vmat, wmat):
+    """Integer matrix R with R * vmat = wmat (columns are vectors), or None."""
+    vrows = mx.transpose(vmat)
+    rows = []
+    for t in range(len(vmat)):
+        sol = mx.solve_rational(vrows, tuple(wmat[t]))
+        if sol is None or any(x.denominator != 1 for x in sol):
+            return None
+        rows.append(tuple(int(x) for x in sol))
+    return tuple(rows)
+
+
+def fraction_assignment_search(src, dst, ambient):
+    """Oracle: the search solving over Q at every node and at every leaf."""
+    n = len(src)
+    if len(dst) != n:
+        return
+    if mx.rank(src) != ambient or mx.rank(dst) != ambient:
+        raise ValueError("assignment search requires full-rank vector families")
+    order = []
+    chosen = []
+    for j, v in enumerate(src):
+        if mx.rank(chosen + [v]) > len(chosen):
+            chosen.append(v)
+            order.append(j)
+    order += [j for j in range(n) if j not in order]
+    dst_lookup = {mx.sign_canonical(w): k for k, w in enumerate(dst)}
+    perm = [-1] * n
+    used = [False] * n
+    indep_pairs = []
+
+    def extend(pos):
+        if pos == n:
+            vmat = mx.transpose([v for v, _ in indep_pairs])
+            wmat = mx.transpose([w for _, w in indep_pairs])
+            r_matrix = _solve_linear_map(vmat, wmat)
+            if r_matrix is None or mx.det(r_matrix) not in (1, -1):
+                return
+            yield r_matrix, tuple(perm)
+            return
+        j = order[pos]
+        v = src[j]
+        coeffs = (
+            mx.solve_rational(mx.transpose([p[0] for p in indep_pairs]), v)
+            if indep_pairs
+            else None
+        )
+        if coeffs is not None:
+            forced = [Fraction(0)] * ambient
+            for a, (_, w) in zip(coeffs, indep_pairs):
+                for t in range(ambient):
+                    forced[t] += a * w[t]
+            if any(x.denominator != 1 for x in forced):
+                return
+            k = dst_lookup.get(mx.sign_canonical(tuple(int(x) for x in forced)))
+            if k is None or used[k]:
+                return
+            perm[j] = k
+            used[k] = True
+            yield from extend(pos + 1)
+            used[k] = False
+            perm[j] = -1
+            return
+        signs = (1,) if not indep_pairs else (1, -1)
+        for k in range(n):
+            if used[k]:
+                continue
+            for s in signs:
+                perm[j] = k
+                used[k] = True
+                indep_pairs.append((v, tuple(s * x for x in dst[k])))
+                yield from extend(pos + 1)
+                indep_pairs.pop()
+                used[k] = False
+                perm[j] = -1
+
+    yield from extend(0)
+
+
+TABLES_CONES = [e.cone for e in cn.catalog(5) if e.cone is not None] + [cn.catalog_cone("K4")]
+
+
+@pytest.mark.parametrize("cone", TABLES_CONES, ids=lambda c: c.name)
+def test_assignment_search_matches_fraction_oracle(cone):
+    rays = [cone.generators[j] for j in cn.extremal_rays(cone)]
+    expected = list(fraction_assignment_search(rays, rays, cone.ambient))
+    assert list(cn._assignment_search(rays, rays, cone.ambient)) == expected
+
+
+def _equivalence_pairs():
+    """(equivalent pairs, inequivalent pairs) from the catalog and the
+    graphical cones above."""
+    explicit = [e.cone for e in CAT if e.cone is not None]
+    k3_in_4 = cn.Cone(4, [(1, 0, 0, 0), (0, 1, 0, 0), (1, -1, 0, 0)])
+    star = cn.Graph(5, ((1, 2), (1, 3), (1, 4), (1, 5)))
+    equivalent = [(c, c) for c in explicit] + [
+        (cn.graphical_cone(cn.cycle_graph(4)), cn.catalog_cone("C4")),
+        (cn.graphical_cone(cn.complete_graph(3)), cn.catalog_cone("K3")),
+        (cn.reduce_to_span(k3_in_4), cn.catalog_cone("K3")),
+        # not reduced to the span: exercises the completion to GL(4, Z)
+        (k3_in_4, cn.Cone(4, [(0, 0, 1, 0), (0, 1, 1, 0), (0, 1, 0, 0)])),
+        (cn.graphical_cone(star), cn.Cone(4, mx.identity(4))),
+    ]
+    equivalent += [
+        (cn.graphical_cone(cn.path_graph(k + 1)), cn.Cone(k, mx.identity(k))) for k in (2, 3, 4)
+    ]
+    return equivalent, list(itertools.combinations(explicit, 2))
+
+
+def test_cones_equivalent_matrices_match_fraction_oracle(monkeypatch):
+    equivalent, inequivalent = _equivalence_pairs()
+    pairs = equivalent + inequivalent
+    found = [cn.cones_equivalent(a, b) for a, b in pairs]
+    assert all(q is not None for q in found[: len(equivalent)])
+    monkeypatch.setattr(cn, "_assignment_search", fraction_assignment_search)
+    assert found == [cn.cones_equivalent(a, b) for a, b in pairs]

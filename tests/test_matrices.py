@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from perfcone import cones as cn
 from perfcone import matrices as mx
 
 
@@ -162,3 +163,103 @@ def test_primitive_and_sign_canonical():
     assert mx.primitive_vector((Fraction(1, 2), Fraction(-3, 2))) == (1, -3)
     assert mx.sign_canonical((-1, 2)) == (1, -2)
     assert mx.sign_canonical((0, -2)) == (0, 2)
+
+
+def fraction_rank(a):
+    """Oracle: Gauss-Jordan over Fraction."""
+    m = [[Fraction(x) for x in row] for row in a]
+    r = 0
+    for c in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        r += 1
+    return r
+
+
+def _random_matrix(rng, rows, cols, rank_at_most=None):
+    if rank_at_most is None:
+        return mx.mat([[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)])
+    left = [[rng.randint(-2, 2) for _ in range(rank_at_most)] for _ in range(rows)]
+    right = [[rng.randint(-2, 2) for _ in range(cols)] for _ in range(rank_at_most)]
+    return mx.matmul(left, right)
+
+
+def test_adjugate_times_matrix_is_determinant_times_identity():
+    rng = random.Random(11)
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        # most are singular: of rank n - 1 (a nonzero adjugate) or less
+        low = rng.choice([None, n - 1, max(n - 2, 0)])
+        a = _random_matrix(rng, n, n, low if low else None)
+        adj, d = mx.adjugate(a)
+        assert d == mx.det(a)
+        scalar = tuple(tuple(d if i == j else 0 for j in range(n)) for i in range(n))
+        assert mx.matmul(adj, a) == scalar
+        assert mx.matmul(a, adj) == scalar
+
+
+def test_adjugate_of_rank_deficient_matrices():
+    adj, d = mx.adjugate(mx.mat([[1, 2], [2, 4]]))
+    assert (adj, d) == (((4, -2), (-2, 1)), 0)
+    assert mx.adjugate(mx.zeros(3, 3)) == (mx.zeros(3, 3), 0)
+    with pytest.raises(ValueError):
+        mx.adjugate(mx.mat([[1, 2, 3], [4, 5, 6]]))
+
+
+def test_bareiss_rank_matches_fraction_oracle_on_integer_matrices():
+    rng = random.Random(5)
+    for _ in range(300):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        low = rng.choice([None, 1, 2, 3])
+        a = _random_matrix(rng, rows, cols, low)
+        assert mx.rank(a) == fraction_rank(a)
+
+
+def test_bareiss_rank_matches_fraction_oracle_on_rational_matrices():
+    rng = random.Random(6)
+    for _ in range(300):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        a = [
+            [Fraction(rng.randint(-4, 4), rng.randint(1, 6)) for _ in range(cols)]
+            for _ in range(rows)
+        ]
+        if rows > 1 and rng.random() < 0.5:
+            a[-1] = [x + Fraction(1, 3) * y for x, y in zip(a[0], a[1 % rows])]
+        assert mx.rank(a) == fraction_rank(a)
+    assert mx.rank([]) == 0
+    assert mx.rank([[Fraction(1, 2), Fraction(1, 3)], [3, 2]]) == 1
+
+
+def test_integral_map_solves_or_rejects():
+    basis = [(1, 1), (1, -1)]
+    adj, d = mx.adjugate(mx.transpose(basis))
+    # (1, 1) -> (1, 0) and (1, -1) -> (0, 1) needs halves
+    assert mx.integral_map(adj, d, [(1, 0), (0, 1)]) is None
+    r = mx.integral_map(adj, d, [(2, 0), (0, 2)])
+    assert r == ((1, 1), (1, -1))
+    assert [mx.mat_vec(r, v) for v in basis] == [(2, 0), (0, 2)]
+
+
+def test_assignment_search_rejects_non_unimodular_map():
+    # every linear map sends (2, 0) to +-(1, 0) or +-(0, 1): not integral
+    assert list(cn._assignment_search([(2, 0), (0, 1)], [(1, 0), (0, 1)], 2)) == []
+    # the other way round each map is integral, but of determinant +-2
+    assert list(cn._assignment_search([(1, 0), (0, 1)], [(2, 0), (0, 1)], 2)) == []
+
+
+def test_assignment_search_rejects_non_integral_forced_image(monkeypatch):
+    # (1, 0) is half of (1, 1) + (1, -1), and every signed sum of two of the
+    # targets below is odd somewhere, so each forced image fails to divide
+    leaves = []
+    monkeypatch.setattr(cn, "integral_map", lambda *args: leaves.append(args))
+    src = [(1, 1), (1, -1), (1, 0)]
+    dst = [(1, 0), (0, 1), (1, 1)]
+    assert list(cn._assignment_search(src, dst, 2)) == []
+    assert leaves == []

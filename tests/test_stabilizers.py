@@ -37,6 +37,17 @@ def test_standard_cone_stabilizer_full_symmetric(i):
     assert action.order == math.factorial(i)
 
 
+@pytest.mark.parametrize(
+    "name,order",
+    [("C6", 720), ("C5+1", 120), ("C4+1+1", 48), ("C3+1+1+1", 36), ("1+1+1+1+1+1", 720)],
+)
+def test_dim6_stabilizer_orders_are_matroid_automorphism_groups(name, order):
+    # the cycle matroids of C6 and C5+1 are U(5,6) and U(4,5) plus a coloop,
+    # C4+1+1 is U(3,4) plus two coloops and C3+1+1+1 is U(2,3) plus three:
+    # S6, S5, S4 x S2, S3 x S3 and S6 for the standard cone
+    assert stabilizer_action(cn.catalog_cone(name)).order == order
+
+
 def test_codim5_invariant_dims_in_catalog_order():
     names = [e.name for e in cn.catalog(6) if e.dim == 5]
     assert names == ["K4-1", "K3+1+1", "C4+1", "C5", "1+1+1+1+1", "NS"]
