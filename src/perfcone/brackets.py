@@ -275,11 +275,23 @@ def _partitions(d: int) -> list[tuple[int, ...]]:
     return out
 
 
+# Degree 7 already takes about 100 s; degree 8 would take hours.
+MAX_DEGREE = 7
+
+
 @lru_cache(maxsize=None)
 def enumerate_brackets(d: int) -> tuple[BracketClass, ...]:
-    """All bracket classes of degree d, canonicalized, each exactly once."""
+    """All bracket classes of degree d, canonicalized, each exactly once.
+
+    Degrees above MAX_DEGREE (7) are rejected with a ValueError before any
+    work is done, and degree 7 itself warns that it is unvalidated.
+    """
     if d < 1:
         raise ValueError("degree must be >= 1")
+    if d > MAX_DEGREE:
+        raise ValueError(
+            f"bracket classes are enumerated only through degree {MAX_DEGREE}, not {d}"
+        )
     if d > 6:
         warnings.warn(
             f"bracket classes of degree {d} are unvalidated beyond degree 6",
@@ -409,21 +421,39 @@ def _structure_constants(
     return tuple(out)
 
 
-def parse_expression(text: str) -> ClassSum:
-    """Product expression: bracket classes joined by '*', with '^' powers."""
+def parse_factors(text: str) -> list[BracketClass]:
+    """Factors of a product expression: bracket classes joined by '*', each
+    with an optional '^' power, which repeats it.
+
+    An expression of total degree above MAX_DEGREE is rejected, since its
+    product needs the classes of that degree.
+    """
+    factors: list[BracketClass] = []
+    degree = 0
     s = text.strip()
     if not s:
-        return ClassSum.unit()
-    result = ClassSum.unit()
-    for factor in s.split("*"):
-        factor = factor.strip()
+        return factors
+    for chunk in s.split("*"):
+        chunk = chunk.strip()
         power = 1
-        if "}^" in factor:
-            factor, _, p = factor.rpartition("^")
+        if "}^" in chunk:
+            chunk, _, p = chunk.rpartition("^")
             power = int(p)
-        bc = parse_bracket(factor)
-        for _ in range(power):
-            result = result * ClassSum.of(bc)
+        bc = parse_bracket(chunk)
+        degree += bc.degree * max(power, 0)
+        if degree > MAX_DEGREE:
+            raise ValueError(
+                f"products are computed only through degree {MAX_DEGREE}: {text!r}"
+            )
+        factors.extend([bc] * power)
+    return factors
+
+
+def parse_expression(text: str) -> ClassSum:
+    """Product expression: bracket classes joined by '*', with '^' powers."""
+    result = ClassSum.unit()
+    for bc in parse_factors(text):
+        result = result * ClassSum.of(bc)
     return result
 
 
@@ -522,7 +552,13 @@ def algebra_dimension_bounds(d: int) -> DimensionBounds:
 
 # ---------------------------------------------------------------------------
 # Explicit expansion oracle over a fixed Lagrangian
+#
+# A monomial prod D_v^{e_v} is packed as the integer sum of e_v << (3 v), so
+# multiplying two monomials is adding their keys.
 # ---------------------------------------------------------------------------
+
+_FIELD_BITS = 3
+_FIELD_MASK = (1 << _FIELD_BITS) - 1
 
 
 @lru_cache(maxsize=None)
@@ -530,13 +566,31 @@ def _classify_monomial(pattern: tuple[int, ...], kernel: frozenset[int]) -> Brac
     return canonical_bracket(pattern, kernel)
 
 
-def _monomial_class(monomial: tuple[tuple[int, int], ...]) -> BracketClass:
-    """Class of an explicit monomial ((vector, exponent), ...)."""
-    ordered = sorted(monomial, key=lambda t: (-t[1], t[0]))
-    vectors = [v for v, _ in ordered]
-    pattern = tuple(e for _, e in ordered)
-    kernel = frozenset(f2_kernel(vectors))
-    return _classify_monomial(pattern, kernel)
+def _pack(monomial: Iterable[tuple[int, int]]) -> int:
+    """Packed key of an explicit monomial ((vector, exponent), ...)."""
+    key = 0
+    for v, e in monomial:
+        key += e << (_FIELD_BITS * v)
+    return key
+
+
+@lru_cache(maxsize=None)
+def _packed_class(key: int) -> BracketClass:
+    """Class of a nonzero packed monomial.
+
+    The class depends only on the vectors and their exponents, not on the
+    genus, so one cache serves every product and every g.
+    """
+    fields = []
+    while key:
+        v = ((key & -key).bit_length() - 1) // _FIELD_BITS
+        e = key >> (_FIELD_BITS * v) & _FIELD_MASK
+        key -= e << (_FIELD_BITS * v)
+        fields.append((-e, v))
+    fields.sort()
+    vectors = [v for _, v in fields]
+    pattern = tuple(-e for e, _ in fields)
+    return _classify_monomial(pattern, frozenset(f2_kernel(vectors)))
 
 
 @lru_cache(maxsize=None)
@@ -594,28 +648,29 @@ def oracle_expand(g: int, factors: Sequence[BracketClass]) -> ClassSum:
     relation kernel; monomials of the same class must come out with the same
     coefficient, and the result is the class sum restricted to classes
     representable inside F2^g.
+
+    Monomials are packed keys: the exponent of D_v sits in the 3-bit field
+    at bit 3 v, for v <= 63 since g <= 6.  The total degree is capped at 6,
+    so every exponent is below 8 and adding two keys never carries from one
+    field into the next.
     """
     if g > 6:
         raise ValueError("oracle supports g <= 6")
     total = sum(bc.degree for bc in factors)
     if total > 6:
         raise ValueError("oracle expansion capped at total degree 6")
-    poly: dict[tuple[tuple[int, int], ...], int] = {(): 1}
+    poly: dict[int, int] = {0: 1}
     for bc in factors:
-        fact = {m: 1 for m in realize_class(bc, g)}
-        new: dict[tuple[tuple[int, int], ...], int] = {}
-        for m1, c1 in poly.items():
-            d1 = dict(m1)
-            for m2, c2 in fact.items():
-                combined = dict(d1)
-                for v, e in m2:
-                    combined[v] = combined.get(v, 0) + e
-                key = tuple(sorted(combined.items(), key=lambda t: (-t[1], t[0])))
-                new[key] = new.get(key, 0) + c1 * c2
+        fact = [_pack(m) for m in realize_class(bc, g)]
+        new: dict[int, int] = {}
+        for k1, c1 in poly.items():
+            for k2 in fact:
+                key = k1 + k2
+                new[key] = new.get(key, 0) + c1
         poly = new
     by_class: dict[BracketClass, set[int]] = {}
-    for monomial, coeff in poly.items():
-        bc = _monomial_class(monomial) if monomial else UNIT
+    for key, coeff in poly.items():
+        bc = _packed_class(key) if key else UNIT
         by_class.setdefault(bc, set()).add(coeff)
     data = {}
     for bc, coeffs in by_class.items():

@@ -147,16 +147,7 @@ def cmd_brackets(args) -> int:
         )
         return 0
     if args.action == "oracle":
-        factors = []
-        expr = args.expr.strip()
-        if expr:
-            for chunk in expr.split("*"):
-                chunk = chunk.strip()
-                power = 1
-                if "}^" in chunk:
-                    chunk, _, p = chunk.rpartition("^")
-                    power = int(p)
-                factors.extend([br.parse_bracket(chunk)] * power)
+        factors = br.parse_factors(args.expr)
         expanded = br.oracle_expand(args.genus, factors)
         print(expanded)
         product = br.ClassSum.unit()

@@ -53,7 +53,11 @@ class QuadraticForm:
 
 @dataclass(frozen=True)
 class PerfectForm:
-    """A perfect form with its cached minimum and minimal vectors (up to sign)."""
+    """A perfect form with its cached minimum and minimal vectors (up to sign).
+
+    Built only by `perfect_form`, so the matrix is always primitive and
+    integral.
+    """
 
     form: QuadraticForm
     minimum: int
@@ -276,11 +280,9 @@ def equivalent_forms(p1: PerfectForm, p2: PerfectForm) -> bool:
     """Arithmetic equivalence: some U in GL(g,Z) with U^T Q2 U = Q1.
 
     Searched by assigning an independent subset of minimal vectors of Q1 to
-    signed minimal vectors of Q2 with matching pairings.
+    signed minimal vectors of Q2 with matching pairings.  Both forms are
+    primitive and integral already, so scaled forms compare equal.
     """
-    # rescale both to primitive integral matrices before comparing
-    p1 = perfect_form(p1.form.matrix)
-    p2 = perfect_form(p2.form.matrix)
     q1, q2 = p1.form, p2.form
     if q1.g != q2.g or p1.minimum != p2.minimum:
         return False

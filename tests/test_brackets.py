@@ -6,6 +6,7 @@ import pytest
 
 from perfcone import brackets as br
 from perfcone import cones as cn
+from perfcone.matrices import f2_kernel
 
 
 def cs(text):
@@ -189,3 +190,89 @@ def test_representable():
     assert br.representable(br.parse_bracket("{123}"), 3)
     assert not br.representable(br.parse_bracket("{123}"), 2)
     assert br.representable(br.parse_bracket("{123(123)}"), 2)
+
+
+def _tuple_monomial_class(monomial):
+    ordered = sorted(monomial, key=lambda t: (-t[1], t[0]))
+    vectors = [v for v, _ in ordered]
+    pattern = tuple(e for _, e in ordered)
+    return br.canonical_bracket(pattern, f2_kernel(vectors))
+
+
+def tuple_oracle_expand(g, factors):
+    """Oracle: the expansion with monomials as sorted (vector, exponent) tuples."""
+    poly = {(): 1}
+    for bc in factors:
+        fact = {m: 1 for m in br.realize_class(bc, g)}
+        new = {}
+        for m1, c1 in poly.items():
+            d1 = dict(m1)
+            for m2, c2 in fact.items():
+                combined = dict(d1)
+                for v, e in m2:
+                    combined[v] = combined.get(v, 0) + e
+                key = tuple(sorted(combined.items(), key=lambda t: (-t[1], t[0])))
+                new[key] = new.get(key, 0) + c1 * c2
+        poly = new
+    by_class = {}
+    for monomial, coeff in poly.items():
+        bc = _tuple_monomial_class(monomial) if monomial else br.UNIT
+        by_class.setdefault(bc, set()).add(coeff)
+    data = {}
+    for bc, coeffs in by_class.items():
+        assert len(coeffs) == 1, (bc, coeffs)
+        data[bc] = coeffs.pop()
+    return br.ClassSum.from_dict(data)
+
+
+@pytest.mark.parametrize("g", [2, 3, 4])
+def test_packed_oracle_matches_tuple_oracle(g):
+    classes = [bc for d in range(1, 5) for bc in br.enumerate_brackets(d)]
+    pairs = [
+        (a, b)
+        for a, b in itertools.combinations_with_replacement(classes, 2)
+        if a.degree + b.degree <= 5
+    ]
+    assert len(pairs) == 26
+    for a, b in pairs:
+        assert br.oracle_expand(g, [a, b]) == tuple_oracle_expand(g, [a, b]), (g, a, b)
+
+
+def test_oracle_detects_unequal_coefficients(monkeypatch):
+    boundary = br.parse_bracket("{1}")
+    realize = br.realize_class
+
+    def drop_one(bc, g):
+        monomials = realize(bc, g)
+        return monomials[1:] if bc == boundary else monomials
+
+    monkeypatch.setattr(br, "realize_class", drop_one)
+    with pytest.raises(AssertionError, match="different coefficients"):
+        br.oracle_expand(3, [boundary, br.parse_bracket("{12}")])
+
+
+def test_oracle_rejects_total_degree_above_6():
+    # the cap keeps every packed exponent below 8, so keys add without carries
+    with pytest.raises(ValueError, match="total degree 6"):
+        br.oracle_expand(4, [br.parse_bracket("{1^4}"), br.parse_bracket("{1^3}")])
+
+
+def test_packed_class_reads_whole_fields():
+    # exponent 6 in the highest field at g = 6
+    assert br._packed_class(br._pack([(63, 6)])) == br.parse_bracket("{1^6}")
+    # D1 D2^2 times D3 D1^2 is D1^3 D2^2 D3, and 1 + 2 = 3 in F2^2
+    key = br._pack([(1, 1), (2, 2)]) + br._pack([(3, 1), (1, 2)])
+    assert br._packed_class(key) == br.parse_bracket("{1^32^23(123)}")
+
+
+def test_enumeration_rejects_degree_above_bound():
+    with pytest.raises(ValueError, match="through degree 7"):
+        br.enumerate_brackets(8)
+
+
+def test_parse_factors_expands_powers():
+    one, two = br.parse_bracket("{1}"), br.parse_bracket("{12}")
+    assert br.parse_factors(" {1}^2 * {12} ") == [one, one, two]
+    assert br.parse_factors("") == []
+    with pytest.raises(ValueError, match="through degree 7"):
+        br.parse_factors("{1}^8")

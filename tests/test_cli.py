@@ -87,6 +87,24 @@ def test_oracle_command(capsys):
     assert "agrees with multiply" in out
 
 
+def test_oracle_command_accepts_powers(capsys):
+    assert main(["brackets", "oracle", "-g", "3", "{1}*{1}"]) == 0
+    product = capsys.readouterr().out
+    assert main(["brackets", "oracle", "-g", "3", "{1}^2"]) == 0
+    assert capsys.readouterr().out == product
+
+
+@pytest.mark.parametrize(
+    "argv", [["brackets", "enum", "-d", "9"], ["brackets", "multiply", "{1}^8"]]
+)
+def test_bracket_degree_beyond_bound_fails_fast(capsys, argv):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "through degree 7" in captured.err
+
+
 def test_voronoi_enumerate(capsys):
     assert main(["voronoi", "enumerate", "-g", "2"]) == 0
     out = capsys.readouterr().out

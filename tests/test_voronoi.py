@@ -137,6 +137,21 @@ def test_equivalence_scaled_and_conjugated():
     assert vr.equivalent_forms(p, vr.perfect_form(moved))
 
 
+def test_equivalence_of_d4_with_doubled_conjugate():
+    u = ((1, 1, 0, 0), (0, 1, 0, 1), (1, 1, 1, 0), (0, 0, 0, 1))
+    assert mx.det(u) in (1, -1)
+    moved = tuple(
+        tuple(
+            sum(u[k][i] * 2 * D4[k][l] * u[l][j] for k in range(4) for l in range(4))
+            for j in range(4)
+        )
+        for i in range(4)
+    )
+    conjugate = vr.perfect_form(moved)
+    assert conjugate.form.matrix != D4
+    assert vr.equivalent_forms(vr.perfect_form(D4), conjugate)
+
+
 def test_a4_d4_not_equivalent():
     a4 = vr.first_perfect_form(4)
     d4 = vr.perfect_form(D4)
