@@ -36,6 +36,7 @@ from .matrices import (
     solve_rational,
     transpose,
     vec_content,
+    vec_dot,
 )
 
 
@@ -308,17 +309,34 @@ def complete_to_unimodular(rows: Sequence[IntVector]) -> IntMatrix:
 # ---------------------------------------------------------------------------
 
 
+def _pairings(vectors: Sequence[IntVector], ambient: int) -> list[list[int]]:
+    """The fingerprint P_ij = v_i^T adj(S) v_j of a spanning family, S = sum v v^T.
+
+    An R in GL(ambient, Z) with R*v_j = s_j*w_perm[j] maps S to the sum for
+    the w family and keeps its determinant, so the fingerprints agree up to
+    the signs: P^w_{perm[i], perm[j]} = s_i*s_j*P^v_ij (Plesken-Souvignier).
+    """
+    s = [[sum(v[a] * v[b] for v in vectors) for b in range(ambient)] for a in range(ambient)]
+    adj, _ = adjugate(s)
+    adj_v = [mat_vec(adj, v) for v in vectors]
+    return [[vec_dot(a, w) for w in vectors] for a in adj_v]
+
+
 def _assignment_search(
     src: Sequence[IntVector], dst: Sequence[IntVector], ambient: int
 ) -> Iterator[tuple[IntMatrix, tuple[int, ...]]]:
     """Yield (R, perm) with R in GL(ambient, Z) and R*src[j] = +-dst[perm[j]].
 
-    Both vector families must span the ambient space.  A maximal independent
+    The one integral-symmetry search: GL-equivalence of cones, stabilizers
+    and the equivalence and automorphisms of perfect forms all use it.  Both
+    vector families must span the ambient space.  A maximal independent
     subset of the source is assigned first, by branching over signed targets;
     the image of every other source vector is then forced.  The basis is
     inverted once, as an integer adjugate adj with determinant d: a dependent
     vector v has coefficients adj*v / d, so its forced image is
     sum_i (adj*v)_i * w_i / d, and R = W*adj / d for the assigned images W.
+    Every image, branched or forced, must match the `_pairings` fingerprint
+    against the images before it; this only cuts branches with no leaf.
     """
     n = len(src)
     if len(dst) != n:
@@ -337,10 +355,18 @@ def _assignment_search(
     adj, d = adjugate(transpose(chosen))
     coeffs = {j: mat_vec(adj, src[j]) for j in order[ambient:]}
     dst_lookup = {sign_canonical(w): k for k, w in enumerate(dst)}
+    p_src, p_dst = _pairings(src, ambient), _pairings(dst, ambient)
 
     perm = [-1] * n
+    sign = [0] * n
     used = [False] * n
     images: list[IntVector] = []
+
+    def fits(pos: int, j: int, k: int, s: int) -> bool:
+        row, col = p_src[j], p_dst[k]
+        return col[k] == row[j] and all(
+            s * sign[i] * col[perm[i]] == row[i] for i in order[:pos]
+        )
 
     def extend(pos: int) -> Iterator[tuple[IntMatrix, tuple[int, ...]]]:
         if pos == n:
@@ -361,7 +387,10 @@ def _assignment_search(
             k = dst_lookup.get(sign_canonical(forced))
             if k is None or used[k]:
                 return
-            perm[j] = k
+            s = 1 if tuple(forced) == tuple(dst[k]) else -1
+            if not fits(pos, j, k, s):
+                return
+            perm[j], sign[j] = k, s
             used[k] = True
             yield from extend(pos + 1)
             used[k] = False
@@ -372,7 +401,9 @@ def _assignment_search(
             if used[k]:
                 continue
             for s in signs:
-                perm[j] = k
+                if not fits(pos, j, k, s):
+                    continue
+                perm[j], sign[j] = k, s
                 used[k] = True
                 images.append(tuple(s * x for x in dst[k]))
                 yield from extend(pos + 1)

@@ -81,18 +81,6 @@ class TruncatedSeries:
         n = self.truncation
         return TruncatedSeries((0,) * min(k, n + 1) + self.coeffs[: max(0, n + 1 - k)])
 
-    def dilate(self, k: int) -> "TruncatedSeries":
-        """Substitute t -> t^k, keeping the truncation degree."""
-        if k < 1:
-            raise ValueError("dilation factor must be >= 1")
-        n = self.truncation
-        out = [0] * (n + 1)
-        for i, a in enumerate(self.coeffs):
-            if i * k > n:
-                break
-            out[i * k] = a
-        return TruncatedSeries(tuple(out))
-
     def truncate(self, n: int) -> "TruncatedSeries":
         if n > self.truncation:
             raise ValueError("cannot extend a truncated series")

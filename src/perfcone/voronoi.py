@@ -3,7 +3,9 @@ neighbor walk, arithmetic equivalence and face classification for g <= 4.
 
 Everything is exact: shortest vectors come from a rational Cholesky recursion
 with no floating-point pruning, neighbors from an exact line search on the
-pencil Q + rho*R, and equivalence from backtracking over minimal vectors.
+pencil Q + rho*R.  Equivalence of forms and their automorphisms come from
+`cones._assignment_search`, the one integral-symmetry search, over the
+minimal vectors, with a congruence check on every map it yields.
 """
 
 from __future__ import annotations
@@ -14,17 +16,22 @@ from math import floor, gcd
 from typing import Sequence
 
 from . import polyhedral
-from .cones import Cone, cone_dim, cones_equivalent, reduce_to_span, sym2_coordinates, sym2_pairs
-from .matrices import (
-    IntVector,
-    adjugate,
-    det,
-    integral_map,
-    rank,
-    sign_canonical,
-    transpose,
-    vec_dot,
+from .cones import (
+    CatalogEntry,
+    Cone,
+    _assignment_search,
+    _equivalence_invariants,
+    cone_dim,
+    cone_rank,
+    cones_equivalent,
+    is_basic,
+    is_matroidal,
+    is_simplicial,
+    reduce_to_span,
+    render_catalog,
+    sym2_pairs,
 )
+from .matrices import IntMatrix, IntVector, det, matmul, rank, sign_canonical, transpose
 
 
 @dataclass(frozen=True)
@@ -62,9 +69,6 @@ class PerfectForm:
     form: QuadraticForm
     minimum: int
     min_vectors: tuple[IntVector, ...]
-
-    def domain_rays(self) -> tuple[IntVector, ...]:
-        return self.min_vectors
 
 
 def _is_positive_definite(matrix) -> bool:
@@ -276,51 +280,27 @@ def neighbor(p: PerfectForm, facet: Facet) -> PerfectForm:
     raise AssertionError("neighbor line search did not terminate")
 
 
+def _pull_back(matrix, u: IntMatrix) -> IntMatrix:
+    """U^T Q U."""
+    return matmul(matmul(transpose(u), matrix), u)
+
+
 def equivalent_forms(p1: PerfectForm, p2: PerfectForm) -> bool:
     """Arithmetic equivalence: some U in GL(g,Z) with U^T Q2 U = Q1.
 
-    Searched by assigning an independent subset of minimal vectors of Q1 to
-    signed minimal vectors of Q2 with matching pairings.  Both forms are
-    primitive and integral already, so scaled forms compare equal.
+    Such a U maps the minimal vectors of Q1 onto those of Q2 up to sign, so
+    it is among the maps of `_assignment_search`; the congruence is checked
+    on each, which for perfect forms always holds but keeps the meaning on
+    other input.  Both forms are primitive and integral already, so scaled
+    forms compare equal.
     """
     q1, q2 = p1.form, p2.form
     if q1.g != q2.g or p1.minimum != p2.minimum:
         return False
-    if len(p1.min_vectors) != len(p2.min_vectors):
-        return False
-    g = q1.g
-    basis: list[IntVector] = []
-    for v in p1.min_vectors:
-        if rank(basis + [v]) > len(basis):
-            basis.append(v)
-        if len(basis) == g:
-            break
-    adj, d = adjugate(transpose(basis))
-    targets = [v for v in p2.min_vectors] + [tuple(-x for x in v) for v in p2.min_vectors]
-
-    basis_gram = [[q1.pairing(a, b) for b in basis] for a in basis]
-
-    def extend(assigned: list[IntVector]) -> bool:
-        k = len(assigned)
-        if k == g:
-            u = integral_map(adj, d, assigned)
-            if u is None:
-                return False
-            # U maps basis -> assigned; the gram match on a basis makes the
-            # forms equal, so only integrality and unimodularity remain
-            return det(u) in (1, -1)
-        for w in targets:
-            if q2.value(w) != p1.minimum:
-                continue
-            if any(q2.pairing(w, assigned[t]) != basis_gram[k][t] for t in range(k)):
-                continue
-            if q2.pairing(w, w) != basis_gram[k][k]:
-                continue
-            if extend(assigned + [w]):
-                return True
-        return False
-
-    return extend([])
+    return any(
+        _pull_back(q2.matrix, u) == q1.matrix
+        for u, _ in _assignment_search(p1.min_vectors, p2.min_vectors, q1.g)
+    )
 
 
 def first_perfect_form(g: int) -> PerfectForm:
@@ -354,47 +334,12 @@ def enumerate_perfect(g: int) -> tuple[PerfectForm, ...]:
 
 
 def domain_automorphism_perms(p: PerfectForm) -> tuple[tuple[int, ...], ...]:
-    """Permutations of the minimal-vector rays induced by Aut(Q) in GL(g,Z).
-
-    Found by assigning an independent subset of minimal vectors to signed
-    minimal vectors with matching Gram pairings; each resulting U preserves
-    the form, hence permutes the rays.
-    """
-    q = p.form
-    g = q.g
-    vectors = p.min_vectors
-    basis: list[IntVector] = []
-    for v in vectors:
-        if rank(basis + [v]) > len(basis):
-            basis.append(v)
-        if len(basis) == g:
-            break
-    adj, d = adjugate(transpose(basis))
-    gram = [[q.pairing(a, b) for b in basis] for a in basis]
-    targets = list(vectors) + [tuple(-x for x in v) for v in vectors]
-    index = {v: i for i, v in enumerate(vectors)}
-    perms = set()
-
-    def extend(assigned: list[IntVector]):
-        k = len(assigned)
-        if k == g:
-            u = integral_map(adj, d, assigned)
-            if u is None:
-                return
-            images = [sign_canonical(tuple(sum(u[t][s] * v[s] for s in range(g)) for t in range(g))) for v in vectors]
-            if any(w not in index for w in images):
-                return
-            perms.add(tuple(index[w] for w in images))
-            return
-        for w in targets:
-            if any(q.pairing(w, assigned[t]) != gram[k][t] for t in range(k)):
-                continue
-            if q.value(w) != gram[k][k]:
-                continue
-            extend(assigned + [w])
-
-    extend([])
-    return tuple(sorted(perms))
+    """Permutations of the minimal-vector rays induced by Aut(Q) in GL(g,Z):
+    the maps of `_assignment_search` from the minimal vectors onto
+    themselves that preserve the form."""
+    q = p.form.matrix
+    maps = _assignment_search(p.min_vectors, p.min_vectors, p.form.g)
+    return tuple(sorted({perm for u, perm in maps if _pull_back(q, u) == q}))
 
 
 def classify_faces(g: int, max_dim: int = 6) -> tuple[Cone, ...]:
@@ -431,7 +376,7 @@ def classify_faces(g: int, max_dim: int = 6) -> tuple[Cone, ...]:
             if cone_dim(sub) > max_dim:
                 continue
             red = reduce_to_span(sub)
-            key = _face_key(red)
+            key = _equivalence_invariants(red)
             group = buckets.setdefault(key, [])
             if not any(cones_equivalent(red, other) is not None for other in group):
                 group.append(red)
@@ -440,16 +385,8 @@ def classify_faces(g: int, max_dim: int = 6) -> tuple[Cone, ...]:
     return tuple(found)
 
 
-def _face_key(red: Cone):
-    from .cones import _equivalence_invariants
-
-    return _equivalence_invariants(red)
-
-
 def render_forms(forms: Sequence[PerfectForm]) -> str:
     """Discovered forms in the cone-catalog text format, for diffing."""
-    from .cones import CatalogEntry, cone_rank, is_basic, is_matroidal, is_simplicial, render_catalog
-
     entries = []
     for k, p in enumerate(forms):
         c = domain(p).with_name(f"perfect-{p.form.g}-{k + 1}")

@@ -5,6 +5,7 @@ import pytest
 
 from perfcone import cones as cn
 from perfcone import matrices as mx
+from perfcone import voronoi as vr
 
 
 CAT = cn.catalog(6)
@@ -275,10 +276,14 @@ def fraction_assignment_search(src, dst, ambient):
 
 
 TABLES_CONES = [e.cone for e in cn.catalog(5) if e.cone is not None] + [cn.catalog_cone("K4")]
+# the minimal vectors of the root forms A2 and A3, as the Voronoi code searches them
+MIN_VECTOR_CONES = [cn.Cone(g, vr.first_perfect_form(g).min_vectors, f"A{g}-min") for g in (2, 3)]
 
 
-@pytest.mark.parametrize("cone", TABLES_CONES, ids=lambda c: c.name)
+@pytest.mark.parametrize("cone", TABLES_CONES + MIN_VECTOR_CONES, ids=lambda c: c.name)
 def test_assignment_search_matches_fraction_oracle(cone):
+    # the oracle does not prune, so equal sequences show that the fingerprint
+    # only cuts branches without a leaf
     rays = [cone.generators[j] for j in cn.extremal_rays(cone)]
     expected = list(fraction_assignment_search(rays, rays, cone.ambient))
     assert list(cn._assignment_search(rays, rays, cone.ambient)) == expected

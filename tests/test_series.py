@@ -19,7 +19,6 @@ def test_geometric_inverse_roundtrip():
 def test_shift_and_dilate():
     s = ps.from_coeffs([1, 2, 3], 5)
     assert s.shift(2).coeffs == (0, 0, 1, 2, 3, 0)
-    assert s.dilate(2).coeffs == (1, 0, 2, 0, 3, 0)
 
 
 def test_mul_truncates():

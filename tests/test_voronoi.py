@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -233,6 +234,174 @@ def test_classify_faces_g3_matches_catalog():
                 if cn.cones_equivalent(c, e.cone) is not None:
                     names.add(e.name)
     assert names == {"1", "1+1", "K3", "1+1+1", "K3+1", "C4", "K4-1"}
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the Gram-pairing backtrackers that searched forms on their own
+# before `equivalent_forms` and `domain_automorphism_perms` went through
+# `cones._assignment_search`.
+# ---------------------------------------------------------------------------
+
+
+def _independent_basis(vectors, g):
+    basis = []
+    for v in vectors:
+        if mx.rank(basis + [v]) > len(basis):
+            basis.append(v)
+        if len(basis) == g:
+            break
+    return basis
+
+
+def gram_equivalent_forms(p1, p2):
+    """Oracle: assign a basis of minimal vectors of Q1 to signed minimal
+    vectors of Q2 with matching Q-pairings."""
+    q1, q2 = p1.form, p2.form
+    if q1.g != q2.g or p1.minimum != p2.minimum:
+        return False
+    if len(p1.min_vectors) != len(p2.min_vectors):
+        return False
+    g = q1.g
+    basis = _independent_basis(p1.min_vectors, g)
+    adj, d = mx.adjugate(mx.transpose(basis))
+    targets = list(p2.min_vectors) + [tuple(-x for x in v) for v in p2.min_vectors]
+    basis_gram = [[q1.pairing(a, b) for b in basis] for a in basis]
+
+    def extend(assigned):
+        k = len(assigned)
+        if k == g:
+            u = mx.integral_map(adj, d, assigned)
+            return u is not None and mx.det(u) in (1, -1)
+        for w in targets:
+            if q2.value(w) != p1.minimum:
+                continue
+            if any(q2.pairing(w, assigned[t]) != basis_gram[k][t] for t in range(k)):
+                continue
+            if q2.pairing(w, w) != basis_gram[k][k]:
+                continue
+            if extend(assigned + [w]):
+                return True
+        return False
+
+    return extend([])
+
+
+def gram_automorphism_perms(p):
+    """Oracle: every basis assignment with matching Q-pairings, kept when
+    its integral map permutes the minimal vectors up to sign."""
+    q = p.form
+    g = q.g
+    vectors = p.min_vectors
+    basis = _independent_basis(vectors, g)
+    adj, d = mx.adjugate(mx.transpose(basis))
+    gram = [[q.pairing(a, b) for b in basis] for a in basis]
+    targets = list(vectors) + [tuple(-x for x in v) for v in vectors]
+    index = {v: i for i, v in enumerate(vectors)}
+    perms = set()
+
+    def extend(assigned):
+        k = len(assigned)
+        if k == g:
+            u = mx.integral_map(adj, d, assigned)
+            if u is None:
+                return
+            images = [mx.sign_canonical(mx.mat_vec(u, v)) for v in vectors]
+            if all(w in index for w in images):
+                perms.add(tuple(index[w] for w in images))
+            return
+        for w in targets:
+            if any(q.pairing(w, assigned[t]) != gram[k][t] for t in range(k)):
+                continue
+            if q.value(w) != gram[k][k]:
+                continue
+            extend(assigned + [w])
+
+    extend([])
+    return tuple(sorted(perms))
+
+
+@functools.lru_cache(maxsize=None)
+def _walk(g):
+    return vr.enumerate_perfect(g)
+
+
+def _neighbors(g):
+    """Every contiguous form the walk meets at genus g, before equivalence."""
+    out = []
+    for p in _walk(g):
+        for facet in vr.facets(vr.domain(p)):
+            if mx.rank([p.min_vectors[i] for i in facet.rays]) == g:
+                out.append(vr.neighbor(p, facet))
+    return out
+
+
+@pytest.mark.parametrize("g", (2, 3, 4))
+def test_domain_automorphism_perms_match_gram_oracle(g):
+    for p in _walk(g):
+        assert vr.domain_automorphism_perms(p) == gram_automorphism_perms(p)
+
+
+def test_walk_form_automorphism_counts():
+    counts = [len(vr.domain_automorphism_perms(p)) for g in (2, 3, 4) for p in _walk(g)]
+    assert counts == [6, 24, 120, 576]
+
+
+def test_equivalent_forms_match_gram_oracle_on_walk_forms():
+    forms = [p for g in (2, 3, 4) for p in _walk(g)]
+    for p1, p2 in itertools.product(forms, repeat=2):
+        assert vr.equivalent_forms(p1, p2) == gram_equivalent_forms(p1, p2)
+
+
+@pytest.mark.parametrize("g", (3, 4))
+def test_equivalent_forms_match_gram_oracle_on_neighbors(g):
+    neighbors = _neighbors(g)
+    assert neighbors
+    for q in neighbors:
+        answers = [vr.equivalent_forms(q, p) for p in _walk(g)]
+        assert answers == [gram_equivalent_forms(q, p) for p in _walk(g)]
+        assert any(answers)  # the walk is complete
+
+
+def test_equivalent_forms_match_gram_oracle_on_doubled_and_conjugated():
+    a2 = vr.perfect_form(A2)
+    doubled = vr.perfect_form(tuple(tuple(2 * x for x in row) for row in A2))
+    u2 = ((1, 1), (0, 1))
+    u4 = ((1, 1, 0, 0), (0, 1, 0, 1), (1, 1, 1, 0), (0, 0, 0, 1))
+    d4 = vr.perfect_form(D4)
+    d4_moved = mx.matmul(mx.matmul(mx.transpose(u4), D4), u4)
+    pairs = [
+        (a2, doubled),
+        (a2, vr.perfect_form(mx.matmul(mx.matmul(mx.transpose(u2), A2), u2))),
+        (d4, vr.perfect_form(tuple(tuple(2 * x for x in row) for row in d4_moved))),
+        (vr.first_perfect_form(4), d4),
+    ]
+    assert [vr.equivalent_forms(p1, p2) for p1, p2 in pairs] == [True, True, True, False]
+    for p1, p2 in pairs + [(b, a) for a, b in pairs]:
+        assert vr.equivalent_forms(p1, p2) == gram_equivalent_forms(p1, p2)
+
+
+def test_equivalent_forms_checks_the_congruence():
+    # neither form is perfect: both have minimum 5 and minimal vectors
+    # +-e1, +-e2, so the integral maps between the vectors exist, but the
+    # determinants 24 and 21 differ
+    p1 = vr.perfect_form(((5, 1), (1, 5)))
+    p2 = vr.perfect_form(((5, 2), (2, 5)))
+    assert (p1.minimum, p1.min_vectors) == (p2.minimum, p2.min_vectors) == (5, ((0, 1), (1, 0)))
+    assert (mx.det(p1.form.matrix), mx.det(p2.form.matrix)) == (24, 21)
+    assert not vr.equivalent_forms(p1, p2)
+    assert not gram_equivalent_forms(p1, p2)
+    assert vr.equivalent_forms(p1, p1)
+
+
+def test_equivalent_forms_rejects_non_spanning_minimal_vectors():
+    # minimum 4 on both; the second form's minimal vectors span only a plane
+    spanning = vr.perfect_form(((4, 1, 1), (1, 4, 1), (1, 1, 4)))
+    planar = vr.perfect_form(((4, 2, 0), (2, 4, 0), (0, 0, 5)))
+    assert spanning.minimum == planar.minimum == 4
+    assert len(spanning.min_vectors) == len(planar.min_vectors) == 3
+    for p1, p2 in ((spanning, planar), (planar, spanning)):
+        with pytest.raises(ValueError, match="full-rank"):
+            vr.equivalent_forms(p1, p2)
 
 
 def test_render_forms_roundtrip():
