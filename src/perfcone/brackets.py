@@ -12,7 +12,9 @@ two distinct indices).
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -79,22 +81,8 @@ class BracketClass:
 UNIT = BracketClass((), frozenset())
 
 
-def _pattern_permutations(exponents: Sequence[int]) -> list[tuple[int, ...]]:
-    """Permutations of the positions preserving the exponent pattern."""
-    blocks: dict[int, list[int]] = {}
-    for j, e in enumerate(exponents):
-        blocks.setdefault(e, []).append(j)
-    perms = [tuple(range(len(exponents)))]
-    for positions in blocks.values():
-        new = []
-        for base in perms:
-            for img in itertools.permutations(positions):
-                p = list(base)
-                for src, dst in zip(positions, img):
-                    p[src] = base[dst]
-                new.append(tuple(p))
-        perms = new
-    return perms
+class BracketCountError(AssertionError):
+    """The orbit walk and the Burnside count disagree on an exponent pattern."""
 
 
 def _remap(v: int, perm: Sequence[int]) -> int:
@@ -105,22 +93,48 @@ def _remap(v: int, perm: Sequence[int]) -> int:
     return out
 
 
+def _block_swaps(exponents: Sequence[int]) -> list[int]:
+    """Positions j whose transposition (j, j+1) preserves the pattern.
+
+    For nonincreasing exponents these adjacent transpositions inside the
+    blocks of equal exponents generate the whole pattern group.
+    """
+    return [j for j in range(len(exponents) - 1) if exponents[j] == exponents[j + 1]]
+
+
+def _orbit(exponents: tuple[int, ...], code: frozenset[int]) -> set[frozenset[int]]:
+    """Orbit of a relation code under the pattern group, walked by its
+    generating transpositions; every member is a code of the same weights."""
+    swaps = _block_swaps(exponents)
+    orbit = {code}
+    frontier = [code]
+    while frontier:
+        current = frontier.pop()
+        for j in swaps:
+            # exchange bits j and j+1 where they differ
+            moved = frozenset(v ^ (3 << j) if (v >> j ^ v >> (j + 1)) & 1 else v for v in current)
+            if moved not in orbit:
+                orbit.add(moved)
+                frontier.append(moved)
+    return orbit
+
+
+def _least(orbit: Iterable[frozenset[int]]) -> frozenset[int]:
+    """Canonical member of an orbit: the least sorted vector tuple."""
+    return frozenset(min(tuple(sorted(code)) for code in orbit))
+
+
 @lru_cache(maxsize=None)
 def _canonical_cached(exponents: tuple[int, ...], code: frozenset) -> BracketClass:
-    best = None
-    for perm in _pattern_permutations(exponents):
-        mapped = tuple(sorted(_remap(v, perm) for v in code))
-        if best is None or mapped < best:
-            best = mapped
-    return BracketClass(exponents, frozenset(best or ()))
+    return BracketClass(exponents, _least(_orbit(exponents, code)))
 
 
 def canonical_bracket(exponents: Sequence[int], code: Iterable[int]) -> BracketClass:
     """Canonical class for an exponent list and relation vectors.
 
     Positions are first sorted by decreasing exponent (relations remapped
-    along), then the code is minimized over all pattern-preserving
-    permutations.  The code may be given by any set of vectors; its span is
+    along), then the code is minimized over its orbit under the
+    pattern-preserving permutations.  The code may be given by any set of vectors; its span is
     taken, excluding zero.
     """
     exponents = tuple(exponents)
@@ -237,26 +251,30 @@ def parse_bracket(text: str) -> BracketClass:
 
 @lru_cache(maxsize=None)
 def _weight3_subspaces(l: int) -> tuple[frozenset[int], ...]:
-    """All subspaces of F2^l whose nonzero vectors have weight >= 3."""
-    good = [v for v in range(1, 1 << l) if bin(v).count("1") >= 3]
-    good_set = set(good)
-    seen = {frozenset()}
-    frontier = [frozenset()]
-    out = [frozenset()]
-    while frontier:
-        span = frontier.pop()
-        for v in good:
-            if v in span:
-                continue
-            new_vecs = {v ^ x for x in span} | {v}
-            if not new_vecs <= good_set:
-                continue
-            new = span | new_vecs
-            fs = frozenset(new)
-            if fs not in seen:
-                seen.add(fs)
-                out.append(fs)
-                frontier.append(fs)
+    """All subspaces of F2^l whose nonzero vectors have weight >= 3.
+
+    Each subspace is generated once, from its reduced echelon basis: rows are
+    added by increasing leading bit, each zero at the earlier leading bits.
+    A row is kept only when every vector it adds to the span has weight >= 3,
+    since later rows only enlarge the span.
+    """
+    out = []
+
+    def extend(span: list[int], pivots: int, low: int):
+        out.append(frozenset(span[1:]))
+        for p in range(low, l):
+            free = ((1 << p) - 1) & ~pivots
+            tail = free
+            while True:
+                row = 1 << p | tail
+                added = [row ^ x for x in span]
+                if all(bin(v).count("1") >= 3 for v in added):
+                    extend(span + added, pivots | 1 << p, p + 1)
+                if not tail:
+                    break
+                tail = (tail - 1) & free
+
+    extend([0], 0, 0)
     return tuple(out)
 
 
@@ -275,7 +293,44 @@ def _partitions(d: int) -> list[tuple[int, ...]]:
     return out
 
 
-# Degree 7 already takes about 100 s; degree 8 would take hours.
+def _burnside_class_count(pattern: tuple[int, ...]) -> int:
+    """Number of classes with this exponent pattern, by Burnside's lemma.
+
+    The pattern group is the product of the symmetric groups on the blocks of
+    equal exponents.  The number of weight->=3 subspaces a permutation fixes
+    depends only on its cycle type in each block, so one permutation stands
+    for each type, weighted by the size m! / z of its conjugacy class.
+    """
+    l = len(pattern)
+    sizes = [len(list(block)) for _, block in itertools.groupby(pattern)]
+    subspaces = _weight3_subspaces(l)
+    total = 0
+    for types in itertools.product(*(_partitions(m) for m in sizes)):
+        perm = list(range(l))
+        weight = 1
+        start = 0
+        for m, cycles in zip(sizes, types):
+            z = 1
+            for c, k in Counter(cycles).items():
+                z *= c**k * math.factorial(k)
+            weight *= math.factorial(m) // z
+            for c in cycles:
+                for t in range(c):
+                    perm[start + t] = start + (t + 1) % c
+                start += c
+        image = [_remap(v, perm) for v in range(1 << l)]
+        total += weight * sum(1 for s in subspaces if all(image[v] in s for v in s))
+    order = math.prod(math.factorial(m) for m in sizes)
+    count, rest = divmod(total, order)
+    if rest:
+        raise BracketCountError(
+            f"pattern {pattern}: Burnside sum {total} is not divisible by |G| = {order}"
+        )
+    return count
+
+
+# Degree 7 takes about 0.15 s.  The bound stays until the bracket notation,
+# one digit per index and exponent, can write an index or exponent of 10.
 MAX_DEGREE = 7
 
 
@@ -299,14 +354,20 @@ def enumerate_brackets(d: int) -> tuple[BracketClass, ...]:
         )
     out = []
     for pattern in _partitions(d):
-        l = len(pattern)
-        seen = set()
+        seen: set[frozenset[int]] = set()
         found = []
-        for span in _weight3_subspaces(l):
-            bc = canonical_bracket(pattern, span)
-            if bc not in seen:
-                seen.add(bc)
-                found.append(bc)
+        for code in _weight3_subspaces(len(pattern)):
+            if code in seen:
+                continue
+            orbit = _orbit(pattern, code)
+            seen |= orbit
+            found.append(BracketClass(pattern, _least(orbit)))
+        expected = _burnside_class_count(pattern)
+        if len(found) != expected:
+            raise BracketCountError(
+                f"pattern {pattern}: the orbit walk finds {len(found)} classes, "
+                f"Burnside counts {expected}"
+            )
         found.sort(key=BracketClass.sort_key)
         out.extend(found)
     return tuple(out)

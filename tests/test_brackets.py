@@ -1,3 +1,5 @@
+import functools
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -6,6 +8,7 @@ import pytest
 
 from perfcone import brackets as br
 from perfcone import cones as cn
+from perfcone import verify
 from perfcone.matrices import f2_kernel
 
 
@@ -66,8 +69,9 @@ def test_degree6_classes_match_published_list():
     assert set(br.enumerate_brackets(6)) == parsed
 
 
+@pytest.mark.filterwarnings("ignore:bracket classes of degree 7")
 def test_codes_have_minimum_weight_3():
-    for d in range(1, 7):
+    for d in range(1, 8):
         for bc in br.enumerate_brackets(d):
             for v in bc.code:
                 assert bin(v).count("1") >= 3
@@ -82,8 +86,9 @@ def test_parse_rejects_bad_classes():
         br.parse_bracket("{1 3}")  # gap in indices
 
 
+@pytest.mark.filterwarnings("ignore:bracket classes of degree 7")
 def test_render_parse_roundtrip():
-    for d in range(1, 7):
+    for d in range(1, 8):
         for bc in br.enumerate_brackets(d):
             assert br.parse_bracket(br.render_bracket(bc)) == bc
 
@@ -276,3 +281,150 @@ def test_parse_factors_expands_powers():
     assert br.parse_factors("") == []
     with pytest.raises(ValueError, match="through degree 7"):
         br.parse_factors("{1}^8")
+
+
+# ---------------------------------------------------------------------------
+# Orbit walk, subspace generation and the Burnside count against brute force
+# ---------------------------------------------------------------------------
+
+
+def _pattern_permutations(exponents):
+    """Oracle: every permutation of the positions preserving the pattern."""
+    blocks = {}
+    for j, e in enumerate(exponents):
+        blocks.setdefault(e, []).append(j)
+    perms = [tuple(range(len(exponents)))]
+    for positions in blocks.values():
+        new = []
+        for base in perms:
+            for img in itertools.permutations(positions):
+                p = list(base)
+                for src, dst in zip(positions, img):
+                    p[src] = base[dst]
+                new.append(tuple(p))
+        perms = new
+    return perms
+
+
+def brute_canonical(exponents, code):
+    """Oracle: sort the positions by exponent, then minimize the sorted code
+    over the whole pattern group, one permutation at a time."""
+    order = sorted(range(len(exponents)), key=lambda j: (-exponents[j], j))
+    to_sorted = [0] * len(exponents)
+    for newpos, j in enumerate(order):
+        to_sorted[j] = newpos
+    pattern = tuple(exponents[j] for j in order)
+    moved = [br._remap(v, to_sorted) for v in br._span(code)]
+    best = min(
+        tuple(sorted(br._remap(v, perm) for v in moved))
+        for perm in _pattern_permutations(pattern)
+    )
+    return br.BracketClass(pattern, frozenset(best))
+
+
+@functools.lru_cache(maxsize=None)
+def bfs_weight3_subspaces(l):
+    """Oracle: weight->=3 subspaces of F2^l by a breadth-first search over
+    spans, which meets each subspace once per basis order."""
+    good = [v for v in range(1, 1 << l) if bin(v).count("1") >= 3]
+    good_set = set(good)
+    seen = {frozenset()}
+    frontier = [frozenset()]
+    while frontier:
+        span = frontier.pop()
+        for v in good:
+            if v in span:
+                continue
+            new_vecs = {v ^ x for x in span} | {v}
+            if not new_vecs <= good_set:
+                continue
+            fs = frozenset(span | new_vecs)
+            if fs not in seen:
+                seen.add(fs)
+                frontier.append(fs)
+    return seen
+
+
+@pytest.fixture
+def fresh_bracket_caches():
+    def clear():
+        for f in vars(br).values():
+            if hasattr(f, "cache_clear"):
+                f.cache_clear()
+
+    clear()
+    yield
+    clear()
+
+
+@pytest.mark.parametrize("l", range(1, 8))
+def test_weight3_subspaces_match_bfs_oracle(l):
+    got = br._weight3_subspaces(l)
+    assert len(got) == len(set(got)) == [1, 1, 2, 6, 32, 248, 2960][l - 1]
+    assert set(got) == bfs_weight3_subspaces(l)
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_canonical_bracket_matches_brute_force_on_every_subspace(d):
+    for pattern in br._partitions(d):
+        classes = set()
+        for code in bfs_weight3_subspaces(len(pattern)):
+            want = brute_canonical(pattern, code)
+            assert br.canonical_bracket(pattern, code) == want, (pattern, sorted(code))
+            classes.add(want)
+        assert br._burnside_class_count(pattern) == len(classes), pattern
+
+
+def test_canonical_bracket_matches_brute_force_on_random_kernels():
+    rng = random.Random(6)
+    for _ in range(300):
+        vectors = rng.sample(range(1, 16), rng.randint(1, 6))
+        exponents = [rng.randint(1, 3) for _ in vectors]
+        kernel = f2_kernel(vectors)
+        want = brute_canonical(exponents, kernel)
+        assert br.canonical_bracket(exponents, kernel) == want, (vectors, exponents)
+
+
+@pytest.mark.filterwarnings("ignore:bracket classes of degree 7")
+def test_burnside_count_matches_enumeration_per_pattern():
+    for d in range(1, 8):
+        classes = br.enumerate_brackets(d)
+        for pattern in br._partitions(d):
+            found = sum(1 for bc in classes if bc.exponents == pattern)
+            assert br._burnside_class_count(pattern) == found, pattern
+        assert len(classes) == sum(map(br._burnside_class_count, br._partitions(d)))
+
+
+# sha256 of repr([(exponents, sorted code), ...]) for enumerate_brackets(7) as
+# computed by the permutation-list canonicalizer this module keeps as oracle
+DEGREE7_SHA256 = "da9640a7eec0a31b78bdf714b56c34f8835b6e9188f52f14dbff2ee66a824355"
+
+
+def test_degree7_enumeration_warns_and_matches_recorded_classes():
+    with pytest.warns(UserWarning, match="unvalidated beyond degree 6"):
+        classes = br.enumerate_brackets.__wrapped__(7)
+    assert len(classes) == 80
+    listing = repr([(bc.exponents, tuple(sorted(bc.code))) for bc in classes])
+    assert hashlib.sha256(listing.encode()).hexdigest() == DEGREE7_SHA256
+
+
+def _drop_last_swap(monkeypatch):
+    swaps = br._block_swaps
+    monkeypatch.setattr(br, "_block_swaps", lambda exponents: swaps(exponents)[:-1])
+
+
+def test_orbit_walk_missing_a_transposition_fails_the_count(monkeypatch, fresh_bracket_caches):
+    _drop_last_swap(monkeypatch)
+    with pytest.raises(br.BracketCountError, match=r"pattern \(1, 1, 1, 1\).* 4 classes.* 3"):
+        br.enumerate_brackets(4)
+
+
+def test_verify_reports_count_error_as_fail(monkeypatch, fresh_bracket_caches):
+    _drop_last_swap(monkeypatch)
+    results = verify.check_bracket_enumeration()
+    assert len(results) == 5
+    assert all(r.criterion == 4 and r.status == verify.FAIL for r in results)
+    assert "Burnside counts 3" in results[0].detail
+    text = verify.render_results(results)
+    assert "criterion  4  [FAIL]  bracket-class counts for degrees 1-6" in text
+    assert text.endswith("result: 5 check(s) FAILED")
