@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 from . import polyhedral
 from .matrices import (
@@ -309,7 +309,7 @@ def complete_to_unimodular(rows: Sequence[IntVector]) -> IntMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _pairings(vectors: Sequence[IntVector], ambient: int) -> list[list[int]]:
+def _pairings(vectors: Sequence[IntVector], ambient: int) -> tuple[tuple[int, ...], ...]:
     """The fingerprint P_ij = v_i^T adj(S) v_j of a spanning family, S = sum v v^T.
 
     An R in GL(ambient, Z) with R*v_j = s_j*w_perm[j] maps S to the sum for
@@ -319,11 +319,59 @@ def _pairings(vectors: Sequence[IntVector], ambient: int) -> list[list[int]]:
     s = [[sum(v[a] * v[b] for v in vectors) for b in range(ambient)] for a in range(ambient)]
     adj, _ = adjugate(s)
     adj_v = [mat_vec(adj, v) for v in vectors]
-    return [[vec_dot(a, w) for w in vectors] for a in adj_v]
+    return tuple(tuple(vec_dot(a, w) for w in vectors) for a in adj_v)
+
+
+@dataclass(frozen=True)
+class _Family:
+    """The set-up of `_assignment_search` for one spanning vector family.
+
+    `order` puts a maximal independent subset (the basis) first; `adj` and
+    `d` are the adjugate and determinant of the basis as columns, and
+    `coeffs[j]` is adj*v_j for every vector after the basis.  `lookup` finds
+    a vector's index from its sign-canonical form.
+    """
+
+    order: tuple[int, ...]
+    adj: IntMatrix
+    d: int
+    coeffs: dict[int, IntVector]
+    lookup: dict[IntVector, int]
+    pairings: tuple[tuple[int, ...], ...]
+
+
+@lru_cache(maxsize=None)
+def _family(vectors: tuple[IntVector, ...], ambient: int) -> _Family:
+    """The search set-up of a family, computed once per family and ambient.
+
+    Raises ValueError, on every call, for a family that does not span the
+    ambient space: `lru_cache` does not cache exceptions.
+    """
+    if rank(vectors) != ambient:
+        raise ValueError("assignment search requires full-rank vector families")
+    order = []
+    chosen: list[IntVector] = []
+    for j, v in enumerate(vectors):
+        if rank(chosen + [v]) > len(chosen):
+            chosen.append(v)
+            order.append(j)
+    order += [j for j in range(len(vectors)) if j not in order]
+    adj, d = adjugate(transpose(chosen))
+    return _Family(
+        order=tuple(order),
+        adj=adj,
+        d=d,
+        coeffs={j: mat_vec(adj, vectors[j]) for j in order[ambient:]},
+        lookup={sign_canonical(w): k for k, w in enumerate(vectors)},
+        pairings=_pairings(vectors, ambient),
+    )
 
 
 def _assignment_search(
-    src: Sequence[IntVector], dst: Sequence[IntVector], ambient: int
+    src: Sequence[IntVector],
+    dst: Sequence[IntVector],
+    ambient: int,
+    prescribed: Optional[Mapping[int, int]] = None,
 ) -> Iterator[tuple[IntMatrix, tuple[int, ...]]]:
     """Yield (R, perm) with R in GL(ambient, Z) and R*src[j] = +-dst[perm[j]].
 
@@ -336,26 +384,23 @@ def _assignment_search(
     vector v has coefficients adj*v / d, so its forced image is
     sum_i (adj*v)_i * w_i / d, and R = W*adj / d for the assigned images W.
     Every image, branched or forced, must match the `_pairings` fingerprint
-    against the images before it; this only cuts branches with no leaf.
+    against the images before it; this only cuts branches with no leaf.  The
+    set-up of each family (`_family`) is computed once and cached.
+
+    `prescribed` maps some source indices j to the destination index k that
+    perm[j] must equal (the sign stays free): a branch position tries only
+    that k, and a forced image anywhere else is rejected.  Without it the
+    search yields every leaf; `next(search, None)` is a first-leaf search.
     """
     n = len(src)
     if len(dst) != n:
         return
-    if rank(src) != ambient or rank(dst) != ambient:
-        raise ValueError("assignment search requires full-rank vector families")
-
-    # order the source so that a maximal independent subset comes first
-    order = []
-    chosen: list[IntVector] = []
-    for j, v in enumerate(src):
-        if rank(chosen + [v]) > len(chosen):
-            chosen.append(v)
-            order.append(j)
-    order += [j for j in range(n) if j not in order]
-    adj, d = adjugate(transpose(chosen))
-    coeffs = {j: mat_vec(adj, src[j]) for j in order[ambient:]}
-    dst_lookup = {sign_canonical(w): k for k, w in enumerate(dst)}
-    p_src, p_dst = _pairings(src, ambient), _pairings(dst, ambient)
+    source = _family(tuple(map(tuple, src)), ambient)
+    target = _family(tuple(map(tuple, dst)), ambient)
+    order, adj, d, coeffs = source.order, source.adj, source.d, source.coeffs
+    dst_lookup = target.lookup
+    p_src, p_dst = source.pairings, target.pairings
+    prescribed = prescribed or {}
 
     perm = [-1] * n
     sign = [0] * n
@@ -385,7 +430,7 @@ def _assignment_search(
                     return
                 forced.append(q)
             k = dst_lookup.get(sign_canonical(forced))
-            if k is None or used[k]:
+            if k is None or used[k] or prescribed.get(j, k) != k:
                 return
             s = 1 if tuple(forced) == tuple(dst[k]) else -1
             if not fits(pos, j, k, s):
@@ -397,7 +442,7 @@ def _assignment_search(
             perm[j] = -1
             return
         signs = (1,) if pos == 0 else (1, -1)
-        for k in range(n):
+        for k in (prescribed[j],) if j in prescribed else range(n):
             if used[k]:
                 continue
             for s in signs:

@@ -3,18 +3,31 @@
 Only the image of the stabilizer on the span of the cone matters for the
 invariant series (automorphisms acting trivially there, such as -1, are
 quotiented out).  For a simplicial cone the rank-1 forms of the extremal rays
-are a basis of the span, so the image is the group of ray permutations
+are a basis of the span, so the image is the group G of ray permutations
 realizable by integral cone automorphisms, and the Molien series is computed
 by cycle index, as an average over their cycle types (`invariants.molien`).
+
+G is built as a stabilizer chain (Sims 1970; Butler, LNCS 559, 1991) on the
+one integral-symmetry search, `cones._assignment_search`.  The base is the
+rays b_1..b_n in the search's basis-first order.  At level i, for each ray k,
+one first-leaf search with b_j -> b_j (j < i) and b_i -> k prescribed finds
+an element of the pointwise stabilizer of b_1..b_{i-1} moving b_i to k, or
+proves there is none; the elements found form the transversal U_i.  Every g
+in G is exactly one product u_1 o u_2 o ... o u_n with u_i in U_i, so
+|G| = prod |U_i|.  `_check_group` proves that these products form a group:
+it holds the identity, has no repeated product, and is closed under right
+multiplication by every transversal element.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
-from .cones import Cone, _assignment_search, cone_rank, extremal_rays, sym2_coordinates
-from .matrices import rank
+from .cones import Cone, _assignment_search, _family, cone_rank, extremal_rays, sym2_coordinates
+from .matrices import IntVector, rank
 
 
 @dataclass(frozen=True)
@@ -49,6 +62,10 @@ def stabilizer_action(c: Cone) -> GroupAction:
     return _stabilizer_action_cached(c)
 
 
+class StabilizerGroupError(AssertionError):
+    """The products of the transversals of a stabilizer chain are not a group."""
+
+
 @lru_cache(maxsize=None)
 def _stabilizer_action_cached(c: Cone) -> GroupAction:
     ext = extremal_rays(c)
@@ -58,44 +75,68 @@ def _stabilizer_action_cached(c: Cone) -> GroupAction:
             f"stabilizer action needs a simplicial cone: {len(rays)} extremal rays "
             "with dependent rank-1 forms"
         )
-    perms = sorted({perm for _, perm in _assignment_search(rays, rays, c.ambient)})
+    transversals = _transversals(rays, c.ambient)
+    group = [tuple(range(len(rays)))]
+    for level in reversed(transversals):
+        group = [tuple(u[x] for x in s) for u in level for s in group]
+    _check_group(group, transversals, c.name or str(c.generators))
 
-    # orbit partition of the rays under the permutation group
-    seen: set[int] = set()
-    orbits = []
-    for j in range(len(rays)):
-        if j in seen:
-            continue
-        orbit = {j}
-        frontier = [j]
-        while frontier:
-            x = frontier.pop()
-            for perm in perms:
-                y = perm[x]
-                if y not in orbit:
-                    orbit.add(y)
-                    frontier.append(y)
-        seen |= orbit
-        orbits.append(tuple(sorted(orbit)))
-
-    action = GroupAction(
+    return GroupAction(
         dim=len(rays),
-        order=len(perms),
-        perms=tuple(perms),
-        orbits=tuple(orbits),
+        order=len(group),
+        perms=tuple(sorted(group)),
+        # the orbit of ray j is its image under every group element
+        orbits=tuple(sorted({tuple(sorted({p[j] for p in group})) for j in range(len(rays))})),
     )
-    _check_closure(action)
-    return action
 
 
-def _check_closure(action: GroupAction) -> None:
-    perm_set = set(action.perms)
-    if tuple(range(len(action.perms[0]))) not in perm_set:
-        raise AssertionError("stabilizer image misses the identity")
-    for p in action.perms:
-        for q in action.perms:
-            if tuple(p[q[j]] for j in range(len(p))) not in perm_set:
-                raise AssertionError("stabilizer image is not closed under products")
+def _transversals(rays: Sequence[IntVector], ambient: int) -> list[list[tuple[int, ...]]]:
+    """The transversals U_1..U_n of the stabilizer chain along the base.
+
+    U_i holds, for each ray k in the orbit of b_i under the pointwise
+    stabilizer of b_1..b_{i-1}, the permutation of the first leaf of the
+    search with those rays fixed and b_i -> k.
+    """
+    fixed: dict[int, int] = {}
+    transversals = []
+    for b in _family(tuple(rays), ambient).order:
+        level = []
+        for k in range(len(rays)):
+            if k in fixed:
+                continue
+            leaf = next(_assignment_search(rays, rays, ambient, {**fixed, b: k}), None)
+            if leaf is not None:
+                level.append(leaf[1])
+        transversals.append(level)
+        fixed[b] = b
+    return transversals
+
+
+def _check_group(
+    group: list[tuple[int, ...]], transversals: list[list[tuple[int, ...]]], label: str
+) -> None:
+    """Prove that the products of the transversals form a group.
+
+    Every product lies in the group T generates.  A set S of them that holds
+    the identity and has S*u in S for every transversal element u holds
+    every word in T, so S is that group.
+    """
+    members = set(group)
+    expected = math.prod(len(level) for level in transversals)
+    if tuple(range(len(group[0]))) not in members:
+        raise StabilizerGroupError(f"stabilizer image of {label} misses the identity")
+    if len(members) != expected:
+        raise StabilizerGroupError(
+            f"stabilizer image of {label}: {len(members)} distinct products, "
+            f"transversal lengths multiply to {expected}"
+        )
+    for s in group:
+        for level in transversals:
+            for u in level:
+                if tuple(s[x] for x in u) not in members:
+                    raise StabilizerGroupError(
+                        f"stabilizer image of {label} is not closed under products"
+                    )
 
 
 def invariant_dim_degree1(c: Cone) -> int:

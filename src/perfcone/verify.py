@@ -19,7 +19,7 @@ from . import cones as cn
 from . import voronoi as vr
 from .betti import Space, assemble, consistency_report, lambda_series, std_identity_check
 from .invariants import hilbert_free, koszul_check, molien
-from .stabilizers import invariant_dim_degree1, stabilizer_action
+from .stabilizers import StabilizerGroupError, invariant_dim_degree1, stabilizer_action
 
 PASS, FAIL, FLAG = "PASS", "FAIL", "FLAG"
 
@@ -285,8 +285,13 @@ def check_molien_suite() -> list[CheckResult]:
     out = []
     full_sym = {"1+1": 2, "K3": 3, "C4": 4, "1+1+1": 3, "1+1+1+1": 4, "NS": 5, "1+1+1+1+1": 5}
     ok = True
+    detail = ""
     for name, k in full_sym.items():
-        action = stabilizer_action(cn.catalog_cone(name))
+        try:
+            action = stabilizer_action(cn.catalog_cone(name))
+        except StabilizerGroupError as exc:
+            ok, detail = False, str(exc)
+            break
         if action.order != math.factorial(k):
             ok = False
             break
@@ -303,6 +308,7 @@ def check_molien_suite() -> list[CheckResult]:
             8,
             "molien equals hilbert_free for the full-symmetric catalog actions",
             PASS if ok else FAIL,
+            detail,
         )
     )
     # Coefficients are nonnegative by construction; integrality is what can
@@ -313,7 +319,7 @@ def check_molien_suite() -> list[CheckResult]:
             continue
         try:
             molien(stabilizer_action(e.cone), 8)
-        except ValueError as exc:
+        except (ValueError, StabilizerGroupError) as exc:
             not_integral.append(f"{e.name}: {exc}")
     out.append(
         CheckResult(

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import floor, gcd
 from typing import Sequence
 
@@ -312,8 +313,9 @@ def first_perfect_form(g: int) -> PerfectForm:
     return perfect_form(m)
 
 
+@lru_cache(maxsize=None)
 def enumerate_perfect(g: int) -> tuple[PerfectForm, ...]:
-    """Complete neighbor walk up to arithmetic equivalence."""
+    """Complete neighbor walk up to arithmetic equivalence, once per genus."""
     if g > 4:
         raise ValueError("perfect-form enumeration is out of desk-scale scope for g > 4")
     start = first_perfect_form(g)

@@ -289,6 +289,18 @@ def test_assignment_search_matches_fraction_oracle(cone):
     assert list(cn._assignment_search(rays, rays, cone.ambient)) == expected
 
 
+def test_search_setup_raises_rank_error_on_every_call():
+    # the set-up is cached per family, but a failed set-up is not
+    flat = [(1, 0, 0), (0, 1, 0), (1, 1, 0)]
+    before = cn._family.cache_info()
+    for _ in range(2):
+        with pytest.raises(ValueError, match="full-rank"):
+            next(cn._assignment_search(flat, flat, 3))
+    after = cn._family.cache_info()
+    assert (after.misses - before.misses, after.hits - before.hits) == (2, 0)
+    assert after.currsize == before.currsize
+
+
 def _equivalence_pairs():
     """(equivalent pairs, inequivalent pairs) from the catalog and the
     graphical cones above."""

@@ -5,7 +5,7 @@ import pytest
 
 from perfcone import cones as cn
 from perfcone import matrices as mx
-from perfcone import stabilizers
+from perfcone import stabilizers, verify
 from perfcone import voronoi as vr
 from perfcone.stabilizers import GroupAction, invariant_dim_degree1, stabilizer_action
 
@@ -102,3 +102,128 @@ def test_invariant_dim_cross_checks_orbits_by_burnside(monkeypatch):
     monkeypatch.setattr(stabilizers, "stabilizer_action", lambda c: wrong)
     with pytest.raises(AssertionError, match="disagree"):
         invariant_dim_degree1(cn.catalog_cone("K3"))
+
+
+# ---------------------------------------------------------------------------
+# The stabilizer chain against the all-leaves search
+# ---------------------------------------------------------------------------
+
+EXPLICIT = [e.cone for e in cn.catalog(6) if e.cone is not None]
+
+
+def _rays(c):
+    return [c.generators[j] for j in cn.extremal_rays(c)]
+
+
+def all_leaves_stabilizer(c):
+    """Oracle: the permutations of every leaf of the unprescribed search,
+    proved a group by multiplying every pair."""
+    perms = sorted({perm for _, perm in cn._assignment_search(_rays(c), _rays(c), c.ambient)})
+    members = set(perms)
+    assert tuple(range(len(perms[0]))) in members
+    for p in perms:
+        for q in perms:
+            assert tuple(p[x] for x in q) in members
+    return tuple(perms)
+
+
+def test_chain_covers_every_explicit_cone():
+    assert len(EXPLICIT) == 19
+
+
+@pytest.mark.parametrize("cone", EXPLICIT, ids=lambda c: c.name)
+def test_chain_matches_all_leaves_oracle(cone):
+    perms = all_leaves_stabilizer(cone)
+    action = stabilizer_action(cone)
+    assert action.perms == perms
+    assert action.order == len(perms)
+
+
+@pytest.mark.parametrize(
+    "name,lengths",
+    [
+        ("C6", [6, 5, 4, 3, 2, 1]),
+        ("C3+1+1+1", [3, 2, 3, 2, 1, 1]),
+        ("K4", [6, 4, 1, 1, 1, 1]),
+        ("K4-1", [4, 2, 1, 1, 1]),
+    ],
+)
+def test_transversal_lengths(name, lengths):
+    c = cn.catalog_cone(name)
+    transversals = stabilizers._transversals(_rays(c), c.ambient)
+    assert [len(level) for level in transversals] == lengths
+    assert math.prod(lengths) == stabilizer_action(c).order
+
+
+PRESCRIBED_CONES = ["K3", "C4", "K4-1", "C5", "NS", "K4"]
+
+
+@pytest.mark.parametrize("name", PRESCRIBED_CONES)
+def test_prescribed_map_filters_the_unprescribed_leaves(name):
+    # single images at every position, branched or forced, and pairs of them
+    c = cn.catalog_cone(name)
+    rays = _rays(c)
+    n = len(rays)
+    leaves = list(cn._assignment_search(rays, rays, c.ambient))
+    maps = [{j: k} for j in range(n) for k in range(n)]
+    maps += [{0: k, n - 1: m} for k in range(n) for m in range(n) if k != m]
+    for prescribed in maps:
+        got = list(cn._assignment_search(rays, rays, c.ambient, prescribed))
+        assert all(perm[j] == k for _, perm in got for j, k in prescribed.items())
+        assert got == [
+            leaf for leaf in leaves if all(leaf[1][j] == k for j, k in prescribed.items())
+        ]
+
+
+@pytest.fixture
+def fresh_stabilizer_cache():
+    stabilizers._stabilizer_action_cached.cache_clear()
+    yield
+    stabilizers._stabilizer_action_cached.cache_clear()
+
+
+def _break_k3_first_transversal(monkeypatch, edit):
+    """Replace K3's first transversal [id, u, v] by edit(it)."""
+    chain = stabilizers._transversals
+    k3 = cn.catalog_cone("K3").generators
+
+    def broken(rays, ambient):
+        transversals = chain(rays, ambient)
+        if tuple(rays) == k3:
+            transversals[0] = edit(transversals[0])
+        return transversals
+
+    monkeypatch.setattr(stabilizers, "_transversals", broken)
+
+
+def _drop_last(level):
+    # 2*2*1 = 4 products, which are no subgroup of S3
+    return level[:-1]
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (_drop_last, "K3 is not closed"),
+        (lambda level: level[1:], "K3 misses the identity"),
+        (lambda level: level + level[-1:], "K3: 6 distinct products, .* multiply to 8"),
+    ],
+    ids=["drop-representative", "drop-identity", "repeat-representative"],
+)
+def test_closure_check_rejects_a_broken_transversal(
+    monkeypatch, fresh_stabilizer_cache, edit, message
+):
+    _break_k3_first_transversal(monkeypatch, edit)
+    with pytest.raises(stabilizers.StabilizerGroupError, match=message):
+        stabilizer_action(cn.catalog_cone("K3"))
+
+
+def test_verify_reports_stabilizer_group_error_as_fail(monkeypatch, fresh_stabilizer_cache):
+    _break_k3_first_transversal(monkeypatch, _drop_last)
+    results = verify.check_molien_suite()
+    assert [r.status for r in results] == [verify.FAIL, verify.FAIL, verify.PASS]
+    assert all("K3 is not closed" in r.detail for r in results[:2])
+    text = verify.render_results(results)
+    assert "criterion  8  [FAIL]  molien equals hilbert_free" in text
+    assert "Traceback" not in text
+    assert text.endswith("result: 2 check(s) FAILED")

@@ -1,4 +1,3 @@
-import functools
 import itertools
 import random
 
@@ -182,6 +181,24 @@ def test_enumerate_rejects_large_genus():
         vr.enumerate_perfect(5)
 
 
+def test_voronoi_walk_runs_once_per_genus(monkeypatch):
+    calls = []
+    step = vr.neighbor
+
+    def counted(p, facet):
+        calls.append(p)
+        return step(p, facet)
+
+    monkeypatch.setattr(vr, "neighbor", counted)
+    vr.enumerate_perfect.cache_clear()
+    forms = vr.enumerate_perfect(4)
+    walked = len(calls)
+    assert walked > 0
+    assert vr.enumerate_perfect(4) is forms
+    vr.classify_faces(4, 2)
+    assert len(calls) == walked
+
+
 @pytest.mark.slow
 def test_classify_faces_g4_matches_catalog():
     faces = vr.classify_faces(4, 6)
@@ -320,15 +337,10 @@ def gram_automorphism_perms(p):
     return tuple(sorted(perms))
 
 
-@functools.lru_cache(maxsize=None)
-def _walk(g):
-    return vr.enumerate_perfect(g)
-
-
 def _neighbors(g):
     """Every contiguous form the walk meets at genus g, before equivalence."""
     out = []
-    for p in _walk(g):
+    for p in vr.enumerate_perfect(g):
         for facet in vr.facets(vr.domain(p)):
             if mx.rank([p.min_vectors[i] for i in facet.rays]) == g:
                 out.append(vr.neighbor(p, facet))
@@ -337,17 +349,17 @@ def _neighbors(g):
 
 @pytest.mark.parametrize("g", (2, 3, 4))
 def test_domain_automorphism_perms_match_gram_oracle(g):
-    for p in _walk(g):
+    for p in vr.enumerate_perfect(g):
         assert vr.domain_automorphism_perms(p) == gram_automorphism_perms(p)
 
 
 def test_walk_form_automorphism_counts():
-    counts = [len(vr.domain_automorphism_perms(p)) for g in (2, 3, 4) for p in _walk(g)]
+    counts = [len(vr.domain_automorphism_perms(p)) for g in (2, 3, 4) for p in vr.enumerate_perfect(g)]
     assert counts == [6, 24, 120, 576]
 
 
 def test_equivalent_forms_match_gram_oracle_on_walk_forms():
-    forms = [p for g in (2, 3, 4) for p in _walk(g)]
+    forms = [p for g in (2, 3, 4) for p in vr.enumerate_perfect(g)]
     for p1, p2 in itertools.product(forms, repeat=2):
         assert vr.equivalent_forms(p1, p2) == gram_equivalent_forms(p1, p2)
 
@@ -357,8 +369,8 @@ def test_equivalent_forms_match_gram_oracle_on_neighbors(g):
     neighbors = _neighbors(g)
     assert neighbors
     for q in neighbors:
-        answers = [vr.equivalent_forms(q, p) for p in _walk(g)]
-        assert answers == [gram_equivalent_forms(q, p) for p in _walk(g)]
+        answers = [vr.equivalent_forms(q, p) for p in vr.enumerate_perfect(g)]
+        assert answers == [gram_equivalent_forms(q, p) for p in vr.enumerate_perfect(g)]
         assert any(answers)  # the walk is complete
 
 
