@@ -4,7 +4,6 @@ Sym^l dimensions."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
 from typing import Sequence
@@ -18,14 +17,6 @@ from .stabilizers import GroupAction
 def hilbert_free(degrees: Sequence[int], max_deg: int) -> TruncatedSeries:
     """Hilbert series of a free commutative algebra on the given degrees."""
     return product_free(degrees, max_deg)
-
-
-def sp_invariant_dim(n: int, l: int) -> int:
-    """Dimension of Sym^l(Sym^2 Q^n): polynomials of degree l in the n(n+1)/2
-    divisor classes of an n-fold family."""
-    if n < 0 or l < 0:
-        raise ValueError("arguments must be nonnegative")
-    return comb(n * (n + 1) // 2 + l - 1, l)
 
 
 def molien(action: GroupAction, max_deg: int) -> TruncatedSeries:
@@ -198,52 +189,3 @@ def koszul_check(c: Cone, max_total: int = 8) -> KoszulReport:
         bottom_row=tuple(bottom),
         expected_bottom=tuple(expected),
     )
-
-
-def dense_strand_cohomology(c: Cone, n: int) -> tuple[int, ...]:
-    """Brute-force cohomology of one strand with explicit monomial bases.
-
-    Test oracle for `koszul_check`; only usable for small cones, where the
-    monomial bases stay tiny.  Monomials are ordered lexicographically.
-    """
-    import itertools
-
-    w_basis = [list(map(Fraction, v)) for v in orth_lattice(c)]
-    w = len(w_basis)
-    m = len(sym2_pairs(c.ambient))
-
-    def monomials(deg):
-        return list(itertools.combinations_with_replacement(range(m), deg))
-
-    def wedge_basis(q):
-        return list(itertools.combinations(range(w), q))
-
-    spaces = []
-    for q in range(n + 1):
-        spaces.append([(s, mu) for s in wedge_basis(q) for mu in monomials(n - q)])
-    index = [{b: t for t, b in enumerate(sp)} for sp in spaces]
-
-    mats = []
-    for q in range(1, n + 1):
-        rows = len(spaces[q - 1])
-        matrix = [[Fraction(0)] * len(spaces[q]) for _ in range(rows)]
-        for cidx, (s, mu) in enumerate(spaces[q]):
-            for pos, j in enumerate(s):
-                rest = tuple(x for x in s if x != j)
-                sign = (-1) ** pos
-                for var in range(m):
-                    coef = w_basis[j][var]
-                    if coef == 0:
-                        continue
-                    new_mu = tuple(sorted(mu + (var,)))
-                    ridx = index[q - 1][(rest, new_mu)]
-                    matrix[ridx][cidx] += sign * coef
-        mats.append(matrix)
-
-    out = []
-    for q in range(n + 1):
-        dim_q = len(spaces[q])
-        r_in = rank(mats[q - 1]) if 1 <= q <= len(mats) and mats[q - 1] else 0
-        r_out = rank(mats[q]) if q < len(mats) and mats[q] else 0
-        out.append(dim_q - r_in - r_out)
-    return tuple(out)

@@ -15,7 +15,6 @@ one-off solves over Q.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
@@ -91,33 +90,6 @@ def sign_canonical(v: Sequence[int]) -> IntVector:
     return tuple(v)
 
 
-def det(a: Sequence[Sequence[int]]) -> int:
-    """Determinant by fraction-free (Bareiss) elimination."""
-    n = len(a)
-    if n == 0:
-        return 1
-    if len(a[0]) != n:
-        raise ValueError("determinant of non-square matrix")
-    m = [list(row) for row in a]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[-1][-1]
-
-
 def _bareiss(m: list[list[int]], ncols: int, jordan: bool = False) -> tuple[list[int], int]:
     """Fraction-free elimination of the integer rows `m`, in place.
 
@@ -156,6 +128,19 @@ def _bareiss(m: list[list[int]], ncols: int, jordan: bool = False) -> tuple[list
         prev = p
         r += 1
     return pivots, sign
+
+
+def det(a: Sequence[Sequence[int]]) -> int:
+    """Determinant by fraction-free (Bareiss) elimination: the sign of the
+    row permutation times the last pivot, 0 when a column has no pivot."""
+    n = len(a)
+    if n and len(a[0]) != n:
+        raise ValueError("determinant of non-square matrix")
+    m = [list(row) for row in a]
+    pivots, sign = _bareiss(m, n)
+    if len(pivots) < n:
+        return 0
+    return sign * m[-1][-1] if n else 1
 
 
 def rank(a: Sequence[Sequence]) -> int:
@@ -384,18 +369,6 @@ def invert_unimodular(a: IntMatrix) -> IntMatrix:
     if d not in (1, -1):
         raise ValueError(f"matrix is not unimodular (determinant {d})")
     return tuple(tuple(x * d for x in row) for row in adj)
-
-
-def max_minors(a: IntMatrix, r: int) -> tuple[int, ...]:
-    """All r x r minors, in lexicographic order of (row subset, column subset)."""
-    rows, cols = shape(a)
-    if r > rows or r > cols:
-        return ()
-    out = []
-    for rsel in itertools.combinations(range(rows), r):
-        for csel in itertools.combinations(range(cols), r):
-            out.append(det(tuple(tuple(a[i][j] for j in csel) for i in rsel)))
-    return tuple(out)
 
 
 def f2_kernel(columns: Sequence[int]) -> list[int]:

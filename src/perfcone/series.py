@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 @dataclass(frozen=True)
@@ -62,18 +62,6 @@ class TruncatedSeries:
     def scale(self, c: int) -> "TruncatedSeries":
         return TruncatedSeries(tuple(c * a for a in self.coeffs))
 
-    def inverse(self) -> "TruncatedSeries":
-        """Multiplicative inverse; the constant term must be +-1."""
-        if self.coeffs[0] not in (1, -1):
-            raise ValueError("series unit inverse needs constant term +-1")
-        n = self.truncation
-        inv = [0] * (n + 1)
-        inv[0] = self.coeffs[0]
-        for k in range(1, n + 1):
-            acc = sum(self.coeffs[j] * inv[k - j] for j in range(1, k + 1))
-            inv[k] = -acc * self.coeffs[0]
-        return TruncatedSeries(tuple(inv))
-
     def shift(self, k: int) -> "TruncatedSeries":
         """Multiply by t^k, keeping the truncation degree."""
         if k < 0:
@@ -96,18 +84,6 @@ def one(n: int) -> TruncatedSeries:
 
 def zero(n: int) -> TruncatedSeries:
     return TruncatedSeries((0,) * (n + 1))
-
-
-def from_coeffs(coeffs: Iterable[int], n: int) -> TruncatedSeries:
-    cs = list(coeffs)[: n + 1]
-    return TruncatedSeries(tuple(cs) + (0,) * (n + 1 - len(cs)))
-
-
-def geometric(d: int, n: int) -> TruncatedSeries:
-    """1/(1 - t^d) truncated at degree n."""
-    if d < 1:
-        raise ValueError("generator degree must be >= 1")
-    return TruncatedSeries(tuple(1 if k % d == 0 else 0 for k in range(n + 1)))
 
 
 def product_free(degrees: Sequence[int], n: int) -> TruncatedSeries:

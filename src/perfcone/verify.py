@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 from . import brackets as br
 from . import cones as cn
@@ -455,19 +454,30 @@ def check_matroidal_flags() -> list[CheckResult]:
 
 
 def run_checks(full_oracle: bool = False) -> list[CheckResult]:
+    """Every check in criterion order.  A broken internal invariant raised by a
+    check (a stabilizer group that is not closed, a bracket-class count that
+    disagrees with Burnside) becomes a FAIL row naming the check and the error."""
+    checks = [
+        (1, check_perf_table, {}),
+        (2, check_matroidal_table, {}),
+        (3, check_beta2, {}),
+        (4, check_bracket_enumeration, {}),
+        (5, check_products, {"full_oracle": full_oracle}),
+        (6, check_strata_counts, {}),
+        (7, check_stabilizers, {}),
+        (8, check_molien_suite, {}),
+        (9, check_series_identities, {}),
+        (10, check_voronoi, {}),
+        (11, check_cone_to_bracket, {}),
+        (12, check_matroidal_flags, {}),
+    ]
     results: list[CheckResult] = []
-    results += check_perf_table()
-    results += check_matroidal_table()
-    results += check_beta2()
-    results += check_bracket_enumeration()
-    results += check_products(full_oracle=full_oracle)
-    results += check_strata_counts()
-    results += check_stabilizers()
-    results += check_molien_suite()
-    results += check_series_identities()
-    results += check_voronoi()
-    results += check_cone_to_bracket()
-    results += check_matroidal_flags()
+    for criterion, check, kwargs in checks:
+        try:
+            results += check(**kwargs)
+        except (StabilizerGroupError, br.BracketCountError) as exc:
+            detail = f"{type(exc).__name__}: {exc}"
+            results.append(CheckResult(criterion, f"{check.__name__} raised", FAIL, detail))
     return results
 
 

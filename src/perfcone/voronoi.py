@@ -1,9 +1,11 @@
 """Desk-scale Voronoi reduction: shortest vectors, perfect domains, the
 neighbor walk, arithmetic equivalence and face classification for g <= 4.
 
-Everything is exact: shortest vectors come from a rational Cholesky recursion
-with no floating-point pruning, neighbors from an exact line search on the
-pencil Q + rho*R.  Equivalence of forms and their automorphisms come from
+Everything is exact.  A rational form is scaled to integers once
+(`_integral`); a fraction-free LDL^T (`_ldl`, Bareiss without pivoting) both
+tests positive-definiteness and drives a Fincke-Pohst shortest-vector search
+in integers (`_short_vectors`).  Neighbors come from an exact line search on
+the pencil Q + rho*R.  Equivalence of forms and their automorphisms come from
 `cones._assignment_search`, the one integral-symmetry search, over the
 minimal vectors, with a congruence check on every map it yields.
 """
@@ -13,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import floor, gcd
-from typing import Sequence
+from math import gcd, isqrt, lcm
+from typing import Optional, Sequence
 
 from . import polyhedral
 from .cones import (
@@ -32,7 +34,7 @@ from .cones import (
     render_catalog,
     sym2_pairs,
 )
-from .matrices import IntMatrix, IntVector, det, matmul, rank, sign_canonical, transpose
+from .matrices import IntMatrix, IntVector, matmul, rank, sign_canonical, transpose
 
 
 @dataclass(frozen=True)
@@ -72,103 +74,100 @@ class PerfectForm:
     min_vectors: tuple[IntVector, ...]
 
 
+def _integral(matrix) -> tuple[list[list[int]], int]:
+    """(S * matrix, S) for the least S > 0 that makes the rational matrix
+    integral."""
+    scale = lcm(*(x.denominator for row in matrix for x in row))
+    return [[x.numerator * (scale // x.denominator) for x in row] for row in matrix], scale
+
+
+def _ldl(m) -> Optional[list[list[int]]]:
+    """Bareiss LDL^T of a symmetric integer matrix, or None unless it is
+    positive definite.
+
+    Fraction-free elimination without pivoting: row k ends with the leading
+    principal minor D_{k+1} on the diagonal, and x^T m x =
+    sum_k (row_k . x)^2 / (D_k D_{k+1}) with D_0 = 1.  A pivot <= 0 is a
+    leading minor <= 0, so the matrix is not positive definite (Sylvester).
+    `matrices._bareiss` pivots and cannot serve: [[0,1],[1,0]] (+) [[0,1],[1,0]]
+    is indefinite, yet its row swaps give positive pivots and sign +1.
+    """
+    rows = [list(row) for row in m]
+    prev = 1
+    for k, top in enumerate(rows):
+        p = top[k]
+        if p <= 0:
+            return None
+        for i in range(k + 1, len(rows)):
+            f = rows[i][k]
+            rows[i] = [(p * x - f * y) // prev for x, y in zip(rows[i], top)]
+        prev = p
+    return rows
+
+
 def _is_positive_definite(matrix) -> bool:
-    n = len(matrix)
-    scale = 1
-    for row in matrix:
-        for x in row:
-            f = Fraction(x)
-            scale = scale * f.denominator // gcd(scale, f.denominator)
-    m = [[int(Fraction(x) * scale) for x in row] for row in matrix]
-    for k in range(1, n + 1):
-        if det(tuple(tuple(m[i][j] for j in range(k)) for i in range(k))) <= 0:
-            return False
-    return True
+    return _ldl(_integral(matrix)[0]) is not None
 
 
-def _cholesky(matrix) -> tuple[list[Fraction], list[list[Fraction]]]:
-    """Q(x) = sum_i d_i (x_i + sum_{j>i} l_ij x_j)^2, exact."""
-    n = len(matrix)
-    a = [[Fraction(matrix[i][j]) for j in range(n)] for i in range(n)]
-    d = [Fraction(0)] * n
-    l = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        d[i] = a[i][i]
-        if d[i] <= 0:
-            raise ValueError("form is not positive definite")
-        for j in range(i + 1, n):
-            l[i][j] = a[i][j] / d[i]
-        for r in range(i + 1, n):
-            for s in range(r, n):
-                a[r][s] -= a[i][r] * a[i][s] / d[i]
-                a[s][r] = a[r][s]
-    return d, l
+def _short_vectors(m, bound: int) -> Optional[list[tuple[int, IntVector]]]:
+    """All x != 0 (up to sign) with x^T m x <= bound, with their values, or
+    None unless the integer matrix m is positive definite.
 
-
-def _short_vectors(matrix, bound: Fraction) -> list[tuple[Fraction, IntVector]]:
-    """All x != 0 (up to sign) with Q(x) <= bound, with exact values."""
-    n = len(matrix)
-    d, l = _cholesky(matrix)
-    results: list[tuple[Fraction, IntVector]] = []
+    Fincke-Pohst with denominators cleared: for N = lcm(D_k D_{k+1}) and
+    c_k = N / (D_k D_{k+1}), N x^T m x = sum_k c_k (row_k . x)^2 over the rows
+    of `_ldl`.  With x_{k+1}, ... fixed, s = sum_{j>k} row_k[j] x_j and R left
+    of N * bound, the admissible x_k are the integers with
+    |D_{k+1} x_k + s| <= isqrt(R // c_k).
+    """
+    rows = _ldl(m)
+    if rows is None:
+        return None
+    n = len(rows)
+    minors = [1] + [rows[k][k] for k in range(n)]
+    weights = [minors[k] * minors[k + 1] for k in range(n)]
+    big = lcm(*weights)
+    coeffs = [big // w for w in weights]
+    results: list[tuple[int, IntVector]] = []
     x = [0] * n
 
-    def rec(i: int, remaining: Fraction):
-        if i < 0:
-            if any(x):
-                v = tuple(x)
-                if sign_canonical(v) == v:
-                    results.append((bound - remaining, v))
+    def rec(k: int, left: int):
+        if k < 0:
+            v = tuple(x)
+            if any(v) and sign_canonical(v) == v:
+                results.append((bound - left // big, v))
             return
-        center = sum(l[i][j] * x[j] for j in range(i + 1, n))
+        row, d, c = rows[k], minors[k + 1], coeffs[k]
+        s = sum(row[j] * x[j] for j in range(k + 1, n))
+        t = isqrt(left // c)
+        for xk in range(-((t + s) // d), (t - s) // d + 1):
+            x[k] = xk
+            y = d * xk + s
+            rec(k - 1, left - c * y * y)
+        x[k] = 0
 
-        def contribution(xi: int) -> Fraction:
-            return d[i] * (xi + center) ** 2
-
-        # the admissible x_i form a contiguous interval around -center, so
-        # scan outward from the two integers bracketing it
-        base = floor(-center)
-        xi = base
-        while contribution(xi) <= remaining:
-            x[i] = xi
-            rec(i - 1, remaining - contribution(xi))
-            xi -= 1
-        xi = base + 1
-        while contribution(xi) <= remaining:
-            x[i] = xi
-            rec(i - 1, remaining - contribution(xi))
-            xi += 1
-        x[i] = 0
-
-    rec(n - 1, bound)
+    rec(n - 1, big * bound)
     return results
 
 
-def _rational_min(matrix) -> tuple[Fraction, tuple[IntVector, ...]]:
-    """Exact minimum and all minimal vectors up to sign of a posdef form."""
-    n = len(matrix)
-    bound = min(Fraction(matrix[i][i]) for i in range(n))
-    shorts = _short_vectors(matrix, bound)
+def _minimum(m) -> Optional[tuple[int, tuple[IntVector, ...]]]:
+    """Minimum of the integer form m over nonzero lattice vectors, with all
+    minimizers up to sign, or None unless m is positive definite."""
+    shorts = _short_vectors(m, min(m[i][i] for i in range(len(m))))
+    if shorts is None:
+        return None
     best = min(v for v, _ in shorts)
-    vectors = tuple(sorted(vec for val, vec in shorts if val == best))
-    return best, vectors
+    return best, tuple(sorted(vec for val, vec in shorts if val == best))
 
 
 def min_vectors(q: QuadraticForm) -> tuple[int, tuple[IntVector, ...]]:
     """Minimum of the form over nonzero lattice vectors, with all minimizers
     up to sign."""
-    mu, vecs = _rational_min(q.matrix)
-    assert mu.denominator == 1
-    return int(mu), vecs
+    return _minimum(q.matrix)
 
 
 def perfect_form(matrix) -> PerfectForm:
     """Normalize to a primitive integral matrix and cache the minimum data."""
-    scale = 1
-    for row in matrix:
-        for x in row:
-            f = Fraction(x)
-            scale = scale * f.denominator // gcd(scale, f.denominator)
-    m = [[int(Fraction(x) * scale) for x in row] for row in matrix]
+    m, _ = _integral(matrix)
     content = 0
     for row in m:
         for x in row:
@@ -221,7 +220,7 @@ def _normal_form_matrix(normal: IntVector, g: int):
     return tuple(tuple(row) for row in r)
 
 
-def _form_value(matrix, x) -> Fraction:
+def _form_value(matrix, x):
     n = len(matrix)
     return sum(matrix[i][j] * x[i] * x[j] for i in range(n) for j in range(n))
 
@@ -253,19 +252,19 @@ def neighbor(p: PerfectForm, facet: Facet) -> PerfectForm:
     good = Fraction(0)  # largest rho known to keep exactly the facet vectors
     bad = None  # smallest rho known to lie beyond the neighbor
     for _ in range(100000):
-        q_rho = [
-            [Fraction(p.form.matrix[i][j]) + rho * r[i][j] for j in range(g)]
-            for i in range(g)
-        ]
-        if _is_positive_definite(q_rho):
-            mur, vecs = _rational_min(q_rho)
-            if mur == mu:
+        m, scale = _integral(
+            [[p.form.matrix[i][j] + rho * r[i][j] for j in range(g)] for i in range(g)]
+        )
+        found = _minimum(m)
+        if found is not None:
+            mur, vecs = found
+            if mur == mu * scale:
                 if any(v not in facet_set for v in vecs):
-                    return perfect_form(q_rho)
+                    return perfect_form(m)
                 good = rho
                 rho = (good + bad) / 2 if bad is not None else 2 * rho
                 continue
-            assert mur < mu
+            assert mur < mu * scale
             candidates = [
                 Fraction(mu - p.form.value(v), _form_value(r, v))
                 for v in vecs

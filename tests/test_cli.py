@@ -117,7 +117,6 @@ def test_voronoi_faces_g2(capsys):
     assert "3 inequivalent face class(es)" in out
 
 
-@pytest.mark.slow
 def test_verify_command_exits_zero(capsys):
     assert main(["verify"]) == 0
     out = capsys.readouterr().out

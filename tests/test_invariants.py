@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -6,13 +8,7 @@ import pytest
 from perfcone import cones as cn
 from perfcone import matrices as mx
 from perfcone import verify
-from perfcone.invariants import (
-    dense_strand_cohomology,
-    hilbert_free,
-    koszul_check,
-    molien,
-    sp_invariant_dim,
-)
+from perfcone.invariants import hilbert_free, koszul_check, molien
 from perfcone.series import rational_inverse
 from perfcone.stabilizers import GroupAction, invariant_dim_degree1, stabilizer_action
 
@@ -190,13 +186,6 @@ def test_hilbert_free_examples():
     assert tuple(lam[k] for k in range(0, 13, 2)) == (1, 1, 1, 2, 2, 3, 4)
 
 
-def test_sp_invariant_dim():
-    assert sp_invariant_dim(1, 1) == 1
-    assert sp_invariant_dim(2, 1) == 3
-    assert sp_invariant_dim(7, 0) == 1
-    assert sp_invariant_dim(2, 3) == 10  # Sym^3 of a 3-dim space
-
-
 def test_koszul_sigma1_trivial():
     rep = koszul_check(cn.catalog_cone("1"), 6)
     assert rep.w_rank == 0
@@ -214,7 +203,8 @@ def test_koszul_k3_full_dimensional():
     rep = koszul_check(cn.catalog_cone("K3"), 6)
     assert rep.w_rank == 0
     assert rep.passed
-    assert rep.bottom_row == tuple(sp_invariant_dim(2, k) for k in range(7))
+    # dim Sym^k(Sym^2 Q^2)
+    assert rep.bottom_row == tuple(math.comb(k + 2, k) for k in range(7))
 
 
 def test_koszul_standard_rank3():
@@ -222,6 +212,54 @@ def test_koszul_standard_rank3():
     assert rep.passed
     # bottom row : dim Sym^k(Q^3)
     assert rep.bottom_row == tuple((k + 1) * (k + 2) // 2 for k in range(9))
+
+
+def dense_strand_cohomology(c, n):
+    """Oracle for `koszul_check`: brute-force cohomology of one strand with
+    explicit monomial bases.
+
+    Only usable for small cones, where the monomial bases stay tiny.
+    Monomials are ordered lexicographically.
+    """
+    w_basis = [list(map(Fraction, v)) for v in cn.orth_lattice(c)]
+    w = len(w_basis)
+    m = len(cn.sym2_pairs(c.ambient))
+
+    def monomials(deg):
+        return list(itertools.combinations_with_replacement(range(m), deg))
+
+    def wedge_basis(q):
+        return list(itertools.combinations(range(w), q))
+
+    spaces = []
+    for q in range(n + 1):
+        spaces.append([(s, mu) for s in wedge_basis(q) for mu in monomials(n - q)])
+    index = [{b: t for t, b in enumerate(sp)} for sp in spaces]
+
+    mats = []
+    for q in range(1, n + 1):
+        rows = len(spaces[q - 1])
+        matrix = [[Fraction(0)] * len(spaces[q]) for _ in range(rows)]
+        for cidx, (s, mu) in enumerate(spaces[q]):
+            for pos, j in enumerate(s):
+                rest = tuple(x for x in s if x != j)
+                sign = (-1) ** pos
+                for var in range(m):
+                    coef = w_basis[j][var]
+                    if coef == 0:
+                        continue
+                    new_mu = tuple(sorted(mu + (var,)))
+                    ridx = index[q - 1][(rest, new_mu)]
+                    matrix[ridx][cidx] += sign * coef
+        mats.append(matrix)
+
+    out = []
+    for q in range(n + 1):
+        dim_q = len(spaces[q])
+        r_in = mx.rank(mats[q - 1]) if 1 <= q <= len(mats) and mats[q - 1] else 0
+        r_out = mx.rank(mats[q]) if q < len(mats) and mats[q] else 0
+        out.append(dim_q - r_in - r_out)
+    return tuple(out)
 
 
 def test_koszul_matches_dense_oracle_small_cones():

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -5,6 +6,18 @@ import pytest
 
 from perfcone import cones as cn
 from perfcone import matrices as mx
+
+
+def max_minors(a, r):
+    """All r x r minors, in lexicographic order of (row subset, column subset)."""
+    rows, cols = mx.shape(a)
+    if r > rows or r > cols:
+        return ()
+    out = []
+    for rsel in itertools.combinations(range(rows), r):
+        for csel in itertools.combinations(range(cols), r):
+            out.append(mx.det(tuple(tuple(a[i][j] for j in csel) for i in rsel)))
+    return tuple(out)
 
 
 def brute_reduce_divisors(a):
@@ -29,7 +42,7 @@ def brute_reduce_divisors(a):
     out = []
     prev = 1
     for r in range(1, min(rows, cols) + 1):
-        minors = mx.max_minors(tuple(map(tuple, a)), r)
+        minors = max_minors(tuple(map(tuple, a)), r)
         g = 0
         for x in minors:
             g = math.gcd(g, abs(x))
@@ -143,13 +156,11 @@ def test_invert_unimodular():
 
 def test_max_minors_cofactor_oracle():
     a = mx.mat([[1, 0, 1], [0, 1, 0], [0, 0, -1]])
-    minors = mx.max_minors(a, 3)
+    minors = max_minors(a, 3)
     assert minors == (mx.det(a),)
     assert 1 in minors or -1 in minors
-    two = mx.max_minors(a, 2)
+    two = max_minors(a, 2)
     # oracle: direct 2x2 determinants
-    import itertools
-
     expected = []
     for rs in itertools.combinations(range(3), 2):
         for cs in itertools.combinations(range(3), 2):
@@ -189,6 +200,30 @@ def _random_matrix(rng, rows, cols, rank_at_most=None):
     left = [[rng.randint(-2, 2) for _ in range(rank_at_most)] for _ in range(rows)]
     right = [[rng.randint(-2, 2) for _ in range(cols)] for _ in range(rank_at_most)]
     return mx.matmul(left, right)
+
+
+def leibniz_det(a):
+    """Oracle: the permutation expansion of the determinant."""
+    n = len(a)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = (-1) ** inversions
+        for i, j in enumerate(perm):
+            term *= a[i][j]
+        total += term
+    return total
+
+
+def test_det_matches_leibniz_oracle():
+    # sparse entries, so that zero leading columns and row swaps are common
+    rng = random.Random(61)
+    for _ in range(500):
+        n = rng.randint(0, 5)
+        a = tuple(tuple(rng.choice((0, 0, 0, 1, -1, 2, -3)) for _ in range(n)) for _ in range(n))
+        assert mx.det(a) == leibniz_det(a), a
+    with pytest.raises(ValueError):
+        mx.det(((1, 2),))
 
 
 def test_adjugate_times_matrix_is_determinant_times_identity():

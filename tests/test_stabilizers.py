@@ -5,7 +5,8 @@ import pytest
 
 from perfcone import cones as cn
 from perfcone import matrices as mx
-from perfcone import stabilizers, verify
+from perfcone import betti, stabilizers, verify
+from perfcone.cli import main
 from perfcone import voronoi as vr
 from perfcone.stabilizers import GroupAction, invariant_dim_degree1, stabilizer_action
 
@@ -227,3 +228,17 @@ def test_verify_reports_stabilizer_group_error_as_fail(monkeypatch, fresh_stabil
     assert "criterion  8  [FAIL]  molien equals hilbert_free" in text
     assert "Traceback" not in text
     assert text.endswith("result: 2 check(s) FAILED")
+
+
+def test_run_checks_reports_a_broken_chain_as_fail(monkeypatch, fresh_stabilizer_cache, capsys):
+    # criteria 1-3 reach K3's stabilizer through the cached Molien prefixes
+    betti._molien_prefix.cache_clear()
+    _break_k3_first_transversal(monkeypatch, _drop_last)
+    text = verify.render_results(verify.run_checks())
+    failed = {int(line.split()[1]) for line in text.splitlines() if "[FAIL]" in line}
+    assert failed == {1, 2, 3, 7, 8}
+    assert "criterion  7  [FAIL]  check_stabilizers raised  -- StabilizerGroupError: " in text
+    assert text.count("K3 is not closed") == 6
+    assert "Traceback" not in text
+    assert main(["verify"]) == 1
+    assert capsys.readouterr().out == text + "\n"

@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -63,6 +65,211 @@ def test_min_vectors_random_forms_match_brute_force():
         assert {v for val, v in ref if val == mu} == set(vecs)
         assert all(val >= mu for val, _ in ref)
         count += 1
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the Fraction Cholesky recursion that found shortest vectors and
+# decided positive-definiteness before the integer LDL^T search.
+# ---------------------------------------------------------------------------
+
+
+def fraction_cholesky(matrix):
+    """Q(x) = sum_i d_i (x_i + sum_{j>i} l_ij x_j)^2, exact."""
+    n = len(matrix)
+    a = [[Fraction(matrix[i][j]) for j in range(n)] for i in range(n)]
+    d = [Fraction(0)] * n
+    l = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        d[i] = a[i][i]
+        if d[i] <= 0:
+            raise ValueError("form is not positive definite")
+        for j in range(i + 1, n):
+            l[i][j] = a[i][j] / d[i]
+        for r in range(i + 1, n):
+            for s in range(r, n):
+                a[r][s] -= a[i][r] * a[i][s] / d[i]
+                a[s][r] = a[r][s]
+    return d, l
+
+
+def fraction_short_vectors(matrix, bound):
+    """All x != 0 (up to sign) with Q(x) <= bound, with exact values."""
+    n = len(matrix)
+    d, l = fraction_cholesky(matrix)
+    results = []
+    x = [0] * n
+
+    def rec(i, remaining):
+        if i < 0:
+            if any(x):
+                v = tuple(x)
+                if mx.sign_canonical(v) == v:
+                    results.append((bound - remaining, v))
+            return
+        center = sum(l[i][j] * x[j] for j in range(i + 1, n))
+
+        def contribution(xi):
+            return d[i] * (xi + center) ** 2
+
+        # the admissible x_i form an interval around -center: scan outward
+        base = math.floor(-center)
+        xi = base
+        while contribution(xi) <= remaining:
+            x[i] = xi
+            rec(i - 1, remaining - contribution(xi))
+            xi -= 1
+        xi = base + 1
+        while contribution(xi) <= remaining:
+            x[i] = xi
+            rec(i - 1, remaining - contribution(xi))
+            xi += 1
+        x[i] = 0
+
+    rec(n - 1, bound)
+    return results
+
+
+def fraction_min(matrix):
+    """Oracle: (minimum, minimal vectors up to sign), or None unless the
+    rational form is positive definite."""
+    try:
+        fraction_cholesky(matrix)
+    except ValueError:
+        return None
+    bound = min(Fraction(matrix[i][i]) for i in range(len(matrix)))
+    shorts = fraction_short_vectors(matrix, bound)
+    best = min(v for v, _ in shorts)
+    return best, tuple(sorted(vec for val, vec in shorts if val == best))
+
+
+def integer_min(matrix):
+    """The integer path on a rational form, in the oracle's terms."""
+    m, scale = vr._integral(matrix)
+    found = vr._minimum(m)
+    if found is None:
+        return None
+    best, vecs = found
+    return Fraction(best, scale), vecs
+
+
+def random_rational_symmetric(rng, n):
+    """A rational symmetric matrix, positive definite about two times in
+    three: B^T B plus a positive diagonal, or B + B^T."""
+    b = [[Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)]
+    if rng.random() < 0.6:
+        return [
+            [
+                sum(b[k][i] * b[k][j] for k in range(n))
+                + (Fraction(1, rng.randint(1, 3)) if i == j else 0)
+                for j in range(n)
+            ]
+            for i in range(n)
+        ]
+    return [[b[i][j] + b[j][i] for j in range(n)] for i in range(n)]
+
+
+def assert_matches_fraction_oracle(matrix):
+    expected = fraction_min(matrix)
+    assert vr._is_positive_definite(matrix) == (expected is not None), matrix
+    assert integer_min(matrix) == expected, matrix
+
+
+def test_integer_search_matches_fraction_oracle_on_random_forms():
+    rng = random.Random(47)
+    verdicts = []
+    for _ in range(400):
+        matrix = random_rational_symmetric(rng, rng.randint(1, 4))
+        assert_matches_fraction_oracle(matrix)
+        verdicts.append(vr._is_positive_definite(matrix))
+    assert 100 < sum(verdicts) < 350
+
+
+def test_integer_search_matches_fraction_oracle_on_neighbor_pencils(monkeypatch):
+    # every form Q + rho*R the line search scales, over the whole g <= 4 walk
+    tried = []
+    scale = vr._integral
+
+    def recorded(matrix):
+        tried.append([list(row) for row in matrix])
+        return scale(matrix)
+
+    monkeypatch.setattr(vr, "_integral", recorded)
+    for g in (2, 3, 4):
+        _neighbors(g)
+    monkeypatch.undo()
+    pencils = [m for m in tried if any(isinstance(x, Fraction) for row in m for x in row)]
+    assert len(pencils) > 50
+    for matrix in pencils:
+        assert_matches_fraction_oracle(matrix)
+
+
+def leading_minors_positive(matrix):
+    n = len(matrix)
+    return all(mx.det(tuple(tuple(row[:k]) for row in matrix[:k])) > 0 for k in range(1, n + 1))
+
+
+HYPERBOLIC_SUM = ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0))
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        HYPERBOLIC_SUM,  # indefinite, though pivoting elimination sees det +1
+        ((1, 1), (1, 1)),  # singular positive semidefinite
+        ((2, -1, -1), (-1, 2, -1), (-1, -1, 2)),  # singular positive semidefinite
+        ((1, 2), (2, 1)),
+        ((-1,),),
+        ((0,),),
+        A2,
+        D4,
+    ],
+)
+def test_positive_definite_verdict_is_sylvester(matrix):
+    assert vr._is_positive_definite(matrix) == leading_minors_positive(matrix)
+    assert integer_min(matrix) == fraction_min(matrix)
+
+
+def test_pivoting_elimination_cannot_decide_positive_definiteness():
+    # why `_ldl` does not reuse `matrices._bareiss`: with row swaps the
+    # indefinite hyperbolic sum shows positive pivots and sign +1
+    m = [list(row) for row in HYPERBOLIC_SUM]
+    pivots, sign = mx._bareiss(m, 4)
+    assert (len(pivots), sign) == (4, 1)
+    assert all(m[k][k] > 0 for k in range(4))
+    assert vr._ldl(HYPERBOLIC_SUM) is None
+
+
+def test_positive_definite_verdicts_on_random_integer_forms():
+    rng = random.Random(53)
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        b = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        m = tuple(tuple(b[i][j] + b[j][i] + rng.randint(0, 4) * (i == j) for j in range(n)) for i in range(n))
+        assert vr._is_positive_definite(m) == leading_minors_positive(m), m
+
+
+def test_ldl_rows_give_the_form():
+    # diagonal = leading minors, and Q(x) = sum_k (row_k . x)^2 / (D_k D_{k+1})
+    rng = random.Random(59)
+    for _ in range(50):
+        n = rng.randint(1, 4)
+        b = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        m = [[sum(b[k][i] * b[k][j] for k in range(n)) + (i == j) for j in range(n)] for i in range(n)]
+        rows = vr._ldl(m)
+        minors = [1] + [mx.det(tuple(tuple(row[:k]) for row in m[:k])) for k in range(1, n + 1)]
+        assert [rows[k][k] for k in range(n)] == minors[1:]
+        for _ in range(5):
+            x = [rng.randint(-4, 4) for _ in range(n)]
+            value = sum(
+                Fraction(mx.vec_dot(rows[k], x) ** 2, minors[k] * minors[k + 1]) for k in range(n)
+            )
+            assert value == sum(m[i][j] * x[i] * x[j] for i in range(n) for j in range(n))
+
+
+def test_integral_scales_by_the_least_common_denominator():
+    m, scale = vr._integral([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 3), 2]])
+    assert (m, scale) == ([[3, 2], [2, 12]], 6)
+    assert vr._integral(A2) == ([[2, 1], [1, 2]], 1)
 
 
 def test_rejects_non_positive_definite():
@@ -166,7 +373,6 @@ def test_enumerate_perfect_small_genus():
     assert len(vr.enumerate_perfect(3)) == 1
 
 
-@pytest.mark.slow
 def test_enumerate_perfect_genus4():
     forms = vr.enumerate_perfect(4)
     assert len(forms) == 2
@@ -199,7 +405,6 @@ def test_voronoi_walk_runs_once_per_genus(monkeypatch):
     assert len(calls) == walked
 
 
-@pytest.mark.slow
 def test_classify_faces_g4_matches_catalog():
     faces = vr.classify_faces(4, 6)
     # no non-simplicial behavior this far from codimension 10
