@@ -453,6 +453,10 @@ def _subtype(c: BracketClass, split: Sequence[int]) -> BracketClass:
     return canonical_bracket([split[j] for j in support], vectors)
 
 
+def _parts(split: Sequence[int]) -> tuple[int, ...]:
+    return tuple(sorted((e for e in split if e), reverse=True))
+
+
 @lru_cache(maxsize=None)
 def _structure_constants(
     a: BracketClass, b: BracketClass
@@ -472,9 +476,11 @@ def _structure_constants(
         count = 0
         ranges = [range(e + 1) for e in c.exponents]
         for split in itertools.product(*ranges):
-            if sum(split) != a.degree:
-                continue
             rest = tuple(e - s for e, s in zip(c.exponents, split))
+            # a half's class has the half's sorted nonzero exponents: compare
+            # those before canonicalizing anything
+            if _parts(split) != a.exponents or _parts(rest) != b.exponents:
+                continue
             if _subtype(c, split) == a and _subtype(c, rest) == b:
                 count += 1
         if count:

@@ -73,24 +73,13 @@ def cmd_catalog(args) -> int:
         if entry.cone is None:
             print("# placeholder: flags cannot be recomputed without generators")
         else:
-            checks = {
-                "matroidal": cn.is_matroidal(entry.cone),
-                "simplicial": cn.is_simplicial(entry.cone),
-                "basic": cn.is_basic(entry.cone),
-                "dim": cn.cone_dim(entry.cone),
-                "rank": cn.cone_rank(entry.cone),
-            }
-            stored = {
-                "matroidal": entry.matroidal,
-                "simplicial": entry.simplicial,
-                "basic": entry.basic,
-                "dim": entry.dim,
-                "rank": entry.rank,
-            }
-            for key, val in checks.items():
-                status = "ok" if val == stored[key] else f"MISMATCH (stored {stored[key]})"
+            fresh = cn.describe(entry.cone)
+            keys = ("matroidal", "simplicial", "basic", "dim", "rank")
+            for key in keys:
+                val, stored = getattr(fresh, key), getattr(entry, key)
+                status = "ok" if val == stored else f"MISMATCH (stored {stored})"
                 print(f"# recomputed {key} = {val}: {status}")
-            if checks != stored:
+            if any(getattr(fresh, key) != getattr(entry, key) for key in keys):
                 return 1
     return 0
 
@@ -177,20 +166,7 @@ def cmd_voronoi(args) -> int:
         return 0
     if args.action == "faces":
         faces = vr.classify_faces(args.genus, args.max_dim)
-        entries = []
-        for k, c in enumerate(faces):
-            named = c.with_name(f"face-{k + 1}")
-            entries.append(
-                cn.CatalogEntry(
-                    name=named.name,
-                    dim=cn.cone_dim(named),
-                    rank=cn.cone_rank(named),
-                    cone=named,
-                    matroidal=cn.is_matroidal(named),
-                    simplicial=cn.is_simplicial(named),
-                    basic=cn.is_basic(named),
-                )
-            )
+        entries = [cn.describe(c.with_name(f"face-{k + 1}")) for k, c in enumerate(faces)]
         print(
             f"{len(faces)} inequivalent face class(es) at g = {args.genus}, "
             f"dim <= {args.max_dim}"

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Mapping, Optional, Sequence
 
-from . import polyhedral
 from .matrices import (
     IntMatrix,
     IntVector,
@@ -180,12 +179,6 @@ def orth_lattice(c: Cone) -> tuple[IntVector, ...]:
     basis, ordered as in `sym2_pairs`.
     """
     return kernel_basis(c.sym2_matrix(), cols=len(sym2_pairs(c.ambient)))
-
-
-def extremal_rays(c: Cone) -> tuple[int, ...]:
-    """Indices of generators that are extremal rays of the cone."""
-    coords = c.sym2_matrix()
-    return polyhedral.extremal_ray_indices(coords, len(coords[0]))
 
 
 @dataclass(frozen=True)
@@ -617,13 +610,16 @@ def _named_cones() -> dict[str, Cone]:
     return cones
 
 
-def _entry(cone: Cone, matroidal: bool) -> CatalogEntry:
+def describe(cone: Cone, matroidal: Optional[bool] = None) -> CatalogEntry:
+    """Catalog entry of a cone, named by its name, with its dimension, rank
+    and flags computed.  A given `matroidal` flag is taken as it is, which
+    spares `catalog` the slowest of the tests."""
     return CatalogEntry(
         name=cone.name,
         dim=cone_dim(cone),
         rank=cone_rank(cone),
         cone=cone,
-        matroidal=matroidal,
+        matroidal=is_matroidal(cone) if matroidal is None else matroidal,
         simplicial=is_simplicial(cone),
         basic=is_basic(cone),
     )
@@ -651,30 +647,30 @@ def catalog(max_dim: int = 6) -> tuple[CatalogEntry, ...]:
         raise ValueError("catalog incomplete beyond dimension 6")
     named = _named_cones()
     entries = [
-        _entry(named["1"], True),
-        _entry(named["1+1"], True),
-        _entry(named["K3"], True),
-        _entry(named["1+1+1"], True),
-        _entry(named["1+1+1+1"], True),
-        _entry(named["K3+1"], True),
-        _entry(named["C4"], True),
-        _entry(named["K4-1"], True),
-        _entry(named["K3+1+1"], True),
-        _entry(named["C4+1"], True),
-        _entry(named["C5"], True),
-        _entry(named["1+1+1+1+1"], True),
-        _entry(named["NS"], False),
-        _entry(named["K4"], True),
+        describe(named["1"], True),
+        describe(named["1+1"], True),
+        describe(named["K3"], True),
+        describe(named["1+1+1"], True),
+        describe(named["1+1+1+1"], True),
+        describe(named["K3+1"], True),
+        describe(named["C4"], True),
+        describe(named["K4-1"], True),
+        describe(named["K3+1+1"], True),
+        describe(named["C4+1"], True),
+        describe(named["C5"], True),
+        describe(named["1+1+1+1+1"], True),
+        describe(named["NS"], False),
+        describe(named["K4"], True),
         _placeholder("6d-g4-a", 4, True),
         _placeholder("6d-g4-b", 4, True),
         _placeholder("6d-g4-c", 4, True),
         _placeholder("6d-g4-d", 4, True),
-        _entry(named["C6"], True),
-        _entry(named["C5+1"], True),
-        _entry(named["C4+1+1"], True),
-        _entry(named["C3+1+1+1"], True),
+        describe(named["C6"], True),
+        describe(named["C5+1"], True),
+        describe(named["C4+1+1"], True),
+        describe(named["C3+1+1+1"], True),
         _placeholder("6d-g5-x", 5, False),
-        _entry(named["1+1+1+1+1+1"], True),
+        describe(named["1+1+1+1+1+1"], True),
         _placeholder("6d-g6-x", 6, False),
         _placeholder("6d-g6-y", 6, False),
     ]

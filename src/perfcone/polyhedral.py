@@ -5,22 +5,17 @@ cones handled here are pointed, so they are cut out inside the linear span of
 their rays by finitely many facet inequalities.  Facets are found by
 enumerating candidate supporting hyperplanes spanned by ray subsets; at the
 sizes this package needs (at most ~12 rays in ambient dimension <= 15) this is
-faster to trust than an incremental double-description update.
+faster to trust than an incremental double-description update.  The face
+lattice is then the closure of the facets' ray sets under intersection, with
+no further geometry.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Sequence
+from typing import Collection, Sequence
 
 from .matrices import IntVector, kernel_basis, primitive_vector, rank, vec_dot
-
-
-def span_equations(rays: Sequence[IntVector], ambient: int) -> tuple[IntVector, ...]:
-    """Integer equations cutting out the linear span of the rays."""
-    if not rays:
-        return tuple((1 if i == j else 0 for j in range(ambient)) for i in range(ambient))
-    return kernel_basis(tuple(rays), cols=ambient)
 
 
 def facets(rays: Sequence[IntVector], ambient: int) -> tuple[tuple[IntVector, frozenset], ...]:
@@ -66,46 +61,15 @@ def facets(rays: Sequence[IntVector], ambient: int) -> tuple[tuple[IntVector, fr
     return tuple((found[s], s) for s in sorted(found, key=lambda s: sorted(s)))
 
 
-def facet_normals(rays: Sequence[IntVector], ambient: int) -> tuple[IntVector, ...]:
-    """Inward facet normals; with `span_equations` these cut out the cone."""
-    return tuple(n for n, _ in facets(rays, ambient))
-
-
-def in_cone(rays: Sequence[IntVector], v: IntVector, ambient: int) -> bool:
-    """Exact membership of v in the cone generated by the rays."""
-    if all(x == 0 for x in v):
-        return True
-    if not rays:
-        return False
-    for eq in span_equations(rays, ambient):
-        if vec_dot(eq, v) != 0:
-            return False
-    for n in facet_normals(rays, ambient):
-        if vec_dot(n, v) < 0:
-            return False
-    return True
-
-
-def extremal_ray_indices(rays: Sequence[IntVector], ambient: int) -> tuple[int, ...]:
-    """Indices of rays not contained in the cone of the other rays."""
-    out = []
-    for j in range(len(rays)):
-        others = [r for i, r in enumerate(rays) if i != j]
-        if not in_cone(others, rays[j], ambient):
-            out.append(j)
-    return tuple(out)
-
-
-def face_ray_sets(rays: Sequence[IntVector], ambient: int) -> tuple[frozenset, ...]:
-    """All proper nonempty faces of the cone, as frozensets of ray indices.
+def face_ray_sets(facet_sets: Collection[frozenset], n: int) -> tuple[frozenset, ...]:
+    """All proper nonempty faces of a pointed cone with n rays, as frozensets
+    of ray indices, from the ray sets of its facets.
 
     Faces of a pointed cone are exactly the intersections of facets with the
     cone, so the face lattice is generated from the top by intersecting with
     facets.
     """
-    rays = [tuple(r) for r in rays]
-    facet_sets = [s for _, s in facets(rays, ambient)]
-    all_idx = frozenset(range(len(rays)))
+    all_idx = frozenset(range(n))
     seen = {all_idx}
     queue = [all_idx]
     out = set()

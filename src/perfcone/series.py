@@ -42,10 +42,6 @@ class TruncatedSeries:
         self._check(other)
         return TruncatedSeries(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check(other)
-        return TruncatedSeries(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check(other)
         n = self.truncation
@@ -68,11 +64,6 @@ class TruncatedSeries:
             raise ValueError("negative shift")
         n = self.truncation
         return TruncatedSeries((0,) * min(k, n + 1) + self.coeffs[: max(0, n + 1 - k)])
-
-    def truncate(self, n: int) -> "TruncatedSeries":
-        if n > self.truncation:
-            raise ValueError("cannot extend a truncated series")
-        return TruncatedSeries(self.coeffs[: n + 1])
 
     def __str__(self) -> str:
         return " + ".join(f"{c}*t^{k}" for k, c in enumerate(self.coeffs) if c) or "0"

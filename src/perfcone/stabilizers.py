@@ -2,16 +2,20 @@
 
 Only the image of the stabilizer on the span of the cone matters for the
 invariant series (automorphisms acting trivially there, such as -1, are
-quotiented out).  For a simplicial cone the rank-1 forms of the extremal rays
-are a basis of the span, so the image is the group G of ray permutations
-realizable by integral cone automorphisms, and the Molien series is computed
-by cycle index, as an average over their cycle types (`invariants.molien`).
+quotiented out).  For a simplicial cone the rank-1 forms of the generators
+are a basis of the span, so the image is the group G of generator
+permutations realizable by integral cone automorphisms, and the Molien series
+is computed by cycle index, as an average over their cycle types
+(`invariants.molien`).
 
-G is built as a stabilizer chain (Sims 1970; Butler, LNCS 559, 1991) on the
-one integral-symmetry search, `cones._assignment_search`.  The base is the
-rays b_1..b_n in the search's basis-first order.  At level i, for each ray k,
-one first-leaf search with b_j -> b_j (j < i) and b_i -> k prescribed finds
-an element of the pointwise stabilizer of b_1..b_{i-1} moving b_i to k, or
+G is built by `permutation_group` as a stabilizer chain (Sims 1970; Butler,
+LNCS 559, 1991) on the one integral-symmetry search,
+`cones._assignment_search`.  The same chain gives the automorphism group of a
+perfect form as permutations of its minimal vectors
+(`voronoi.domain_automorphism_perms`).  The base is the vectors b_1..b_n in
+the search's basis-first order.  At level i, for each vector k, one
+first-leaf search with b_j -> b_j (j < i) and b_i -> k prescribed finds an
+element of the pointwise stabilizer of b_1..b_{i-1} moving b_i to k, or
 proves there is none; the elements found form the transversal U_i.  Every g
 in G is exactly one product u_1 o u_2 o ... o u_n with u_i in U_i, so
 |G| = prod |U_i|.  `_check_group` proves that these products form a group:
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .cones import Cone, _assignment_search, _family, cone_rank, extremal_rays, sym2_coordinates
+from .cones import Cone, _assignment_search, _family, cone_rank, sym2_coordinates
 from .matrices import IntVector, rank
 
 
@@ -34,9 +38,9 @@ from .matrices import IntVector, rank
 class GroupAction:
     """A finite group acting on Span(sigma) by permuting a basis.
 
-    The basis is the rank-1 forms of the extremal rays, so `dim` is their
-    number; `perms[k]` is the k-th group element as a permutation of the rays
-    and `orbits` is the orbit partition of the rays.
+    The basis is the rank-1 forms of the generators, so `dim` is their
+    number; `perms[k]` is the k-th group element as a permutation of the
+    generators and `orbits` is the orbit partition of the generators.
     """
 
     dim: int
@@ -56,10 +60,18 @@ def stabilizer_action(c: Cone) -> GroupAction:
     automorphism preserves the cone exactly when it permutes the extremal rays
     up to sign, and on the span it then acts by that permutation of the rank-1
     forms.
+
+    Every generator of a `Cone` is an extremal ray.  The generators are
+    distinct, primitive and sign-canonical, so no two span the same ray.  If
+    v v^T = sum_i l_i w_i w_i^T with every l_i > 0, then each y orthogonal to
+    v gives sum_i l_i (w_i . y)^2 = 0, so every w_i is +-v: no generator is a
+    nonnegative combination of the others.
     """
     if cone_rank(c) != c.ambient:
         raise ValueError("stabilizer computation needs a rank-i cone in Z^i")
-    return _stabilizer_action_cached(c)
+    # keyed on the ordered generators: cone equality ignores their order,
+    # which the permutations depend on
+    return _stabilizer_action_cached(c.generators, c.ambient, c.name or str(c.generators))
 
 
 class StabilizerGroupError(AssertionError):
@@ -67,35 +79,46 @@ class StabilizerGroupError(AssertionError):
 
 
 @lru_cache(maxsize=None)
-def _stabilizer_action_cached(c: Cone) -> GroupAction:
-    ext = extremal_rays(c)
-    rays = [c.generators[j] for j in ext]
+def _stabilizer_action_cached(rays: tuple[IntVector, ...], ambient: int, label: str) -> GroupAction:
     if rank([sym2_coordinates(v) for v in rays]) != len(rays):
         raise ValueError(
-            f"stabilizer action needs a simplicial cone: {len(rays)} extremal rays "
+            f"stabilizer action needs a simplicial cone: {len(rays)} generators "
             "with dependent rank-1 forms"
         )
-    transversals = _transversals(rays, c.ambient)
-    group = [tuple(range(len(rays)))]
-    for level in reversed(transversals):
-        group = [tuple(u[x] for x in s) for u in level for s in group]
-    _check_group(group, transversals, c.name or str(c.generators))
-
+    perms = permutation_group(rays, ambient, label)
     return GroupAction(
         dim=len(rays),
-        order=len(group),
-        perms=tuple(sorted(group)),
+        order=len(perms),
+        perms=perms,
         # the orbit of ray j is its image under every group element
-        orbits=tuple(sorted({tuple(sorted({p[j] for p in group})) for j in range(len(rays))})),
+        orbits=tuple(sorted({tuple(sorted({p[j] for p in perms})) for j in range(len(rays))})),
     )
+
+
+def permutation_group(
+    vectors: Sequence[IntVector], ambient: int, label: str
+) -> tuple[tuple[int, ...], ...]:
+    """The permutations of the vectors induced by every U in GL(ambient, Z)
+    that maps them onto themselves up to sign, sorted.
+
+    The vectors must span Q^ambient.  The group is built from the stabilizer
+    chain's transversals and proved a group by `_check_group`, which names
+    `label` when it fails.
+    """
+    transversals = _transversals(vectors, ambient)
+    group = [tuple(range(len(vectors)))]
+    for level in reversed(transversals):
+        group = [tuple(u[x] for x in s) for u in level for s in group]
+    _check_group(group, transversals, label)
+    return tuple(sorted(group))
 
 
 def _transversals(rays: Sequence[IntVector], ambient: int) -> list[list[tuple[int, ...]]]:
     """The transversals U_1..U_n of the stabilizer chain along the base.
 
-    U_i holds, for each ray k in the orbit of b_i under the pointwise
+    U_i holds, for each vector k in the orbit of b_i under the pointwise
     stabilizer of b_1..b_{i-1}, the permutation of the first leaf of the
-    search with those rays fixed and b_i -> k.
+    search with those vectors fixed and b_i -> k.
     """
     fixed: dict[int, int] = {}
     transversals = []

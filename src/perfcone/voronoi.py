@@ -5,9 +5,12 @@ Everything is exact.  A rational form is scaled to integers once
 (`_integral`); a fraction-free LDL^T (`_ldl`, Bareiss without pivoting) both
 tests positive-definiteness and drives a Fincke-Pohst shortest-vector search
 in integers (`_short_vectors`).  Neighbors come from an exact line search on
-the pencil Q + rho*R.  Equivalence of forms and their automorphisms come from
+the pencil Q + rho*R.  Equivalence of forms comes from
 `cones._assignment_search`, the one integral-symmetry search, over the
-minimal vectors, with a congruence check on every map it yields.
+minimal vectors, with a congruence check on every map it yields; their
+automorphisms come from the stabilizer chain on the same search
+(`stabilizers.permutation_group`).  Each perfect domain's facets are found
+once per process (`facets`), and the walk and the face lattice share them.
 """
 
 from __future__ import annotations
@@ -20,21 +23,18 @@ from typing import Optional, Sequence
 
 from . import polyhedral
 from .cones import (
-    CatalogEntry,
     Cone,
     _assignment_search,
     _equivalence_invariants,
     cone_dim,
-    cone_rank,
     cones_equivalent,
-    is_basic,
-    is_matroidal,
-    is_simplicial,
+    describe,
     reduce_to_span,
     render_catalog,
     sym2_pairs,
 )
 from .matrices import IntMatrix, IntVector, matmul, rank, sign_canonical, transpose
+from .stabilizers import permutation_group
 
 
 @dataclass(frozen=True)
@@ -200,8 +200,15 @@ class Facet:
     rays: frozenset[int]
 
 
-def facets(c: Cone) -> tuple[Facet, ...]:
-    coords = c.sym2_matrix()
+@lru_cache(maxsize=None)
+def facets(p: PerfectForm) -> tuple[Facet, ...]:
+    """Facets of the perfect domain of p, once per form per process.
+
+    Keyed on the form, whose hash includes the order of its minimal vectors,
+    and not on the `Cone`: cone equality ignores generator order, so a cone
+    key could return facets indexed for another order.
+    """
+    coords = domain(p).sym2_matrix()
     return tuple(
         Facet(normal=n, rays=s) for n, s in polyhedral.facets(coords, len(coords[0]))
     )
@@ -322,8 +329,7 @@ def enumerate_perfect(g: int) -> tuple[PerfectForm, ...]:
     queue = [start]
     while queue:
         p = queue.pop(0)
-        c = domain(p)
-        for facet in facets(c):
+        for facet in facets(p):
             rays = [p.min_vectors[i] for i in sorted(facet.rays)]
             if rank(rays) != g:
                 continue  # boundary facet: no contiguous domain
@@ -335,12 +341,17 @@ def enumerate_perfect(g: int) -> tuple[PerfectForm, ...]:
 
 
 def domain_automorphism_perms(p: PerfectForm) -> tuple[tuple[int, ...], ...]:
-    """Permutations of the minimal-vector rays induced by Aut(Q) in GL(g,Z):
-    the maps of `_assignment_search` from the minimal vectors onto
-    themselves that preserve the form."""
-    q = p.form.matrix
-    maps = _assignment_search(p.min_vectors, p.min_vectors, p.form.g)
-    return tuple(sorted({perm for u, perm in maps if _pull_back(q, u) == q}))
+    """Permutations of the minimal-vector rays induced by Aut(Q) in GL(g,Z),
+    sorted; a non-perfect form raises `ValueError` (from `domain`).
+
+    For a perfect Q the rank-1 forms of the minimal vectors span Sym^2, so Q
+    is the only form taking the value mu on all of them.  A U that permutes
+    them up to sign therefore has U^T Q U = Q, and Aut(Q) acts on them as
+    the group of all such permutations: the stabilizer chain of
+    `stabilizers.permutation_group`.
+    """
+    domain(p)
+    return permutation_group(p.min_vectors, p.form.g, f"the perfect form {p.form.matrix}")
 
 
 def classify_faces(g: int, max_dim: int = 6) -> tuple[Cone, ...]:
@@ -359,10 +370,9 @@ def classify_faces(g: int, max_dim: int = 6) -> tuple[Cone, ...]:
     found: list[Cone] = []
     buckets: dict = {}
     for p in enumerate_perfect(g):
-        c = domain(p)
-        coords = c.sym2_matrix()
-        ray_sets = list(polyhedral.face_ray_sets(coords, len(coords[0])))
-        ray_sets.append(frozenset(range(len(coords))))  # the domain itself
+        n = len(p.min_vectors)
+        ray_sets = list(polyhedral.face_ray_sets([f.rays for f in facets(p)], n))
+        ray_sets.append(frozenset(range(n)))  # the domain itself
         perms = domain_automorphism_perms(p)
         seen: set[frozenset] = set()
         reps = []
@@ -373,7 +383,7 @@ def classify_faces(g: int, max_dim: int = 6) -> tuple[Cone, ...]:
             seen |= orbit
             reps.append(rays)
         for rays in reps:
-            sub = Cone(g, [c.generators[i] for i in sorted(rays)])
+            sub = Cone(g, [p.min_vectors[i] for i in sorted(rays)])
             if cone_dim(sub) > max_dim:
                 continue
             red = reduce_to_span(sub)
@@ -388,18 +398,6 @@ def classify_faces(g: int, max_dim: int = 6) -> tuple[Cone, ...]:
 
 def render_forms(forms: Sequence[PerfectForm]) -> str:
     """Discovered forms in the cone-catalog text format, for diffing."""
-    entries = []
-    for k, p in enumerate(forms):
-        c = domain(p).with_name(f"perfect-{p.form.g}-{k + 1}")
-        entries.append(
-            CatalogEntry(
-                name=c.name,
-                dim=cone_dim(c),
-                rank=cone_rank(c),
-                cone=c,
-                matroidal=is_matroidal(c),
-                simplicial=is_simplicial(c),
-                basic=is_basic(c),
-            )
-        )
-    return render_catalog(entries)
+    return render_catalog(
+        [describe(domain(p).with_name(f"perfect-{p.form.g}-{k + 1}")) for k, p in enumerate(forms)]
+    )

@@ -156,20 +156,6 @@ def test_catalog_rejects_deep_request():
         cn.catalog(7)
 
 
-def test_extremal_rays_simplicial():
-    c = cn.catalog_cone("K3")
-    assert cn.extremal_rays(c) == (0, 1, 2)
-
-
-def test_extremal_rays_drops_interior_generator():
-    # x^2, y^2 and (x+y)^2, (x-y)^2: all four are extremal in Sym^2 (the
-    # rank-1 locus is curved), but a repeated positive combination is not;
-    # instead check a genuinely redundant generator in a 1-dim setup
-    c = cn.Cone(2, [(1, 0), (0, 1), (1, 1), (1, -1)])
-    # all four rank-1 forms are extremal rays of this 3-dim cone
-    assert cn.extremal_rays(c) == (0, 1, 2, 3)
-
-
 def test_serialization_roundtrip_bit_exact():
     text = cn.render_catalog(CAT)
     parsed = cn.parse_catalog(text)
@@ -284,7 +270,7 @@ MIN_VECTOR_CONES = [cn.Cone(g, vr.first_perfect_form(g).min_vectors, f"A{g}-min"
 def test_assignment_search_matches_fraction_oracle(cone):
     # the oracle does not prune, so equal sequences show that the fingerprint
     # only cuts branches without a leaf
-    rays = [cone.generators[j] for j in cn.extremal_rays(cone)]
+    rays = cone.generators
     expected = list(fraction_assignment_search(rays, rays, cone.ambient))
     assert list(cn._assignment_search(rays, rays, cone.ambient)) == expected
 

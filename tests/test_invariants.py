@@ -47,11 +47,11 @@ def brute_molien_permutations(perms, max_deg):
 def span_basis_matrices(c):
     """Exact matrices of the stabilizer image on a basis of Span(sigma).
 
-    The basis is an independent subset of the rank-1 forms of the extremal
-    rays; each group element maps the basis forms to permuted forms, written
+    The basis is an independent subset of the rank-1 forms of the
+    generators; each group element maps the basis forms to permuted forms, written
     in that basis by exact rational solves.
     """
-    rays = [c.generators[j] for j in cn.extremal_rays(c)]
+    rays = c.generators
     forms = [cn.sym2_coordinates(v) for v in rays]
     basis_idx = []
     for j, f in enumerate(forms):

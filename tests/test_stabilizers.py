@@ -112,14 +112,10 @@ def test_invariant_dim_cross_checks_orbits_by_burnside(monkeypatch):
 EXPLICIT = [e.cone for e in cn.catalog(6) if e.cone is not None]
 
 
-def _rays(c):
-    return [c.generators[j] for j in cn.extremal_rays(c)]
-
-
 def all_leaves_stabilizer(c):
     """Oracle: the permutations of every leaf of the unprescribed search,
     proved a group by multiplying every pair."""
-    perms = sorted({perm for _, perm in cn._assignment_search(_rays(c), _rays(c), c.ambient)})
+    perms = sorted({perm for _, perm in cn._assignment_search(c.generators, c.generators, c.ambient)})
     members = set(perms)
     assert tuple(range(len(perms[0]))) in members
     for p in perms:
@@ -151,7 +147,7 @@ def test_chain_matches_all_leaves_oracle(cone):
 )
 def test_transversal_lengths(name, lengths):
     c = cn.catalog_cone(name)
-    transversals = stabilizers._transversals(_rays(c), c.ambient)
+    transversals = stabilizers._transversals(c.generators, c.ambient)
     assert [len(level) for level in transversals] == lengths
     assert math.prod(lengths) == stabilizer_action(c).order
 
@@ -163,7 +159,7 @@ PRESCRIBED_CONES = ["K3", "C4", "K4-1", "C5", "NS", "K4"]
 def test_prescribed_map_filters_the_unprescribed_leaves(name):
     # single images at every position, branched or forced, and pairs of them
     c = cn.catalog_cone(name)
-    rays = _rays(c)
+    rays = c.generators
     n = len(rays)
     leaves = list(cn._assignment_search(rays, rays, c.ambient))
     maps = [{j: k} for j in range(n) for k in range(n)]
@@ -174,6 +170,16 @@ def test_prescribed_map_filters_the_unprescribed_leaves(name):
         assert got == [
             leaf for leaf in leaves if all(leaf[1][j] == k for j, k in prescribed.items())
         ]
+
+
+def test_stabilizer_of_reordered_cone_is_indexed_by_its_own_order():
+    # equal cones, generators in another order: the cached action of one
+    # must not answer for the other
+    c = cn.catalog_cone("K3+1")
+    moved = cn.Cone(c.ambient, c.generators[::-1])
+    assert moved == c
+    assert stabilizer_action(c).orbits == ((0, 1, 2), (3,))
+    assert stabilizer_action(moved).orbits == ((0,), (1, 2, 3))
 
 
 @pytest.fixture

@@ -293,8 +293,7 @@ def test_domain_rejects_imperfect_form():
 
 def test_a2_neighbors_close_up():
     p = vr.perfect_form(A2)
-    c = vr.domain(p)
-    fs = vr.facets(c)
+    fs = vr.facets(p)
     assert len(fs) == 3  # simplicial: one facet per ray
     for f in fs:
         q = vr.neighbor(p, f)
@@ -312,12 +311,11 @@ def test_genus3_domain_is_the_dim6_graphical_cone():
 def test_neighbor_walk_is_symmetric():
     # crossing back over the shared facet returns to an equivalent form
     p = vr.first_perfect_form(3)
-    c = vr.domain(p)
-    facet = vr.facets(c)[0]
+    facet = vr.facets(p)[0]
     shared = {p.min_vectors[i] for i in facet.rays}
     q = vr.neighbor(p, facet)
     back = None
-    for f2 in vr.facets(vr.domain(q)):
+    for f2 in vr.facets(q):
         if {q.min_vectors[i] for i in f2.rays} == shared:
             back = vr.neighbor(q, f2)
             break
@@ -403,6 +401,37 @@ def test_voronoi_walk_runs_once_per_genus(monkeypatch):
     assert vr.enumerate_perfect(4) is forms
     vr.classify_faces(4, 2)
     assert len(calls) == walked
+
+
+def test_facets_run_once_per_walk_domain(monkeypatch):
+    # the walk and the face lattice share each domain's facets
+    calls = []
+    step = vr.polyhedral.facets
+
+    def counted(rays, ambient):
+        calls.append(len(rays))
+        return step(rays, ambient)
+
+    monkeypatch.setattr(vr.polyhedral, "facets", counted)
+    vr.enumerate_perfect.cache_clear()
+    vr.facets.cache_clear()
+    forms = [p for g in (2, 3, 4) for p in vr.enumerate_perfect(g)]
+    for g in (2, 3, 4):
+        vr.classify_faces(g)
+    assert sorted(calls) == sorted(len(p.min_vectors) for p in forms) == [3, 6, 10, 12]
+
+
+def test_facets_are_indexed_by_the_forms_own_vector_order():
+    # equal cones with their generators in another order: a cache keyed on
+    # the cone would hand one of them facets indexed for the other
+    p = vr.first_perfect_form(3)
+    moved = vr.PerfectForm(p.form, p.minimum, p.min_vectors[::-1])
+    assert vr.domain(moved) == vr.domain(p)
+    assert vr.facets(moved) != vr.facets(p)
+    for q in (p, moved):
+        for f in vr.facets(q):
+            coords = [cn.sym2_coordinates(v) for v in q.min_vectors]
+            assert {i for i, x in enumerate(coords) if mx.vec_dot(f.normal, x) == 0} == f.rays
 
 
 def test_classify_faces_g4_matches_catalog():
@@ -546,7 +575,7 @@ def _neighbors(g):
     """Every contiguous form the walk meets at genus g, before equivalence."""
     out = []
     for p in vr.enumerate_perfect(g):
-        for facet in vr.facets(vr.domain(p)):
+        for facet in vr.facets(p):
             if mx.rank([p.min_vectors[i] for i in facet.rays]) == g:
                 out.append(vr.neighbor(p, facet))
     return out
@@ -556,6 +585,13 @@ def _neighbors(g):
 def test_domain_automorphism_perms_match_gram_oracle(g):
     for p in vr.enumerate_perfect(g):
         assert vr.domain_automorphism_perms(p) == gram_automorphism_perms(p)
+
+
+def test_domain_automorphism_perms_rejects_non_perfect_form():
+    # the identity form's two minimal vectors do not span Sym^2, so a map
+    # permuting them need not preserve the form
+    with pytest.raises(ValueError, match="not perfect"):
+        vr.domain_automorphism_perms(vr.perfect_form(((1, 0), (0, 1))))
 
 
 def test_walk_form_automorphism_counts():
