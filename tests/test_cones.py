@@ -7,6 +7,8 @@ from perfcone import cones as cn
 from perfcone import matrices as mx
 from perfcone import voronoi as vr
 
+from test_polyhedral import extremal_generators
+
 
 CAT = cn.catalog(6)
 NAMED = {e.name: e for e in CAT}
@@ -154,6 +156,19 @@ def test_catalog_dim_rank_bounds():
 def test_catalog_rejects_deep_request():
     with pytest.raises(ValueError):
         cn.catalog(7)
+
+
+def test_extremal_rays_simplicial():
+    c = cn.catalog_cone("K3")
+    assert extremal_generators(c) == (0, 1, 2)
+
+
+def test_extremal_rays_drops_interior_generator():
+    # x^2, y^2, (x+y)^2 and (x-y)^2: no rank-1 form is a positive combination
+    # of others (the rank-1 locus is curved), so all four are extremal rays
+    # of this 3-dim cone
+    c = cn.Cone(2, [(1, 0), (0, 1), (1, 1), (1, -1)])
+    assert extremal_generators(c) == (0, 1, 2, 3)
 
 
 def test_serialization_roundtrip_bit_exact():
