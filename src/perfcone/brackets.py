@@ -453,8 +453,37 @@ def _subtype(c: BracketClass, split: Sequence[int]) -> BracketClass:
     return canonical_bracket([split[j] for j in support], vectors)
 
 
-def _parts(split: Sequence[int]) -> tuple[int, ...]:
-    return tuple(sorted((e for e in split if e), reverse=True))
+def _splits(
+    exponents: Sequence[int], left: Sequence[int], right: Sequence[int]
+) -> Iterable[tuple[int, ...]]:
+    """Splits s of `exponents` (0 <= s_j <= e_j) whose nonzero s_j are the
+    multiset `left` and whose nonzero e_j - s_j are the multiset `right`.
+
+    Each s_j is taken only where it and e_j - s_j are 0 or still unused on
+    their side.  At the end every part is used: the halves add up to the
+    degree of `left` plus `right`, and neither exceeds its own.
+    """
+    free_left, free_right = Counter(left), Counter(right)
+    split: list[int] = []
+
+    def rec(j: int):
+        if j == len(exponents):
+            yield tuple(split)
+            return
+        e = exponents[j]
+        for s in range(e + 1):
+            if (s and not free_left[s]) or (s < e and not free_right[e - s]):
+                continue
+            # the counts at 0 go negative and are never read
+            free_left[s] -= 1
+            free_right[e - s] -= 1
+            split.append(s)
+            yield from rec(j + 1)
+            split.pop()
+            free_left[s] += 1
+            free_right[e - s] += 1
+
+    return rec(0)
 
 
 @lru_cache(maxsize=None)
@@ -465,7 +494,9 @@ def _structure_constants(
 
     The coefficient of C counts the ways a fixed monomial of type C factors
     into a type-A and a type-B monomial: exponent splits whose two halves,
-    with their induced codes, canonicalize to A and B respectively.
+    with their induced codes, canonicalize to A and B respectively.  A half's
+    class has the half's sorted nonzero exponents, so only the splits
+    matching those of A and B are enumerated (`_splits`).
     """
     if a is UNIT or not a.exponents:
         return ((b, 1),)
@@ -474,13 +505,8 @@ def _structure_constants(
     out = []
     for c in enumerate_brackets(a.degree + b.degree):
         count = 0
-        ranges = [range(e + 1) for e in c.exponents]
-        for split in itertools.product(*ranges):
+        for split in _splits(c.exponents, a.exponents, b.exponents):
             rest = tuple(e - s for e, s in zip(c.exponents, split))
-            # a half's class has the half's sorted nonzero exponents: compare
-            # those before canonicalizing anything
-            if _parts(split) != a.exponents or _parts(rest) != b.exponents:
-                continue
             if _subtype(c, split) == a and _subtype(c, rest) == b:
                 count += 1
         if count:
@@ -625,12 +651,20 @@ def algebra_dimension_bounds(d: int) -> DimensionBounds:
 # ---------------------------------------------------------------------------
 
 _FIELD_BITS = 3
-_FIELD_MASK = (1 << _FIELD_BITS) - 1
+# the lowest bit of each of the 64 fields, v = 0..63 (g <= 6)
+_FIELD_ONES = int("1" * 64, 8)
+
+
+class OracleCoefficientError(AssertionError):
+    """Monomials of one class come out of the expansion with different
+    coefficients, so the product is not a combination of orbit sums."""
 
 
 @lru_cache(maxsize=None)
-def _classify_monomial(pattern: tuple[int, ...], kernel: frozenset[int]) -> BracketClass:
-    return canonical_bracket(pattern, kernel)
+def _classify_monomial(exponents: str, code: frozenset[int]) -> BracketClass:
+    """Class of a monomial from its exponent digits and its relation code,
+    both over the positions of its vectors in increasing order."""
+    return canonical_bracket(tuple(map(int, exponents)), code)
 
 
 def _pack(monomial: Iterable[tuple[int, int]]) -> int:
@@ -641,23 +675,61 @@ def _pack(monomial: Iterable[tuple[int, int]]) -> int:
     return key
 
 
-@lru_cache(maxsize=None)
-def _packed_class(key: int) -> BracketClass:
-    """Class of a nonzero packed monomial.
+# one stored frozenset per distinct code: far fewer codes than supports
+_codes: dict[frozenset[int], frozenset[int]] = {}
 
-    The class depends only on the vectors and their exponents, not on the
-    genus, so one cache serves every product and every g.
+
+@lru_cache(maxsize=1 << 14)
+def _support_code(support: int) -> frozenset[int]:
+    """Relation code of the vectors v whose bit 3 v is set in `support`,
+    numbered in increasing order: the zero-XOR subsets of those vectors.
+
+    The cache is bounded: at g = 4 every product monomial of degree <= 6
+    has one of about 10 k supports, but at g = 5 nearly every set of up to 5
+    of the 31 vectors occurs (about 206 k), which would hold some 15 MB for
+    few hits.
     """
-    fields = []
-    while key:
-        v = ((key & -key).bit_length() - 1) // _FIELD_BITS
-        e = key >> (_FIELD_BITS * v) & _FIELD_MASK
-        key -= e << (_FIELD_BITS * v)
-        fields.append((-e, v))
-    fields.sort()
-    vectors = [v for _, v in fields]
-    pattern = tuple(-e for e, _ in fields)
-    return _classify_monomial(pattern, frozenset(f2_kernel(vectors)))
+    vectors = []
+    while support:
+        low = support & -support
+        vectors.append((low.bit_length() - 1) // _FIELD_BITS)
+        support ^= low
+    code = frozenset(f2_kernel(vectors))
+    return _codes.setdefault(code, code)
+
+
+def _packed_class(key: int) -> BracketClass:
+    """Class of a packed monomial, from its exponents and its support.
+
+    `oct(key)` lists the fields from the top down, so reversed and without
+    its zeros it is the exponents in increasing vector order, the order in
+    which `_support_code` numbers the positions.  The class depends only on
+    the vectors and their exponents, not on the genus.
+    """
+    if not key:
+        return UNIT
+    exponents = oct(key)[:1:-1].replace("0", "")
+    support = (key | key >> 1 | key >> 2) & _FIELD_ONES
+    return _classify_monomial(exponents, _support_code(support))
+
+
+class _ClassIds(dict):
+    """Packed key -> small class id, classified on a miss.
+
+    The oracle's one key-level cache: a hit is a C-level `__getitem__`, and
+    the ids hash and compare as plain integers.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.by_class: dict[BracketClass, int] = {}
+
+    def __missing__(self, key: int) -> int:
+        cid = self[key] = self.by_class.setdefault(_packed_class(key), len(self.by_class))
+        return cid
+
+
+_class_ids = _ClassIds()
 
 
 @lru_cache(maxsize=None)
@@ -680,11 +752,8 @@ def _pattern_monomials(
 
     def rec(bidx: int, used: tuple[int, ...], assignment: list[int]):
         if bidx == len(blocks):
-            kernel = frozenset(f2_kernel(assignment))
-            bc = _classify_monomial(pattern, kernel)
-            grouped.setdefault(bc, []).append(
-                tuple(sorted(zip(assignment, pattern), key=lambda t: (-t[1], t[0])))
-            )
+            monomial = tuple(sorted(zip(assignment, pattern), key=lambda t: (-t[1], t[0])))
+            grouped.setdefault(_packed_class(_pack(monomial)), []).append(monomial)
             return
         _, size = blocks[bidx]
         for combo in itertools.combinations([v for v in pool if v not in used], size):
@@ -712,14 +781,25 @@ def oracle_expand(g: int, factors: Sequence[BracketClass]) -> ClassSum:
     """Expand a product of orbit sums over explicit vectors and re-classify.
 
     Every monomial of the expanded product is classified by its exact
-    relation kernel; monomials of the same class must come out with the same
-    coefficient, and the result is the class sum restricted to classes
-    representable inside F2^g.
+    relation code; monomials of the same class must come out with the same
+    coefficient (else `OracleCoefficientError`), and the result is the class
+    sum restricted to classes representable inside F2^g.
 
     Monomials are packed keys: the exponent of D_v sits in the 3-bit field
     at bit 3 v, for v <= 63 since g <= 6.  The total degree is capped at 6,
     so every exponent is below 8 and adding two keys never carries from one
     field into the next.
+
+    The product is convolved one factor at a time.  Each stage is counted by
+    `Counter` over the sums of the running keys with the factor's keys, one
+    pass per distinct running coefficient, so the additions and the counting
+    run in C.  A key is classified once per process (`_class_ids`), from
+    its exponents and the cached relation code of its support: many keys
+    share a support, and far fewer pairs of exponents and code occur.  Only
+    the monomials the product touches are classified; the monomials of the
+    product's own patterns are never listed, since at g = 6 the pattern
+    (1,1,1,1,1,1) alone has C(63, 6), about 67 million, where {123(123)}^2
+    forms 651^2, about 424 k, sums.
     """
     if g > 6:
         raise ValueError("oracle supports g <= 6")
@@ -729,24 +809,32 @@ def oracle_expand(g: int, factors: Sequence[BracketClass]) -> ClassSum:
     poly: dict[int, int] = {0: 1}
     for bc in factors:
         fact = [_pack(m) for m in realize_class(bc, g)]
-        new: dict[int, int] = {}
-        for k1, c1 in poly.items():
-            for k2 in fact:
-                key = k1 + k2
-                new[key] = new.get(key, 0) + c1
-        poly = new
-    by_class: dict[BracketClass, set[int]] = {}
-    for key, coeff in poly.items():
-        bc = _packed_class(key) if key else UNIT
-        by_class.setdefault(bc, set()).add(coeff)
-    data = {}
-    for bc, coeffs in by_class.items():
-        if len(coeffs) != 1:
-            raise AssertionError(
-                f"monomials of class {bc} appear with different coefficients {coeffs}"
-            )
-        data[bc] = coeffs.pop()
-    return ClassSum.from_dict(data)
+        by_coeff: dict[int, list[int]] = {}
+        for key, coeff in poly.items():
+            by_coeff.setdefault(coeff, []).append(key)
+        poly = Counter()
+        for coeff, keys in by_coeff.items():
+            counts = Counter(map(sum, itertools.product(keys, fact)))
+            if coeff != 1:
+                for key in counts:
+                    counts[key] *= coeff
+            if poly:
+                poly.update(counts)
+            else:
+                poly = counts
+    found = set(zip(map(_class_ids.__getitem__, poly), poly.values()))
+    data = dict(found)
+    classes = {cid: bc for bc, cid in _class_ids.by_class.items()}
+    if len(data) != len(found):
+        coeffs: dict[int, set[int]] = {}
+        for cid, coeff in found:
+            coeffs.setdefault(cid, set()).add(coeff)
+        cid = min(cid for cid, cs in coeffs.items() if len(cs) > 1)
+        raise OracleCoefficientError(
+            f"monomials of class {classes[cid]} appear with different "
+            f"coefficients {sorted(coeffs[cid])}"
+        )
+    return ClassSum.from_dict({classes[cid]: coeff for cid, coeff in data.items()})
 
 
 def representable(bc: BracketClass, g: int) -> bool:

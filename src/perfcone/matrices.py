@@ -98,6 +98,8 @@ def _bareiss(m: list[list[int]], ncols: int, jordan: bool = False) -> tuple[list
     below the pivot row (with `jordan`, every other row) by
     pivot * row - entry * pivot_row, divided exactly by the previous pivot
     (Bareiss, Math. Comp. 1968), so every entry stays a minor of the input.
+    Without `jordan` the rows below the pivot are already zero left of the
+    pivot column, so only the columns from it on are rebuilt.
     Returns the pivot columns and the sign of the row permutation.
     """
     rows = len(m)
@@ -108,14 +110,18 @@ def _bareiss(m: list[list[int]], ncols: int, jordan: bool = False) -> tuple[list
     for c in range(ncols):
         if r == rows:
             break
-        piv = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if piv is None:
+        piv = r
+        while piv < rows and m[piv][c] == 0:
+            piv += 1
+        if piv == rows:
             continue
         if piv != r:
             m[r], m[piv] = m[piv], m[r]
             sign = -sign
         top = m[r]
         p = top[c]
+        start = 0 if jordan else c
+        tail = top[start:]
         for i in range(rows) if jordan else range(r + 1, rows):
             if i == r:
                 continue
@@ -123,7 +129,7 @@ def _bareiss(m: list[list[int]], ncols: int, jordan: bool = False) -> tuple[list
             f = row[c]
             if f == 0 and p == prev:
                 continue
-            m[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+            row[start:] = [(p * x - f * y) // prev for x, y in zip(row[start:], tail)]
         pivots.append(c)
         prev = p
         r += 1

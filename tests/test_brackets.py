@@ -270,6 +270,107 @@ def test_packed_class_reads_whole_fields():
     assert br._packed_class(key) == br.parse_bracket("{1^32^23(123)}")
 
 
+def decoded_class(key):
+    """Oracle: read the packed fields one by one, order the vectors by
+    (-exponent, vector) and classify by the F2 kernel of that order."""
+    fields = []
+    while key:
+        v = ((key & -key).bit_length() - 1) // 3
+        e = key >> (3 * v) & 7
+        key -= e << (3 * v)
+        fields.append((-e, v))
+    fields.sort()
+    vectors = [v for _, v in fields]
+    pattern = tuple(-e for e, _ in fields)
+    return br.canonical_bracket(pattern, f2_kernel(vectors))
+
+
+def _monomial_keys(pool, max_degree):
+    for d in range(max_degree + 1):
+        for vectors in itertools.combinations_with_replacement(pool, d):
+            yield sum(1 << (3 * v) for v in vectors)
+
+
+def test_packed_class_matches_decoding_oracle_on_every_small_monomial():
+    keys = list(_monomial_keys(range(1, 16), 6))
+    assert len(keys) == 54264
+    # at g = 6, D_63 times monomials in vectors some of which sum to 63
+    pool = (1, 2, 3, 12, 15, 16, 32, 48, 51, 60)
+    keys += [(e << 189) + k for e in range(1, 7) for k in _monomial_keys(pool, 6 - e)]
+    assert len(keys) == 54264 + 4368
+    for key in keys:
+        assert br._packed_class(key) == decoded_class(key), oct(key)
+
+
+def test_verify_reports_unequal_oracle_coefficients_as_fail(monkeypatch):
+    boundary = br.parse_bracket("{1}")
+    realize = br.realize_class
+
+    def drop_one(bc, g):
+        monomials = realize(bc, g)
+        return monomials[1:] if bc == boundary else monomials
+
+    monkeypatch.setattr(br, "realize_class", drop_one)
+    results = verify.run_checks()
+    failed = [r for r in results if r.status == verify.FAIL]
+    assert [(r.criterion, r.name) for r in failed] == [(5, "check_products raised")]
+    assert failed[0].detail.startswith("OracleCoefficientError: monomials of class {")
+    assert "different coefficients" in failed[0].detail
+    assert verify.render_results(results).endswith("result: 1 check(s) FAILED")
+
+
+def _parts(split):
+    return tuple(sorted((e for e in split if e), reverse=True))
+
+
+def all_splits(c, a, b):
+    """Oracle: every exponent split of c whose halves have the sorted nonzero
+    exponents of a and of b."""
+    out = []
+    for split in itertools.product(*(range(e + 1) for e in c.exponents)):
+        rest = tuple(e - s for e, s in zip(c.exponents, split))
+        if _parts(split) == a.exponents and _parts(rest) == b.exponents:
+            out.append(split)
+    return out
+
+
+def all_splits_constants(a, b):
+    """Oracle: the structure constants from every exponent split."""
+    if not a.exponents:
+        return ((b, 1),)
+    if not b.exponents:
+        return ((a, 1),)
+    out = []
+    for c in br.enumerate_brackets(a.degree + b.degree):
+        count = sum(
+            1
+            for split in all_splits(c, a, b)
+            if br._subtype(c, split) == a
+            and br._subtype(c, tuple(e - s for e, s in zip(c.exponents, split))) == b
+        )
+        if count:
+            out.append((c, count))
+    return tuple(out)
+
+
+def test_structure_constants_match_all_splits_oracle():
+    classes = [bc for d in range(1, 6) for bc in br.enumerate_brackets(d)]
+    pairs = [
+        (a, b)
+        for a, b in itertools.combinations_with_replacement(classes, 2)
+        if a.degree + b.degree <= 6
+    ]
+    assert len(pairs) == 68
+    for a, b in pairs:
+        for c in br.enumerate_brackets(a.degree + b.degree):
+            got = list(br._splits(c.exponents, a.exponents, b.exponents))
+            assert sorted(got) == all_splits(c, a, b), (c, a, b)
+        assert br._structure_constants(a, b) == all_splits_constants(a, b), (a, b)
+    one = br.parse_bracket("{1^22}")
+    for a, b in ((br.UNIT, one), (one, br.UNIT), (br.UNIT, br.UNIT)):
+        assert br._structure_constants(a, b) == all_splits_constants(a, b)
+
+
 def test_enumeration_rejects_degree_above_bound():
     with pytest.raises(ValueError, match="through degree 7"):
         br.enumerate_brackets(8)

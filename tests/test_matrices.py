@@ -226,6 +226,41 @@ def test_det_matches_leibniz_oracle():
         mx.det(((1, 2),))
 
 
+def cofactor_det(a):
+    """Oracle: Laplace expansion along the first row."""
+    if not a:
+        return 1
+    return sum(
+        (-1) ** j * x * cofactor_det([row[:j] + row[j + 1 :] for row in a[1:]])
+        for j, x in enumerate(a[0])
+        if x
+    )
+
+
+def cofactor_rank(a):
+    """Oracle: the largest r with a nonzero r x r minor, each minor by
+    cofactor expansion."""
+    rows, cols = len(a), len(a[0])
+    for r in range(min(rows, cols), 0, -1):
+        for rsel in itertools.combinations(range(rows), r):
+            for csel in itertools.combinations(range(cols), r):
+                if cofactor_det([[a[i][j] for j in csel] for i in rsel]):
+                    return r
+    return 0
+
+
+def test_bareiss_det_and_rank_match_cofactor_oracle():
+    # full-rank and rank-deficient 4x4 and 5x5 matrices, so that some columns
+    # have no pivot and the forward elimination skips them
+    rng = random.Random(97)
+    for _ in range(120):
+        n = rng.choice((4, 5))
+        low = rng.choice([None, None, 1, 2, n - 1])
+        a = [list(row) for row in _random_matrix(rng, n, n, low)]
+        assert mx.det(a) == cofactor_det(a), a
+        assert mx.rank(a) == cofactor_rank(a), a
+
+
 def test_adjugate_times_matrix_is_determinant_times_identity():
     rng = random.Random(11)
     for _ in range(200):
