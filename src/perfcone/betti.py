@@ -163,17 +163,7 @@ def _molien_prefix(cone: Cone, depth: int) -> tuple[int, ...]:
 def stratum_series(entry: CatalogEntry, max_deg: int) -> TruncatedSeries:
     """Stable series of one stratum: lambda series times the invariant series
     of the stabilizer action evaluated in t^2."""
-    depth = max_deg // 2
-    if entry.cone is not None:
-        inv = _molien_prefix(entry.cone, depth)
-    else:
-        prefix = entry.invariant_series_prefix or ()
-        if depth > len(prefix) - 1:
-            raise CatalogDepthError(
-                f"entry {entry.name!r} has no generators and its invariant series "
-                f"is only known to degree {len(prefix) - 1} (need {depth})"
-            )
-        inv = prefix[: depth + 1]
+    inv = _molien_prefix(entry.cone, max_deg // 2)
     inv_t2 = TruncatedSeries(
         tuple(inv[k // 2] if k % 2 == 0 else 0 for k in range(max_deg + 1))
     )
@@ -231,11 +221,11 @@ def assemble(space: Space | str, max_deg: int) -> BettiReport:
             raise CatalogDepthError("catalog incomplete beyond degree 12")
         rows.append(("interior", lam))
         for e in catalog(6):
-            if space.kind == "matr" and e.matroidal is not True:
+            if space.kind == "matr" and not e.matroidal:
                 continue
-            if space.kind == "simp" and e.simplicial is not True:
+            if space.kind == "simp" and not e.simplicial:
                 continue
-            if space.kind == "smooth" and e.basic is not True:
+            if space.kind == "smooth" and not e.basic:
                 continue
             shift = 2 * e.dim
             if shift > max_deg:

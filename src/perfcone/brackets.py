@@ -731,6 +731,24 @@ class _ClassIds(dict):
 
 _class_ids = _ClassIds()
 
+# The largest jobs the oracle takes on, so that an expensive input fails at
+# once instead of running for hours.  The jobs in use stay far below: at
+# g = 5 the largest product is {12}*{123} (2 018 100 monomial tuples) and the
+# largest pattern that of {1234} (31 465 monomials); at g = 6, {1}^4 (63^4,
+# about 1.6e7 tuples) takes about 10 s and {1234} (595 665) about 13 s.
+MAX_PATTERN_MONOMIALS = 10**6
+MAX_PRODUCT_MONOMIALS = 10**8
+
+
+def _pattern_count(pattern: tuple[int, ...], g: int) -> int:
+    """Number of monomials with the exponent pattern over F2^g, without
+    listing them: P(2^g - 1, len) over the product of the factorials of the
+    sizes of the blocks of equal exponents."""
+    count = math.perm((1 << g) - 1, len(pattern))
+    for size in Counter(pattern).values():
+        count //= math.factorial(size)
+    return count
+
 
 @lru_cache(maxsize=None)
 def _pattern_monomials(
@@ -767,10 +785,17 @@ def realize_class(bc: BracketClass, g: int) -> list[tuple[tuple[int, int], ...]]
     """All monomials of the class over distinct nonzero vectors of F2^g.
 
     The result is empty exactly when the class needs more than g independent
-    indices.
+    indices.  A pattern with more than MAX_PATTERN_MONOMIALS monomials is
+    rejected with a ValueError before any is listed.
     """
     if bc is UNIT or not bc.exponents:
         return [()]
+    count = _pattern_count(bc.exponents, g)
+    if count > MAX_PATTERN_MONOMIALS:
+        raise ValueError(
+            f"the pattern of {bc} has {count} monomials at g = {g}, "
+            f"over MAX_PATTERN_MONOMIALS = {MAX_PATTERN_MONOMIALS}"
+        )
     for cls, monomials in _pattern_monomials(bc.exponents, g):
         if cls == bc:
             return list(monomials)
@@ -799,16 +824,24 @@ def oracle_expand(g: int, factors: Sequence[BracketClass]) -> ClassSum:
     the monomials the product touches are classified; the monomials of the
     product's own patterns are never listed, since at g = 6 the pattern
     (1,1,1,1,1,1) alone has C(63, 6), about 67 million, where {123(123)}^2
-    forms 651^2, about 424 k, sums.
+    forms 651^2, about 424 k, sums.  A product with more than
+    MAX_PRODUCT_MONOMIALS tuples of factor monomials is rejected with a
+    ValueError before the convolution starts.
     """
     if g > 6:
         raise ValueError("oracle supports g <= 6")
     total = sum(bc.degree for bc in factors)
     if total > 6:
         raise ValueError("oracle expansion capped at total degree 6")
+    facts = [[_pack(m) for m in realize_class(bc, g)] for bc in factors]
+    size = math.prod(map(len, facts))
+    if size > MAX_PRODUCT_MONOMIALS:
+        raise ValueError(
+            f"the product has {size} tuples of factor monomials at g = {g}, "
+            f"over MAX_PRODUCT_MONOMIALS = {MAX_PRODUCT_MONOMIALS}"
+        )
     poly: dict[int, int] = {0: 1}
-    for bc in factors:
-        fact = [_pack(m) for m in realize_class(bc, g)]
+    for fact in facts:
         by_coeff: dict[int, list[int]] = {}
         for key, coeff in poly.items():
             by_coeff.setdefault(coeff, []).append(key)

@@ -34,10 +34,7 @@ def _catalog_entry(name: str) -> cn.CatalogEntry:
 
 
 def _catalog_cone(name: str) -> cn.Cone:
-    try:
-        return cn.catalog_cone(name)
-    except KeyError as exc:
-        raise CommandError(str(exc.args[0])) from None
+    return _catalog_entry(name).cone
 
 
 def cmd_betti(args) -> int:
@@ -57,30 +54,23 @@ def cmd_catalog(args) -> int:
         width = max(len(e.name) for e in entries)
         print(f"{'name'.ljust(width)}  dim  rank  matroidal  simplicial  basic  generators")
         for e in entries:
-            gens = str(e.cone.n_generators) if e.cone is not None else "-"
-            flags = [
-                {True: "yes", False: "no", None: "?"}[v]
-                for v in (e.matroidal, e.simplicial, e.basic)
-            ]
+            flags = ["yes" if v else "no" for v in (e.matroidal, e.simplicial, e.basic)]
             print(
                 f"{e.name.ljust(width)}  {e.dim:>3}  {e.rank:>4}  "
-                f"{flags[0]:>9}  {flags[1]:>10}  {flags[2]:>5}  {gens:>10}"
+                f"{flags[0]:>9}  {flags[1]:>10}  {flags[2]:>5}  {e.cone.n_generators:>10}"
             )
         return 0
     entry = _catalog_entry(args.name)
     print(cn.render_catalog([entry]), end="")
     if args.check_flags:
-        if entry.cone is None:
-            print("# placeholder: flags cannot be recomputed without generators")
-        else:
-            fresh = cn.describe(entry.cone)
-            keys = ("matroidal", "simplicial", "basic", "dim", "rank")
-            for key in keys:
-                val, stored = getattr(fresh, key), getattr(entry, key)
-                status = "ok" if val == stored else f"MISMATCH (stored {stored})"
-                print(f"# recomputed {key} = {val}: {status}")
-            if any(getattr(fresh, key) != getattr(entry, key) for key in keys):
-                return 1
+        fresh = cn.describe(entry.cone)
+        keys = ("matroidal", "simplicial", "basic", "dim", "rank")
+        for key in keys:
+            val, stored = getattr(fresh, key), getattr(entry, key)
+            status = "ok" if val == stored else f"MISMATCH (stored {stored})"
+            print(f"# recomputed {key} = {val}: {status}")
+        if any(getattr(fresh, key) != getattr(entry, key) for key in keys):
+            return 1
     return 0
 
 

@@ -2,10 +2,11 @@
 
 A cone is an ordered list of primitive integer vectors xi in Z^i, each
 standing for the rank-1 symmetric form xi*xi^T.  The catalog ships one
-representative per GL(i,Z)-orbit for every orbit of dimension up to 6 that
-contributes to degree <= 12 of the assembled tables; the handful of
-dimension-6 orbits whose generators are not pinned down anywhere are kept as
-placeholder entries carrying their numerical data only.
+explicit representative per GL(i,Z)-orbit for every orbit of dimension up to
+6 that contributes to degree <= 12 of the assembled tables.  The g <= 4 face walk of `voronoi` finds every entry of
+rank <= 4, and for each non-matroidal dimension-6 entry the tests hold an
+integral positive definite form whose minimal vectors are exactly +- its
+generators, which makes it a perfect-cone cell.
 """
 
 from __future__ import annotations
@@ -530,29 +531,26 @@ def cones_equivalent(c1: Cone, c2: Cone) -> Optional[IntMatrix]:
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    """One GL-orbit of cones, with generators when known.
+    """One GL-orbit of cones: an explicit representative with its dimension,
+    rank and flags.
 
-    Placeholder entries (no generators) carry the numerical data needed by
-    the assemblers: dimension, rank, flags and a prefix of the invariant
-    series of the stabilizer action (degree 0 is always 1 for a connected
-    stratum).
+    The entries of rank <= 4 are certified by the g <= 4 face walk, the
+    non-matroidal dimension-6 ones by a witness form whose minimal vectors
+    are exactly +- the generators.
     """
 
     name: str
     dim: int
     rank: int
-    cone: Optional[Cone] = None
-    matroidal: Optional[bool] = None
-    simplicial: Optional[bool] = None
-    basic: Optional[bool] = None
+    cone: Cone
+    matroidal: bool
+    simplicial: bool
+    basic: bool
     multiplicity: int = 1
-    invariant_series_prefix: Optional[tuple[int, ...]] = None
 
     def __post_init__(self):
         if self.dim < self.rank:
             raise ValueError("cone dimension is at least its rank")
-        if self.cone is None and self.invariant_series_prefix is None:
-            raise ValueError("placeholder entries need an invariant series prefix")
 
 
 def _standard(i: int, name: str) -> Cone:
@@ -606,6 +604,66 @@ def _named_cones() -> dict[str, Cone]:
         "C4+1+1": graphical_cone(cycle_graph(4), 2, "C4+1+1"),
         "C3+1+1+1": graphical_cone(cycle_graph(3), 3, "C3+1+1+1"),
         "1+1+1+1+1+1": _standard(6, "1+1+1+1+1+1"),
+        # the four dim-6 rank-4 classes of voronoi.classify_faces(4, 6), in
+        # its sort order
+        "6d-g4-a": Cone(
+            4,
+            [(0, 0, 0, 1), (0, 0, 1, -1), (0, 0, 1, 0), (0, 1, -1, 0), (0, 1, 0, -1), (1, -1, 0, 0)],
+            "6d-g4-a",
+        ),
+        "6d-g4-b": Cone(
+            4,
+            [(0, 0, 0, 1), (0, 0, 1, -1), (0, 0, 1, 0), (0, 1, -1, 0), (1, -1, 0, 0), (1, 0, -1, 0)],
+            "6d-g4-b",
+        ),
+        "6d-g4-c": Cone(
+            4,
+            [(0, 0, 0, 1), (0, 0, 1, -1), (0, 0, 1, 0), (0, 1, -1, 0), (1, -1, 0, 0), (1, 0, 0, -1)],
+            "6d-g4-c",
+        ),
+        "6d-g4-d": Cone(
+            4,
+            [(0, 0, 0, 1), (0, 0, 1, -1), (0, 1, -1, 0), (0, 1, 0, 0), (1, -1, 0, 0), (1, 0, 0, -1)],
+            "6d-g4-d",
+        ),
+        # the non-matroidal cells of rank 5 and 6, each certified by a witness
+        # form in the tests
+        "6d-g5-x": Cone(
+            5,
+            [
+                (0, 0, 0, 0, 1),
+                (0, 0, 0, 1, -1),
+                (0, 0, 1, -1, 0),
+                (0, 1, -1, 0, 0),
+                (1, -1, -1, 0, 0),
+                (1, 0, 0, -1, 0),
+            ],
+            "6d-g5-x",
+        ),
+        "6d-g6-x": Cone(
+            6,
+            [
+                (0, 0, 0, 0, 0, 1),
+                (0, 0, 0, 0, 1, -1),
+                (0, 0, 0, 1, -1, 0),
+                (0, 1, -1, 0, 0, 0),
+                (1, -1, -1, 0, 0, 0),
+                (1, 0, 0, -1, 0, -1),
+            ],
+            "6d-g6-x",
+        ),
+        "6d-g6-y": Cone(
+            6,
+            [
+                (0, 0, 0, 0, 0, 1),
+                (0, 0, 0, 0, 1, -1),
+                (0, 0, 1, -1, 0, 0),
+                (0, 1, -1, 0, 0, 0),
+                (1, -1, 0, -1, 0, 0),
+                (1, 0, 0, 0, -1, 0),
+            ],
+            "6d-g6-y",
+        ),
     }
     return cones
 
@@ -622,21 +680,6 @@ def describe(cone: Cone, matroidal: Optional[bool] = None) -> CatalogEntry:
         matroidal=is_matroidal(cone) if matroidal is None else matroidal,
         simplicial=is_simplicial(cone),
         basic=is_basic(cone),
-    )
-
-
-def _placeholder(name: str, rank_: int, matroidal: bool) -> CatalogEntry:
-    # every cone of dimension < 10 is simplicial and basic: the singular and
-    # non-simplicial loci both start in codimension 10
-    return CatalogEntry(
-        name=name,
-        dim=6,
-        rank=rank_,
-        cone=None,
-        matroidal=matroidal,
-        simplicial=True,
-        basic=True,
-        invariant_series_prefix=(1,),
     )
 
 
@@ -661,18 +704,18 @@ def catalog(max_dim: int = 6) -> tuple[CatalogEntry, ...]:
         describe(named["1+1+1+1+1"], True),
         describe(named["NS"], False),
         describe(named["K4"], True),
-        _placeholder("6d-g4-a", 4, True),
-        _placeholder("6d-g4-b", 4, True),
-        _placeholder("6d-g4-c", 4, True),
-        _placeholder("6d-g4-d", 4, True),
+        describe(named["6d-g4-a"], True),
+        describe(named["6d-g4-b"], True),
+        describe(named["6d-g4-c"], True),
+        describe(named["6d-g4-d"], True),
         describe(named["C6"], True),
         describe(named["C5+1"], True),
         describe(named["C4+1+1"], True),
         describe(named["C3+1+1+1"], True),
-        _placeholder("6d-g5-x", 5, False),
+        describe(named["6d-g5-x"], False),
         describe(named["1+1+1+1+1+1"], True),
-        _placeholder("6d-g6-x", 6, False),
-        _placeholder("6d-g6-y", 6, False),
+        describe(named["6d-g6-x"], False),
+        describe(named["6d-g6-y"], False),
     ]
     return tuple(e for e in entries if e.dim <= max_dim)
 
@@ -685,10 +728,7 @@ def catalog_entry(name: str) -> CatalogEntry:
 
 
 def catalog_cone(name: str) -> Cone:
-    e = catalog_entry(name)
-    if e.cone is None:
-        raise KeyError(f"catalog entry {name!r} is a placeholder without generators")
-    return e.cone
+    return catalog_entry(name).cone
 
 
 # ---------------------------------------------------------------------------
@@ -696,35 +736,27 @@ def catalog_cone(name: str) -> Cone:
 # ---------------------------------------------------------------------------
 
 
-def _flag_str(v: Optional[bool]) -> str:
-    return {True: "yes", False: "no", None: "unknown"}[v]
+def _flag_str(v: bool) -> str:
+    return "yes" if v else "no"
 
 
-def _flag_parse(s: str) -> Optional[bool]:
-    return {"yes": True, "no": False, "unknown": None}[s]
+def _flag_parse(s: str) -> bool:
+    return {"yes": True, "no": False}[s]
 
 
 def render_catalog(entries: Sequence[CatalogEntry]) -> str:
     blocks = []
     for e in entries:
-        lines = [f"[{'cone' if e.cone is not None else 'placeholder'}]"]
-        lines.append(f"name = {e.name}")
-        if e.cone is not None:
-            lines.append(f"ambient = {e.cone.ambient}")
+        lines = ["[cone]", f"name = {e.name}", f"ambient = {e.cone.ambient}"]
         lines.append(f"dim = {e.dim}")
         lines.append(f"rank = {e.rank}")
         lines.append(f"multiplicity = {e.multiplicity}")
         lines.append(f"matroidal = {_flag_str(e.matroidal)}")
         lines.append(f"simplicial = {_flag_str(e.simplicial)}")
         lines.append(f"basic = {_flag_str(e.basic)}")
-        if e.invariant_series_prefix is not None:
-            lines.append(
-                "invariant-series = " + ", ".join(str(x) for x in e.invariant_series_prefix)
-            )
-        if e.cone is not None:
-            lines.append("generators:")
-            for g in e.cone.generators:
-                lines.append("  (" + ", ".join(str(x) for x in g) + ")")
+        lines.append("generators:")
+        for g in e.cone.generators:
+            lines.append("  (" + ", ".join(str(x) for x in g) + ")")
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks) + "\n"
 
@@ -733,33 +765,26 @@ def parse_catalog(text: str) -> tuple[CatalogEntry, ...]:
     entries = []
     block: dict = {}
     gens: list[tuple[int, ...]] = []
-    kind = None
+    in_block = False
     in_gens = False
 
     def flush():
-        nonlocal block, gens, kind, in_gens
-        if kind is None:
+        nonlocal block, gens, in_block, in_gens
+        if not in_block:
             return
-        cone = None
-        if kind == "cone":
-            cone = Cone(int(block["ambient"]), gens, block["name"])
-        prefix = None
-        if "invariant-series" in block:
-            prefix = tuple(int(x) for x in block["invariant-series"].split(","))
         entries.append(
             CatalogEntry(
                 name=block["name"],
                 dim=int(block["dim"]),
                 rank=int(block["rank"]),
-                cone=cone,
+                cone=Cone(int(block["ambient"]), gens, block["name"]),
                 matroidal=_flag_parse(block["matroidal"]),
                 simplicial=_flag_parse(block["simplicial"]),
                 basic=_flag_parse(block["basic"]),
                 multiplicity=int(block.get("multiplicity", "1")),
-                invariant_series_prefix=prefix,
             )
         )
-        block, gens, kind, in_gens = {}, [], None, False
+        block, gens, in_block, in_gens = {}, [], False, False
 
     for raw in text.splitlines():
         line = raw.rstrip()
@@ -768,8 +793,9 @@ def parse_catalog(text: str) -> tuple[CatalogEntry, ...]:
         if line.startswith("["):
             flush()
             kind = line.strip("[]")
-            if kind not in ("cone", "placeholder"):
+            if kind != "cone":
                 raise ValueError(f"unknown block type {kind!r}")
+            in_block = True
             continue
         if line.strip() == "generators:":
             in_gens = True

@@ -314,8 +314,6 @@ def check_molien_suite() -> list[CheckResult]:
     # fail, as a Molien sum not divisible by the group order.
     not_integral = []
     for e in cn.catalog(6):
-        if e.cone is None:
-            continue
         try:
             molien(stabilizer_action(e.cone), 8)
         except (ValueError, StabilizerGroupError) as exc:
@@ -331,8 +329,6 @@ def check_molien_suite() -> list[CheckResult]:
     koszul_ok = True
     failing = []
     for e in cn.catalog(5):
-        if e.cone is None:
-            continue
         rep = koszul_check(e.cone, 8)
         if not rep.passed:
             koszul_ok = False
@@ -396,7 +392,7 @@ def check_voronoi() -> list[CheckResult]:
             f"computed ({n3}, {n4})",
         )
     )
-    catalog_small = [e for e in cn.catalog(6) if e.cone is not None and e.dim <= 5]
+    catalog_small = cn.catalog(5)
     matched = True
     for faces in (vr.classify_faces(2, 6), g3, g4):
         for c in faces:
@@ -439,9 +435,7 @@ def check_cone_to_bracket() -> list[CheckResult]:
 
 def check_matroidal_flags() -> list[CheckResult]:
     ok = True
-    for e in cn.catalog(6):
-        if e.cone is None or e.dim > 5:
-            continue
+    for e in cn.catalog(5):
         if cn.is_matroidal(e.cone) != (e.name != "NS"):
             ok = False
     return [

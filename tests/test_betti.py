@@ -47,13 +47,6 @@ def test_stratum_series_codim4_row():
     assert [sum(v) for v in zip(*values)] == [3, 7, 15]
 
 
-def test_stratum_series_placeholder_depth():
-    entry = next(e for e in cn.catalog(6) if e.cone is None)
-    assert stratum_series(entry, 0).coeffs == (1,)
-    with pytest.raises(CatalogDepthError):
-        stratum_series(entry, 2)
-
-
 def test_perf_totals():
     report = assemble("perf", 12)
     assert even(report.totals, 10) == (1, 2, 4, 9, 18, 38)
@@ -121,7 +114,8 @@ def test_matroidal_difference_localized():
     matr = assemble("matr", 12)
     diff = tuple(p - m for p, m in zip(perf.totals, matr.totals))
     # one class at degree 10 (the non-matroidal rank 5 cone), five at 12:
-    # its H^2 (2 classes) plus the three non-matroidal dim-6 placeholders
+    # its H^2 (2 classes) plus the three non-matroidal dim-6 cells 6d-g5-x,
+    # 6d-g6-x and 6d-g6-y
     assert diff == (0,) * 10 + (1, 0, 5)
 
 

@@ -150,8 +150,6 @@ def test_cone_to_bracket_repeated_residues():
 
 def test_cone_to_bracket_all_catalog_cones_valid():
     for e in cn.catalog(6):
-        if e.cone is None:
-            continue
         bc = br.cone_to_bracket(e.cone)
         assert bc.degree == e.dim, e.name
 
@@ -260,6 +258,14 @@ def test_oracle_rejects_total_degree_above_6():
     # the cap keeps every packed exponent below 8, so keys add without carries
     with pytest.raises(ValueError, match="total degree 6"):
         br.oracle_expand(4, [br.parse_bracket("{1^4}"), br.parse_bracket("{1^3}")])
+
+
+@pytest.mark.parametrize("g", [2, 3, 4])
+def test_pattern_count_matches_listed_monomials(g):
+    patterns = {bc.exponents for d in range(1, 5) for bc in br.enumerate_brackets(d)}
+    for pattern in patterns:
+        listed = sum(len(ms) for _, ms in br._pattern_monomials(pattern, g))
+        assert br._pattern_count(pattern, g) == listed, pattern
 
 
 def test_packed_class_reads_whole_fields():

@@ -1,9 +1,11 @@
 import shlex
+import time
 from pathlib import Path
 
 import pytest
 
 from perfcone.cli import main
+from perfcone.cones import catalog
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
@@ -54,9 +56,15 @@ def test_depth_beyond_catalog_fails(capsys):
     assert "catalog incomplete beyond degree 12" in capsys.readouterr().err
 
 
-def test_placeholder_has_no_generators(capsys):
-    assert main(["stabilizer", "6d-g4-a"]) == 1
-    assert "placeholder" in capsys.readouterr().err
+def test_stabilizer_of_dim6_entry(capsys):
+    assert main(["stabilizer", "6d-g4-a"]) == 0
+    assert "order: 8\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", [e.name for e in catalog(6)])
+def test_catalog_show_check_flags(capsys, name):
+    assert main(["catalog", "show", name, "--check-flags"]) == 0
+    assert "MISMATCH" not in capsys.readouterr().out
 
 
 def test_json_format(capsys):
@@ -103,6 +111,18 @@ def test_bracket_degree_beyond_bound_fails_fast(capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert "through degree 7" in captured.err
+
+
+@pytest.mark.parametrize(
+    "expr,bound", [("{1}^6", "MAX_PRODUCT_MONOMIALS"), ("{123456}", "MAX_PATTERN_MONOMIALS")]
+)
+def test_oracle_job_beyond_bound_fails_fast(capsys, expr, bound):
+    start = time.perf_counter()
+    assert main(["brackets", "oracle", "-g", "6", expr]) == 1
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert bound in captured.err
 
 
 def test_voronoi_enumerate(capsys):

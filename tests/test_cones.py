@@ -41,7 +41,7 @@ def test_cone_rank_examples():
 
 def test_all_catalog_cones_dim_le_5_simplicial():
     for e in CAT:
-        if e.dim <= 5 and e.cone is not None:
+        if e.dim <= 5:
             assert cn.is_simplicial(e.cone), e.name
 
 
@@ -70,13 +70,13 @@ def test_matroidal_flags():
 
 def test_matroidal_matches_catalog_flags_dim_le_5():
     for e in CAT:
-        if e.cone is not None and e.dim <= 5:
+        if e.dim <= 5:
             assert cn.is_matroidal(e.cone) == e.matroidal, e.name
 
 
 def test_matroidal_implies_simplicial_on_catalog():
     for e in CAT:
-        if e.cone is not None and cn.is_matroidal(e.cone):
+        if cn.is_matroidal(e.cone):
             assert cn.is_simplicial(e.cone), e.name
 
 
@@ -143,7 +143,7 @@ def test_c5_ns_not_equivalent():
 
 
 def test_catalog_representatives_pairwise_inequivalent():
-    cones = [e.cone for e in CAT if e.cone is not None]
+    cones = [e.cone for e in CAT]
     for a, b in itertools.combinations(cones, 2):
         assert cn.cones_equivalent(a, b) is None, (a.name, b.name)
 
@@ -176,6 +176,12 @@ def test_serialization_roundtrip_bit_exact():
     parsed = cn.parse_catalog(text)
     assert parsed == CAT
     assert cn.render_catalog(parsed) == text
+
+
+def test_parse_catalog_rejects_placeholder_block():
+    text = "[placeholder]\nname = 6d-g4-a\ndim = 6\nrank = 4\ninvariant-series = 1\n"
+    with pytest.raises(ValueError, match="unknown block type 'placeholder'"):
+        cn.parse_catalog(text)
 
 
 def test_reduce_to_span():
@@ -276,7 +282,7 @@ def fraction_assignment_search(src, dst, ambient):
     yield from extend(0)
 
 
-TABLES_CONES = [e.cone for e in cn.catalog(5) if e.cone is not None] + [cn.catalog_cone("K4")]
+TABLES_CONES = [e.cone for e in cn.catalog(5)] + [cn.catalog_cone("K4")]
 # the minimal vectors of the root forms A2 and A3, as the Voronoi code searches them
 MIN_VECTOR_CONES = [cn.Cone(g, vr.first_perfect_form(g).min_vectors, f"A{g}-min") for g in (2, 3)]
 
@@ -305,7 +311,7 @@ def test_search_setup_raises_rank_error_on_every_call():
 def _equivalence_pairs():
     """(equivalent pairs, inequivalent pairs) from the catalog and the
     graphical cones above."""
-    explicit = [e.cone for e in CAT if e.cone is not None]
+    explicit = [e.cone for e in CAT]
     k3_in_4 = cn.Cone(4, [(1, 0, 0, 0), (0, 1, 0, 0), (1, -1, 0, 0)])
     star = cn.Graph(5, ((1, 2), (1, 3), (1, 4), (1, 5)))
     equivalent = [(c, c) for c in explicit] + [

@@ -103,7 +103,7 @@ def _random_families(seed, count):
 
 
 def _cones_to_check():
-    cones = [e.cone for e in cn.catalog(6) if e.cone is not None]
+    cones = [e.cone for e in cn.catalog(6)]
     cones += [vr.domain(p) for g in (2, 3, 4) for p in vr.enumerate_perfect(g)]
     cones += [c for g in (2, 3, 4) for c in vr.classify_faces(g, 6)]
     return cones + [cn.Cone(2, [(1, 0), (0, 1), (1, 1), (1, -1)])] + _random_families(9, 200)

@@ -7,6 +7,7 @@ from perfcone import cones as cn
 from perfcone import matrices as mx
 from perfcone import betti, stabilizers, verify
 from perfcone.cli import main
+from perfcone.invariants import molien
 from perfcone import voronoi as vr
 from perfcone.stabilizers import GroupAction, invariant_dim_degree1, stabilizer_action
 
@@ -47,6 +48,24 @@ def test_dim6_stabilizer_orders_are_matroid_automorphism_groups(name, order):
     # C4+1+1 is U(3,4) plus two coloops and C3+1+1+1 is U(2,3) plus three:
     # S6, S5, S4 x S2, S3 x S3 and S6 for the standard cone
     assert stabilizer_action(cn.catalog_cone(name)).order == order
+
+
+@pytest.mark.parametrize(
+    "name,order,prefix",
+    [
+        ("6d-g4-a", 8, (1, 3, 8, 17, 34)),
+        ("6d-g4-b", 72, (1, 1, 3, 5, 10)),
+        ("6d-g4-c", 12, (1, 3, 8, 17, 33)),
+        ("6d-g4-d", 48, (1, 1, 3, 5, 10)),
+        ("6d-g5-x", 120, (1, 2, 4, 7, 12)),
+        ("6d-g6-x", 120, (1, 2, 4, 7, 12)),
+        ("6d-g6-y", 720, (1, 1, 2, 3, 5)),
+    ],
+)
+def test_certified_dim6_orders_and_molien_prefixes(name, order, prefix):
+    action = stabilizer_action(cn.catalog_cone(name))
+    assert action.order == order
+    assert molien(action, 4).coeffs == prefix
 
 
 def test_codim5_invariant_dims_in_catalog_order():
@@ -109,7 +128,7 @@ def test_invariant_dim_cross_checks_orbits_by_burnside(monkeypatch):
 # The stabilizer chain against the all-leaves search
 # ---------------------------------------------------------------------------
 
-EXPLICIT = [e.cone for e in cn.catalog(6) if e.cone is not None]
+EXPLICIT = [e.cone for e in cn.catalog(6)]
 
 
 def all_leaves_stabilizer(c):
@@ -125,7 +144,7 @@ def all_leaves_stabilizer(c):
 
 
 def test_chain_covers_every_explicit_cone():
-    assert len(EXPLICIT) == 19
+    assert len(EXPLICIT) == 26
 
 
 @pytest.mark.parametrize("cone", EXPLICIT, ids=lambda c: c.name)

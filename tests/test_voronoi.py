@@ -438,22 +438,59 @@ def test_classify_faces_g4_matches_catalog():
     faces = vr.classify_faces(4, 6)
     # no non-simplicial behavior this far from codimension 10
     assert all(cn.is_simplicial(c) for c in faces)
-    dim6rank4 = [c for c in faces if cn.cone_dim(c) == 6 and cn.cone_rank(c) == 4]
-    assert len(dim6rank4) == 4
-    catalog_small = [e for e in cn.catalog(6) if e.cone is not None and e.dim <= 5]
+    catalog = cn.catalog(6)
     matched = set()
     for c in faces:
-        if cn.cone_dim(c) <= 5:
-            names = [
-                e.name for e in catalog_small if cn.cones_equivalent(c, e.cone) is not None
-            ]
-            assert len(names) == 1, (cn.cone_dim(c), cn.cone_rank(c))
-            matched.add(names[0])
+        names = [e.name for e in catalog if cn.cones_equivalent(c, e.cone) is not None]
+        assert len(names) == 1, (cn.cone_dim(c), cn.cone_rank(c))
+        matched.add(names[0])
     # all catalog entries of rank <= 4 appear among the faces
-    assert matched == {
-        "1", "1+1", "K3", "1+1+1", "1+1+1+1", "K3+1", "C4",
-        "K4-1", "K3+1+1", "C4+1", "C5",
-    }
+    assert matched == {e.name for e in catalog if e.rank <= 4}
+    # the catalog names the dim-6 rank-4 classes in the walk's sort order
+    dim6rank4 = [c for c in faces if cn.cone_dim(c) == 6 and cn.cone_rank(c) == 4]
+    assert len(dim6rank4) == 4
+    for c, suffix in zip(dim6rank4, "abcd"):
+        assert cn.cones_equivalent(c, cn.catalog_cone(f"6d-g4-{suffix}")) is not None
+
+
+# integral positive definite forms whose minimal vectors are exactly +- the
+# generators of the non-matroidal catalog cells, so each cone is the cell of
+# its form in the perfect cone decomposition
+WITNESSES = {
+    "6d-g5-x": (
+        10,
+        [[28, 14, 14, 18, 9], [14, 12, 7, 9, 4], [14, 7, 12, 10, 5], [18, 9, 10, 18, 9], [9, 4, 5, 9, 10]],
+    ),
+    "6d-g6-x": (
+        8,
+        [
+            [36, 15, 21, 17, 15, 11],
+            [15, 10, 9, 7, 6, 4],
+            [21, 9, 16, 10, 9, 7],
+            [17, 7, 10, 14, 9, 3],
+            [15, 6, 9, 9, 12, 6],
+            [11, 4, 7, 3, 6, 8],
+        ],
+    ),
+    "6d-g6-y": (
+        2,
+        [
+            [6, 3, 3, 3, 4, 2],
+            [3, 3, 2, 1, 2, 1],
+            [3, 2, 3, 2, 2, 1],
+            [3, 1, 2, 3, 2, 1],
+            [4, 2, 2, 2, 4, 2],
+            [2, 1, 1, 1, 2, 2],
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WITNESSES))
+def test_witness_form_certifies_catalog_cell(name):
+    minimum, form = WITNESSES[name]
+    generators = tuple(sorted(cn.catalog_cone(name).generators))
+    assert vr._minimum(tuple(map(tuple, form))) == (minimum, generators)
 
 
 def test_classify_faces_g2():
@@ -471,7 +508,7 @@ def test_classify_faces_g3_matches_catalog():
     assert len(top) == 1
     assert cn.cones_equivalent(top[0], cn.catalog_cone("K4")) is not None
     # every face of dim <= 5 matches a catalog entry of rank <= 3
-    catalog_small = [e for e in cn.catalog(6) if e.cone is not None and e.dim <= 5]
+    catalog_small = cn.catalog(5)
     for c in faces:
         if cn.cone_dim(c) <= 5:
             matches = [
