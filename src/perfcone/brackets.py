@@ -516,7 +516,8 @@ def _structure_constants(
 
 def parse_factors(text: str) -> list[BracketClass]:
     """Factors of a product expression: bracket classes joined by '*', each
-    with an optional '^' power, which repeats it.
+    with an optional '^' power, which repeats it; a power must be
+    nonnegative, and power 0 leaves the unit.
 
     An expression of total degree above MAX_DEGREE is rejected, since its
     product needs the classes of that degree.
@@ -532,8 +533,10 @@ def parse_factors(text: str) -> list[BracketClass]:
         if "}^" in chunk:
             chunk, _, p = chunk.rpartition("^")
             power = int(p)
+            if power < 0:
+                raise ValueError(f"negative power {power} in {text!r}")
         bc = parse_bracket(chunk)
-        degree += bc.degree * max(power, 0)
+        degree += bc.degree * power
         if degree > MAX_DEGREE:
             raise ValueError(
                 f"products are computed only through degree {MAX_DEGREE}: {text!r}"

@@ -96,9 +96,14 @@ def cmd_koszul(args) -> int:
     cone = _catalog_cone(args.name)
     report = koszul_check(cone, args.max_total)
     print(f"W rank {report.w_rank}, M rank {report.m_rank}")
-    for n, row in enumerate(report.strand_cohomology):
-        status = "exact" if all(x == 0 for x in row[1:]) else f"cohomology {row[1:]}"
-        print(f"strand {n}: bottom row {row[0]} (expected {report.expected_bottom[n]}), q>=1 {status}")
+    for n, (bottom, expected) in enumerate(zip(report.bottom_row, report.expected_bottom)):
+        print(f"strand {n}: bottom row {bottom} (expected {expected}), q>=1 exact")
+    if not report.annihilates:
+        print("W does not vanish on the cone")
+    if report.w_rank != report.m_rank - report.cone_dim:
+        print(f"W rank is not M rank minus the cone dimension {report.cone_dim}")
+    if report.w_index != 1:
+        print(f"W has index {report.w_index} in its saturation")
     print("passed" if report.passed else "FAILED")
     return 0 if report.passed else 1
 

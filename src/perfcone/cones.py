@@ -22,7 +22,6 @@ from .matrices import (
     adjugate,
     det,
     f2_kernel,
-    hnf,
     identity,
     integral_map,
     invert_unimodular,
@@ -31,9 +30,8 @@ from .matrices import (
     mat_vec,
     matmul,
     rank,
-    saturate,
     sign_canonical,
-    solve_rational,
+    span_basis,
     transpose,
     vec_content,
     vec_dot,
@@ -142,18 +140,11 @@ def is_matroidal(c: Cone) -> bool:
     after pivoting on a determinant +-1 column subset, must be totally
     unimodular.
     """
-    gens = c.generators
-    if lattice_index(gens) != 1:
+    if lattice_index(c.generators) != 1:
         return False
-    basis = saturate(gens)
-    r = len(basis)
-    coords = []
-    for g in gens:
-        sol = solve_rational(transpose(basis), g)
-        assert sol is not None and all(x.denominator == 1 for x in sol)
-        coords.append(tuple(int(x) for x in sol))
-    a = transpose(coords)  # r x n, columns are the generators
-    n = len(gens)
+    red = reduce_to_span(c)
+    r, n = red.ambient, red.n_generators
+    a = transpose(red.generators)  # r x n, columns are the generators
     for sel in itertools.combinations(range(n), r):
         sub = tuple(tuple(a[i][j] for j in sel) for i in range(r))
         if det(sub) in (1, -1):
@@ -224,10 +215,6 @@ def complete_graph(n: int) -> Graph:
     return Graph(n, tuple((a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)))
 
 
-def path_graph(n: int) -> Graph:
-    return Graph(n, tuple((k, k + 1) for k in range(1, n)))
-
-
 def graphical_cone(g: Graph, plus_ones: int = 0, name: Optional[str] = None) -> Cone:
     """Cone with generators (x_a - x_b)^2 over the edges, last vertex set to 0.
 
@@ -262,40 +249,10 @@ def reduce_to_span(c: Cone) -> Cone:
     data: two cones in Z^g are GL(g,Z)-equivalent exactly when their
     reductions are equivalent in the smaller group.
     """
-    basis = saturate(c.generators)
-    if len(basis) == c.ambient:
+    if rank(c.generators) == c.ambient:
         return c
-    coords = []
-    for g in c.generators:
-        sol = solve_rational(transpose(basis), g)
-        assert sol is not None and all(x.denominator == 1 for x in sol)
-        coords.append(tuple(int(x) for x in sol))
-    return Cone(len(basis), coords, c.name)
-
-
-def complete_to_unimodular(rows: Sequence[IntVector]) -> IntMatrix:
-    """Extend a saturated basis (as rows) to a square unimodular matrix."""
-    r = len(rows)
-    n = len(rows[0])
-    if r == n:
-        m = tuple(tuple(v) for v in rows)
-        if det(m) not in (1, -1):
-            raise ValueError("rows are not a saturated basis")
-        return m
-    h, u = hnf(transpose(rows))  # h = u * rows^T, pivots in first r rows
-    top = tuple(tuple(h[i][j] for j in range(r)) for i in range(r))
-    if det(top) not in (1, -1):
-        raise ValueError("rows do not span a saturated lattice")
-    uinv = invert_unimodular(u)
-    # rows^T = uinv * h, so  rows = h^T * uinv^T; build the completion by
-    # extending h^T to [h^T ; (0 | I)] and multiplying by uinv^T
-    ext = [list(hrow) for hrow in transpose(h)]
-    for k in range(n - r):
-        ext.append([0] * r + [1 if j == k else 0 for j in range(n - r)])
-    full = matmul(tuple(tuple(row) for row in ext), transpose(uinv))
-    if det(full) not in (1, -1):
-        raise ValueError("completion failed")
-    return full
+    _, coords = span_basis(c.generators, c.ambient)
+    return Cone(len(coords[0]), coords, c.name)
 
 
 # ---------------------------------------------------------------------------
@@ -510,8 +467,8 @@ def cones_equivalent(c1: Cone, c2: Cone) -> Optional[IntMatrix]:
         if r1.ambient == c1.ambient:
             full = r_matrix
         else:
-            m1 = complete_to_unimodular(saturate(c1.generators))
-            m2 = complete_to_unimodular(saturate(c2.generators))
+            m1, _ = span_basis(c1.generators, c1.ambient)
+            m2, _ = span_basis(c2.generators, c2.ambient)
             k = c1.ambient - r1.ambient
             block = [list(row) + [0] * k for row in r_matrix]
             for t in range(k):
@@ -671,23 +628,32 @@ def _named_cones() -> dict[str, Cone]:
 def describe(cone: Cone, matroidal: Optional[bool] = None) -> CatalogEntry:
     """Catalog entry of a cone, named by its name, with its dimension, rank
     and flags computed.  A given `matroidal` flag is taken as it is, which
-    spares `catalog` the slowest of the tests."""
+    spares `catalog` the slowest of the tests.  The Sym^2 matrix and its
+    rank are computed once, for `cone_dim`, `is_simplicial` and `is_basic`."""
+    sym2 = cone.sym2_matrix()
+    dim = rank(sym2)
+    simplicial = dim == cone.n_generators
     return CatalogEntry(
         name=cone.name,
-        dim=cone_dim(cone),
+        dim=dim,
         rank=cone_rank(cone),
         cone=cone,
         matroidal=is_matroidal(cone) if matroidal is None else matroidal,
-        simplicial=is_simplicial(cone),
-        basic=is_basic(cone),
+        simplicial=simplicial,
+        basic=simplicial and lattice_index(sym2) == 1,
     )
 
 
 @lru_cache(maxsize=None)
 def catalog(max_dim: int = 6) -> tuple[CatalogEntry, ...]:
-    """Orbit representatives of all cones of dimension <= max_dim."""
+    """Orbit representatives of all cones of dimension <= max_dim.
+
+    Every entry is described once, by `catalog(6)`; a smaller `max_dim`
+    filters it."""
     if max_dim > 6:
         raise ValueError("catalog incomplete beyond dimension 6")
+    if max_dim < 6:
+        return tuple(e for e in catalog(6) if e.dim <= max_dim)
     named = _named_cones()
     entries = [
         describe(named["1"], True),
@@ -717,7 +683,7 @@ def catalog(max_dim: int = 6) -> tuple[CatalogEntry, ...]:
         describe(named["6d-g6-x"], False),
         describe(named["6d-g6-y"], False),
     ]
-    return tuple(e for e in entries if e.dim <= max_dim)
+    return tuple(entries)
 
 
 def catalog_entry(name: str) -> CatalogEntry:

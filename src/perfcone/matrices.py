@@ -9,33 +9,28 @@ Elimination is fraction-free (Bareiss): `det`, `rank` and `adjugate` work in
 integers, dividing only where the division is exact.  An integral map is
 found by inverting its source basis once, as an integer adjugate and a
 determinant, after which each candidate costs one integer product and a
-divisibility test (`integral_map`).  `solve_rational` stays for the few
-one-off solves over Q.
+divisibility test (`integral_map`).
+
+`hnf` is the one lattice kernel: integer kernels (`kernel_basis`), the
+saturation of a span with coordinates on it and its completion to a
+unimodular matrix (`span_basis`), and the index of a span in its
+saturation (`lattice_index`) are each one or two `hnf` calls.
+`solve_rational`, Gauss-Jordan over Q, has no caller in the package; it is
+the rational oracle of the tests.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
-from typing import Iterable, Optional, Sequence
+from math import gcd, lcm, prod
+from typing import Optional, Sequence
 
 IntMatrix = tuple[tuple[int, ...], ...]
 IntVector = tuple[int, ...]
 
 
-def mat(rows: Iterable[Iterable[int]]) -> IntMatrix:
-    m = tuple(tuple(int(x) for x in row) for row in rows)
-    if m and any(len(row) != len(m[0]) for row in m):
-        raise ValueError("ragged matrix")
-    return m
-
-
 def identity(n: int) -> IntMatrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def zeros(r: int, c: int) -> IntMatrix:
-    return tuple((0,) * c for _ in range(r))
 
 
 def shape(a: Sequence[Sequence]) -> tuple[int, int]:
@@ -67,19 +62,6 @@ def vec_content(v) -> int:
     for x in v:
         g = gcd(g, abs(x))
     return g
-
-
-def primitive_vector(v: Sequence) -> IntVector:
-    """Scale a rational vector to a primitive integer vector, keeping direction."""
-    fracs = [Fraction(x) for x in v]
-    den = 1
-    for f in fracs:
-        den = den * f.denominator // gcd(den, f.denominator)
-    ints = [int(f * den) for f in fracs]
-    g = vec_content(ints)
-    if g == 0:
-        return tuple(0 for _ in ints)
-    return tuple(x // g for x in ints)
 
 
 def sign_canonical(v: Sequence[int]) -> IntVector:
@@ -211,63 +193,6 @@ def hnf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     return tuple(map(tuple, m)), tuple(map(tuple, u))
 
 
-def snf(a: IntMatrix) -> tuple[int, ...]:
-    """Elementary divisors d_1 | d_2 | ... (nonnegative, zeros trailing)."""
-    rows, cols = shape(a)
-    n = min(rows, cols)
-    if n == 0:
-        return ()
-    m = [list(row) for row in a]
-
-    def reduce_at(k: int) -> None:
-        while True:
-            piv = None
-            best = None
-            for i in range(k, rows):
-                for j in range(k, cols):
-                    if m[i][j] != 0 and (best is None or abs(m[i][j]) < best):
-                        best = abs(m[i][j])
-                        piv = (i, j)
-            if piv is None:
-                return
-            i0, j0 = piv
-            m[k], m[i0] = m[i0], m[k]
-            for row in m:
-                row[k], row[j0] = row[j0], row[k]
-            dirty = False
-            for i in range(k + 1, rows):
-                q = m[i][k] // m[k][k]
-                if q:
-                    m[i] = [x - q * y for x, y in zip(m[i], m[k])]
-                if m[i][k] != 0:
-                    dirty = True
-            for j in range(k + 1, cols):
-                q = m[k][j] // m[k][k]
-                if q:
-                    for row in m:
-                        row[j] -= q * row[k]
-                if m[k][j] != 0:
-                    dirty = True
-            if not dirty:
-                # divisibility fix-up: pivot must divide the rest of the block
-                bad = None
-                for i in range(k + 1, rows):
-                    for j in range(k + 1, cols):
-                        if m[i][j] % m[k][k] != 0:
-                            bad = i
-                            break
-                    if bad is not None:
-                        break
-                if bad is None:
-                    return
-                m[k] = [x + y for x, y in zip(m[k], m[bad])]
-
-    for k in range(n):
-        reduce_at(k)
-    divisors = [abs(m[k][k]) for k in range(n)]
-    return tuple(divisors)
-
-
 def kernel_basis(a: IntMatrix, cols: Optional[int] = None) -> tuple[IntVector, ...]:
     """Basis of the integer kernel {x : a*x = 0}; the lattice is saturated.
 
@@ -284,14 +209,42 @@ def kernel_basis(a: IntMatrix, cols: Optional[int] = None) -> tuple[IntVector, .
     return tuple(tuple(row) for hrow, row in zip(h, u) if all(x == 0 for x in hrow))
 
 
-def saturate(vectors: Sequence[IntVector], ambient: Optional[int] = None) -> tuple[IntVector, ...]:
-    """Basis of the saturation (Q-span intersected with Z^N) of the span."""
-    vecs = [tuple(v) for v in vectors]
-    if not vecs:
-        return ()
-    n = len(vecs[0])
-    orth = kernel_basis(tuple(vecs), cols=n)
-    return kernel_basis(orth, cols=n)
+def span_basis(vectors: Sequence[IntVector], ambient: int) -> tuple[IntMatrix, tuple[IntVector, ...]]:
+    """A basis of the saturation of the span, completed to GL(ambient, Z).
+
+    Returns (m, coords).  m is unimodular; its first r rows, r the rank of
+    the vectors, are a basis of the saturation (the Q-span intersected with
+    Z^ambient), and vectors[k] = coords[k] * m[:r] with integer coords[k].
+    The basis is the kernel of the kernel, `kernel_basis` twice: the last r
+    rows of the second `hnf` transform, those it sends to zero.  m is that
+    transform with these r rows moved first; its other rows complete them.
+    """
+    vecs = tuple(tuple(v) for v in vectors)
+    orth = kernel_basis(vecs, cols=ambient)
+    if not orth:
+        return identity(ambient), vecs
+    _, u = hnf(transpose(orth))
+    k = len(orth)
+    m = u[k:] + u[:k]
+    # a vector of the span times m^-1 is its coordinates padded with zeros
+    return m, tuple(row[: ambient - k] for row in matmul(vecs, invert_unimodular(m)))
+
+
+def lattice_index(vectors: Sequence[IntVector]) -> int:
+    """Index of the span of `vectors` inside its saturation (0 if empty).
+
+    h = u * V^T with u unimodular, so the nonzero rows of h hold, as
+    columns, the coordinates of the vectors on a basis of the saturation.
+    The index is the covolume of the lattice those columns span: the
+    product of the pivots of their own `hnf`, which is also the gcd of the
+    r x r minors of V.
+    """
+    if not vectors:
+        return 0
+    h, _ = hnf(transpose(vectors))
+    coords = tuple(row for row in h if any(row))
+    top, _ = hnf(transpose(coords))
+    return prod(top[i][i] for i in range(len(coords)))
 
 
 def solve_rational(a, b) -> Optional[tuple[Fraction, ...]]:
@@ -411,14 +364,3 @@ def f2_kernel(columns: Sequence[int]) -> list[int]:
         out.add(v)
     out.discard(0)
     return sorted(out)
-
-
-def lattice_index(vectors: Sequence[IntVector]) -> int:
-    """Index of the span of `vectors` inside its saturation (0 if empty)."""
-    if not vectors:
-        return 0
-    idx = 1
-    for d in snf(tuple(tuple(v) for v in vectors)):
-        if d:
-            idx *= d
-    return idx

@@ -15,14 +15,16 @@ from __future__ import annotations
 import itertools
 from typing import Collection, Sequence
 
-from .matrices import IntVector, kernel_basis, primitive_vector, rank, vec_dot
+from .matrices import IntVector, kernel_basis, rank, vec_dot
 
 
 def facets(rays: Sequence[IntVector], ambient: int) -> tuple[tuple[IntVector, frozenset], ...]:
     """Facets of the pointed cone generated by the rays.
 
     Returns (inward primitive normal, indices of rays on the facet) pairs,
-    one per facet, sorted by ray set.  Normals are functionals on Z^D; they
+    one per facet, sorted by ray set.  A normal is a `kernel_basis` row, a
+    row of a unimodular matrix, so primitive as it comes.  Normals are
+    functionals on Z^D; they
     are canonical only modulo functionals vanishing on the span of the rays,
     so facets are deduplicated by their ray sets.
     """
@@ -43,11 +45,7 @@ def facets(rays: Sequence[IntVector], ambient: int) -> tuple[tuple[IntVector, fr
         # all functionals vanishing on the subset; their value vectors on the
         # rays form a 1-dimensional space, spanned by the facet functional
         vanish = kernel_basis(tuple(sub), cols=ambient)
-        cand = None
-        for f in vanish:
-            if any(vec_dot(f, ray) != 0 for ray in rays):
-                cand = primitive_vector(f)
-                break
+        cand = next((f for f in vanish if any(vec_dot(f, ray) != 0 for ray in rays)), None)
         if cand is None:
             continue
         pos = [vec_dot(cand, ray) for ray in rays]

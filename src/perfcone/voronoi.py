@@ -57,9 +57,6 @@ class QuadraticForm:
     def value(self, x: Sequence[int]):
         return sum(self.matrix[i][j] * x[i] * x[j] for i in range(self.g) for j in range(self.g))
 
-    def pairing(self, x: Sequence[int], y: Sequence[int]):
-        return sum(self.matrix[i][j] * x[i] * y[j] for i in range(self.g) for j in range(self.g))
-
 
 @dataclass(frozen=True)
 class PerfectForm:

@@ -24,6 +24,7 @@ DOCUMENTED = [
     ("koszul_1+1_4.txt", "koszul 1+1 --max-total 4"),
     ("catalog_show_NS.txt", "catalog show NS"),
     ("satake_0.txt", "betti --space satake --max-degree 0"),
+    ("voronoi_faces_3_6.txt", "voronoi faces -g 3 --max-dim 6"),
 ]
 
 
@@ -111,6 +112,28 @@ def test_bracket_degree_beyond_bound_fails_fast(capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert "through degree 7" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv,named",
+    [
+        (["brackets", "multiply", "{1}^-1"], "negative power -1"),
+        (["brackets", "multiply", "{1}*{12}^-2"], "negative power -2"),
+        (["koszul", "1+1", "--max-total", "-1"], "max_total must be nonnegative"),
+    ],
+)
+def test_negative_count_fails(capsys, argv, named):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert named in captured.err
+
+
+def test_power_zero_is_the_unit(capsys):
+    assert main(["brackets", "multiply", "{1}*{12}^0"]) == 0
+    assert main(["brackets", "multiply", "{1}"]) == 0
+    first, second = capsys.readouterr().out.splitlines()
+    assert first == second
 
 
 @pytest.mark.parametrize(

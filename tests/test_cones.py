@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,12 @@ from perfcone import cones as cn
 from perfcone import matrices as mx
 from perfcone import voronoi as vr
 
+from test_matrices import assert_span_basis
 from test_polyhedral import extremal_generators
+
+
+def path_graph(n):
+    return cn.Graph(n, tuple((k, k + 1) for k in range(1, n)))
 
 
 CAT = cn.catalog(6)
@@ -48,7 +54,7 @@ def test_all_catalog_cones_dim_le_5_simplicial():
 def test_k3_is_basic():
     c = cn.catalog_cone("K3")
     assert cn.is_basic(c)
-    assert mx.snf(c.sym2_matrix()) == (1, 1, 1)
+    assert mx.lattice_index(c.sym2_matrix()) == 1
 
 
 def test_dependent_generators_not_simplicial():
@@ -58,7 +64,9 @@ def test_dependent_generators_not_simplicial():
 
 def test_ns_generator_matrix_snf():
     c = cn.catalog_cone("NS")
-    assert mx.snf(mx.transpose(c.generators)) == (1, 1, 1, 1, 2)
+    # Smith divisors (1, 1, 1, 1, 2): the generators span an index-2 sublattice
+    assert mx.lattice_index(c.generators) == 2
+    assert mx.lattice_index(mx.transpose(c.generators)) == 2
 
 
 def test_matroidal_flags():
@@ -115,7 +123,7 @@ def test_graphical_cone_rejects_disconnected():
 
 def test_tree_graphical_cones_are_standard():
     for k in (2, 3, 4):
-        c = cn.graphical_cone(cn.path_graph(k + 1))
+        c = cn.graphical_cone(path_graph(k + 1))
         std = cn.Cone(k, mx.identity(k))
         assert cn.cones_equivalent(c, std) is not None
     # a star is a tree too
@@ -192,10 +200,17 @@ def test_reduce_to_span():
 
 
 def test_complete_to_unimodular():
-    rows = mx.saturate([(2, 4, 6), (0, 2, 1)])
-    full = cn.complete_to_unimodular(rows)
-    assert mx.det(full) in (1, -1)
-    assert full[: len(rows)] == rows
+    # span_basis completes the saturated basis of a span to GL(n, Z); here
+    # on random non-saturated spans of lower rank, as cones_equivalent
+    # lifts its maps through them
+    rng = random.Random(29)
+    for _ in range(100):
+        n = rng.randint(2, 5)
+        r = rng.randint(1, n - 1)
+        basis = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(r)]
+        combos = [[rng.randint(-2, 2) for _ in range(r)] for _ in range(rng.randint(1, 4))]
+        assert_span_basis(mx.matmul(combos, basis), n)
+    assert_span_basis([(2, 4, 6), (0, 2, 1)], 3)
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +338,7 @@ def _equivalence_pairs():
         (cn.graphical_cone(star), cn.Cone(4, mx.identity(4))),
     ]
     equivalent += [
-        (cn.graphical_cone(cn.path_graph(k + 1)), cn.Cone(k, mx.identity(k))) for k in (2, 3, 4)
+        (cn.graphical_cone(path_graph(k + 1)), cn.Cone(k, mx.identity(k))) for k in (2, 3, 4)
     ]
     return equivalent, list(itertools.combinations(explicit, 2))
 

@@ -7,7 +7,8 @@ import pytest
 
 from perfcone import cones as cn
 from perfcone import matrices as mx
-from perfcone import verify
+from perfcone import invariants, verify
+from perfcone.cli import main
 from perfcone.invariants import hilbert_free, koszul_check, molien
 from perfcone.series import rational_inverse
 from perfcone.stabilizers import GroupAction, invariant_dim_degree1, stabilizer_action
@@ -272,3 +273,34 @@ def test_koszul_matches_dense_oracle_small_cones():
 def test_koszul_depth_capped():
     with pytest.raises(ValueError):
         koszul_check(cn.catalog_cone("1+1"), 9)
+    with pytest.raises(ValueError, match="nonnegative"):
+        koszul_check(cn.catalog_cone("1+1"), -1)
+
+
+def _broken_orth_lattice(kind):
+    """orth_lattice with W scaled by 2, or with a functional that is
+    positive on the first generator's rank-1 form added to its first
+    vector; the rank of W stays the same either way."""
+    real = cn.orth_lattice
+
+    def broken(c):
+        w = real(c)
+        if not w:
+            return w
+        if kind == "scaled":
+            return tuple(tuple(2 * x for x in f) for f in w)
+        s = cn.sym2_coordinates(c.generators[0])
+        return (tuple(x + y for x, y in zip(w[0], s)),) + w[1:]
+
+    return broken
+
+
+@pytest.mark.parametrize("kind", ["scaled", "not vanishing"])
+def test_koszul_check_fails_on_a_broken_w(monkeypatch, capsys, kind):
+    monkeypatch.setattr(invariants, "orth_lattice", _broken_orth_lattice(kind))
+    rep = koszul_check(cn.catalog_cone("1+1"), 4)
+    assert rep.w_rank == 1 and not rep.passed
+    assert main(["koszul", "1+1", "--max-total", "4"]) == 1
+    assert capsys.readouterr().out.endswith("FAILED\n")
+    rows = [r for r in verify.check_molien_suite() if r.name.startswith("koszul")]
+    assert [r.status for r in rows] == [verify.FAIL]

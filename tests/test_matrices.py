@@ -1,11 +1,20 @@
 import itertools
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
 from perfcone import cones as cn
 from perfcone import matrices as mx
+
+
+def mat(rows):
+    return tuple(tuple(int(x) for x in row) for row in rows)
+
+
+def zeros(r, c):
+    return tuple((0,) * c for _ in range(r))
 
 
 def max_minors(a, r):
@@ -21,24 +30,11 @@ def max_minors(a, r):
 
 
 def brute_reduce_divisors(a):
-    """Oracle for snf: repeated gcd row/column reduction, no normal form code."""
+    """Oracle: the Smith normal form divisors, as quotients of determinantal
+    divisors (gcds of minors), with no normal form code."""
     import math
 
-    m = [list(r) for r in a]
-    rows, cols = len(m), len(m[0]) if m else 0
-    divs = []
-    k = 0
-    while k < min(rows, cols):
-        entries = [abs(m[i][j]) for i in range(k, rows) for j in range(k, cols) if m[i][j]]
-        if not entries:
-            break
-        # the k-th divisor is the gcd of all (k+1)x(k+1) minors divided by the
-        # gcd of all k x k minors
-        k += 1
-        divs.append(None)
-        if k > min(rows, cols):
-            break
-    # simpler: compute determinantal divisors directly
+    rows, cols = len(a), len(a[0]) if a else 0
     out = []
     prev = 1
     for r in range(1, min(rows, cols) + 1):
@@ -61,77 +57,112 @@ def test_hnf_identity():
 
 
 def test_hnf_transform_relation():
-    a = mx.mat([[2, 0], [0, 3]])
+    a = mat([[2, 0], [0, 3]])
     h, u = mx.hnf(a)
     assert mx.matmul(u, a) == h
     assert mx.det(u) in (1, -1)
-    assert mx.snf(h) == mx.snf(a) == (1, 6)
+    assert mx.lattice_index(h) == mx.lattice_index(a) == 6
 
 
 def test_hnf_column_vector_gcd():
-    a = mx.mat([[4], [6]])
+    a = mat([[4], [6]])
     h, u = mx.hnf(a)
     assert mx.matmul(u, a) == h
     assert h[0][0] == 2
     assert h[1][0] == 0
 
 
+def snf_index(a):
+    """Oracle for `lattice_index`: the product of the nonzero Smith divisors."""
+    return prod(d for d in brute_reduce_divisors(a) if d)
+
+
+def random_unimodular(rng, n):
+    u = mx.identity(n)
+    for _ in range(2 * n):
+        if n < 2:
+            break
+        a, b = rng.sample(range(n), 2)
+        shear = [list(row) for row in mx.identity(n)]
+        shear[a][b] = rng.randint(-2, 2)
+        u = mx.matmul(u, tuple(map(tuple, shear)))
+    return u
+
+
+def assert_span_basis(a, cols):
+    """m is unimodular, coords reproduce the rows of a on the first r rows
+    of m, and those rows are the kernel of the kernel of a."""
+    a = tuple(map(tuple, a))
+    m, coords = mx.span_basis(a, cols)
+    r = mx.rank(a) if a else 0
+    assert mx.det(m) in (1, -1), a
+    assert len(coords) == len(a) and all(len(c) == r for c in coords), a
+    if r:
+        assert mx.matmul(coords, m[:r]) == a, a
+    else:
+        assert not any(any(row) for row in a), a
+    assert m[:r] == mx.kernel_basis(mx.kernel_basis(a, cols=cols), cols=cols), a
+
+
 def test_snf_identity_and_zero():
-    assert mx.snf(mx.identity(4)) == (1, 1, 1, 1)
-    assert mx.snf(mx.zeros(3, 3)) == (0, 0, 0)
+    assert mx.lattice_index(mx.identity(4)) == snf_index(mx.identity(4)) == 1
+    assert mx.lattice_index(zeros(3, 3)) == snf_index(zeros(3, 3)) == 1
+    assert mx.lattice_index(()) == 0
 
 
 def test_snf_divisibility_and_unimodular_invariance():
+    # the index of a span in its saturation is the product of the nonzero
+    # Smith divisors, and row or column operations keep it
     rng = random.Random(7)
-    for _ in range(25):
-        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
-        a = mx.mat([[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)])
-        d = mx.snf(a)
-        for x, y in zip(d, d[1:]):
-            if y:
-                assert x and y % x == 0
-            # trailing zeros allowed
-        assert d == brute_reduce_divisors(a)
-        # multiply by small unimodular matrices on both sides
-        u = mx.mat([[1, rng.randint(-2, 2)], [0, 1]]) if rows == 2 else mx.identity(rows)
-        v = mx.identity(cols)
-        assert mx.snf(mx.matmul(u, a)) == d
-        assert mx.snf(mx.matmul(a, v)) == d
+    for _ in range(200):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 5)
+        low = rng.choice([None, None, 1, 2])
+        a = _random_matrix(rng, rows, cols, low)
+        index = mx.lattice_index(a)
+        assert index == snf_index(a), a
+        assert mx.lattice_index(mx.matmul(random_unimodular(rng, rows), a)) == index
+        assert mx.lattice_index(mx.matmul(a, random_unimodular(rng, cols))) == index
 
 
 def test_saturate_scaling():
-    assert mx.saturate([(2, 0)]) == ((1, 0),)
+    assert mx.span_basis([(2, 0)], 2) == (((1, 0), (0, 1)), ((2,),))
 
 
 def test_saturate_index_two():
-    basis = mx.saturate([(1, 1), (1, -1)])
     # the span has index 2 in Z^2; the saturation is all of Z^2
-    assert len(basis) == 2
-    assert abs(mx.det(basis)) == 1
+    vectors = ((1, 1), (1, -1))
+    assert mx.span_basis(vectors, 2) == (mx.identity(2), vectors)
+    assert mx.lattice_index(vectors) == 2
 
 
 def test_saturate_empty_and_idempotent():
-    assert mx.saturate([]) == ()
-    basis = mx.saturate([(2, 4, 0), (0, 6, 0)])
-    again = mx.saturate(basis)
-    assert mx.rank(basis) == mx.rank(again) == 2
-    # same lattice: each basis vector of one is an integer combination of the other
-    for v in basis:
-        sol = mx.solve_rational(mx.transpose(again), v)
-        assert sol is not None and all(x.denominator == 1 for x in sol)
+    assert mx.span_basis([], 3) == (mx.identity(3), ())
+    m, _ = mx.span_basis([(2, 4, 0), (0, 6, 0)], 3)
+    again, back = mx.span_basis(m[:2], 3)
+    # the same lattice: each basis is an integer combination of the other
+    assert mx.matmul(back, again[:2]) == m[:2]
+    assert mx.det(back) in (1, -1)
+
+
+def test_span_basis_properties_on_random_matrices():
+    rng = random.Random(23)
+    for _ in range(300):
+        rows, cols = rng.randint(0, 5), rng.randint(1, 5)
+        low = rng.choice([None, 1, 2, 3])
+        assert_span_basis(_random_matrix(rng, rows, cols, low) if rows else (), cols)
 
 
 def test_rank_identity_and_snf_consistency():
     assert mx.rank(mx.identity(5)) == 5
     rng = random.Random(3)
     for _ in range(20):
-        a = mx.mat([[rng.randint(-4, 4) for _ in range(3)] for _ in range(4)])
-        nonzero = sum(1 for d in mx.snf(a) if d)
+        a = mat([[rng.randint(-4, 4) for _ in range(3)] for _ in range(4)])
+        nonzero = sum(1 for d in brute_reduce_divisors(a) if d)
         assert mx.rank(a) == nonzero
 
 
 def test_kernel_basis_is_saturated_kernel():
-    a = mx.mat([[1, 2, 3], [2, 4, 6]])
+    a = mat([[1, 2, 3], [2, 4, 6]])
     ker = mx.kernel_basis(a)
     assert len(ker) == 2
     for v in ker:
@@ -141,21 +172,21 @@ def test_kernel_basis_is_saturated_kernel():
 
 
 def test_solve_rational():
-    a = mx.mat([[2, 0], [0, 4]])
+    a = mat([[2, 0], [0, 4]])
     assert mx.solve_rational(a, (1, 2)) == (Fraction(1, 2), Fraction(1, 2))
-    assert mx.solve_rational(mx.mat([[1, 1], [1, 1]]), (0, 1)) is None
+    assert mx.solve_rational(mat([[1, 1], [1, 1]]), (0, 1)) is None
 
 
 def test_invert_unimodular():
-    a = mx.mat([[1, 2], [2, 5]])
+    a = mat([[1, 2], [2, 5]])
     inv = mx.invert_unimodular(a)
     assert mx.matmul(a, inv) == mx.identity(2)
     with pytest.raises(ValueError):
-        mx.invert_unimodular(mx.mat([[2, 0], [0, 1]]))
+        mx.invert_unimodular(mat([[2, 0], [0, 1]]))
 
 
 def test_max_minors_cofactor_oracle():
-    a = mx.mat([[1, 0, 1], [0, 1, 0], [0, 0, -1]])
+    a = mat([[1, 0, 1], [0, 1, 0], [0, 0, -1]])
     minors = max_minors(a, 3)
     assert minors == (mx.det(a),)
     assert 1 in minors or -1 in minors
@@ -171,7 +202,11 @@ def test_max_minors_cofactor_oracle():
 
 
 def test_primitive_and_sign_canonical():
-    assert mx.primitive_vector((Fraction(1, 2), Fraction(-3, 2))) == (1, -3)
+    # a kernel basis row is a row of a unimodular matrix, so primitive
+    rng = random.Random(41)
+    for _ in range(100):
+        a = _random_matrix(rng, rng.randint(1, 3), rng.randint(2, 5), rng.choice([None, 1]))
+        assert all(mx.vec_content(v) == 1 for v in mx.kernel_basis(a))
     assert mx.sign_canonical((-1, 2)) == (1, -2)
     assert mx.sign_canonical((0, -2)) == (0, 2)
 
@@ -196,7 +231,7 @@ def fraction_rank(a):
 
 def _random_matrix(rng, rows, cols, rank_at_most=None):
     if rank_at_most is None:
-        return mx.mat([[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)])
+        return mat([[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)])
     left = [[rng.randint(-2, 2) for _ in range(rank_at_most)] for _ in range(rows)]
     right = [[rng.randint(-2, 2) for _ in range(cols)] for _ in range(rank_at_most)]
     return mx.matmul(left, right)
@@ -276,11 +311,11 @@ def test_adjugate_times_matrix_is_determinant_times_identity():
 
 
 def test_adjugate_of_rank_deficient_matrices():
-    adj, d = mx.adjugate(mx.mat([[1, 2], [2, 4]]))
+    adj, d = mx.adjugate(mat([[1, 2], [2, 4]]))
     assert (adj, d) == (((4, -2), (-2, 1)), 0)
-    assert mx.adjugate(mx.zeros(3, 3)) == (mx.zeros(3, 3), 0)
+    assert mx.adjugate(zeros(3, 3)) == (zeros(3, 3), 0)
     with pytest.raises(ValueError):
-        mx.adjugate(mx.mat([[1, 2, 3], [4, 5, 6]]))
+        mx.adjugate(mat([[1, 2, 3], [4, 5, 6]]))
 
 
 def test_bareiss_rank_matches_fraction_oracle_on_integer_matrices():

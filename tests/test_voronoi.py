@@ -531,6 +531,11 @@ def test_classify_faces_g3_matches_catalog():
 # ---------------------------------------------------------------------------
 
 
+def pairing(q, x, y):
+    """The bilinear form of q on x and y."""
+    return sum(q.matrix[i][j] * x[i] * y[j] for i in range(q.g) for j in range(q.g))
+
+
 def _independent_basis(vectors, g):
     basis = []
     for v in vectors:
@@ -553,7 +558,7 @@ def gram_equivalent_forms(p1, p2):
     basis = _independent_basis(p1.min_vectors, g)
     adj, d = mx.adjugate(mx.transpose(basis))
     targets = list(p2.min_vectors) + [tuple(-x for x in v) for v in p2.min_vectors]
-    basis_gram = [[q1.pairing(a, b) for b in basis] for a in basis]
+    basis_gram = [[pairing(q1, a, b) for b in basis] for a in basis]
 
     def extend(assigned):
         k = len(assigned)
@@ -563,9 +568,9 @@ def gram_equivalent_forms(p1, p2):
         for w in targets:
             if q2.value(w) != p1.minimum:
                 continue
-            if any(q2.pairing(w, assigned[t]) != basis_gram[k][t] for t in range(k)):
+            if any(pairing(q2, w, assigned[t]) != basis_gram[k][t] for t in range(k)):
                 continue
-            if q2.pairing(w, w) != basis_gram[k][k]:
+            if pairing(q2, w, w) != basis_gram[k][k]:
                 continue
             if extend(assigned + [w]):
                 return True
@@ -582,7 +587,7 @@ def gram_automorphism_perms(p):
     vectors = p.min_vectors
     basis = _independent_basis(vectors, g)
     adj, d = mx.adjugate(mx.transpose(basis))
-    gram = [[q.pairing(a, b) for b in basis] for a in basis]
+    gram = [[pairing(q, a, b) for b in basis] for a in basis]
     targets = list(vectors) + [tuple(-x for x in v) for v in vectors]
     index = {v: i for i, v in enumerate(vectors)}
     perms = set()
@@ -598,7 +603,7 @@ def gram_automorphism_perms(p):
                 perms.add(tuple(index[w] for w in images))
             return
         for w in targets:
-            if any(q.pairing(w, assigned[t]) != gram[k][t] for t in range(k)):
+            if any(pairing(q, w, assigned[t]) != gram[k][t] for t in range(k)):
                 continue
             if q.value(w) != gram[k][k]:
                 continue
