@@ -85,15 +85,6 @@ class BettiReport:
     rows: tuple[tuple[str, tuple[int, ...]], ...]
     totals: tuple[int, ...]
 
-    def total(self, degree: int) -> int:
-        return self.totals[degree]
-
-    def row(self, name: str) -> tuple[int, ...]:
-        for label, values in self.rows:
-            if label == name:
-                return values
-        raise KeyError(name)
-
     def _degrees(self) -> list[int]:
         if all(self.totals[k] == 0 for k in range(1, self.max_degree + 1, 2)):
             return list(range(0, self.max_degree + 1, 2))

@@ -16,7 +16,6 @@ import math
 import warnings
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -380,13 +379,16 @@ def enumerate_brackets(d: int) -> tuple[BracketClass, ...]:
 
 @dataclass(frozen=True)
 class ClassSum:
-    """Formal rational combination of bracket classes (no zero terms)."""
+    """Formal integer combination of bracket classes (no zero terms).
 
-    terms: tuple[tuple[BracketClass, Fraction], ...]
+    Every coefficient is a count: of the ways a monomial factors, or of
+    monomials of the expanded product."""
+
+    terms: tuple[tuple[BracketClass, int], ...]
 
     @staticmethod
     def from_dict(data: dict) -> "ClassSum":
-        cleaned = [(bc, Fraction(c)) for bc, c in data.items() if c != 0]
+        cleaned = [(bc, c) for bc, c in data.items() if c != 0]
         cleaned.sort(key=lambda t: t[0].sort_key())
         return ClassSum(tuple(cleaned))
 
@@ -404,18 +406,18 @@ class ClassSum:
     def __add__(self, other: "ClassSum") -> "ClassSum":
         data = self.as_dict()
         for bc, c in other.terms:
-            data[bc] = data.get(bc, Fraction(0)) + c
+            data[bc] = data.get(bc, 0) + c
         return ClassSum.from_dict(data)
 
-    def scale(self, c) -> "ClassSum":
-        return ClassSum.from_dict({bc: Fraction(c) * v for bc, v in self.terms})
+    def scale(self, c: int) -> "ClassSum":
+        return ClassSum.from_dict({bc: c * v for bc, v in self.terms})
 
     def __mul__(self, other: "ClassSum") -> "ClassSum":
-        data: dict[BracketClass, Fraction] = {}
+        data: dict[BracketClass, int] = {}
         for a, ca in self.terms:
             for b, cb in other.terms:
                 for c, n in _structure_constants(a, b):
-                    data[c] = data.get(c, Fraction(0)) + ca * cb * n
+                    data[c] = data.get(c, 0) + ca * cb * n
         return ClassSum.from_dict(data)
 
     def __str__(self) -> str:
@@ -831,8 +833,8 @@ def oracle_expand(g: int, factors: Sequence[BracketClass]) -> ClassSum:
     MAX_PRODUCT_MONOMIALS tuples of factor monomials is rejected with a
     ValueError before the convolution starts.
     """
-    if g > 6:
-        raise ValueError("oracle supports g <= 6")
+    if not 0 <= g <= 6:
+        raise ValueError(f"oracle supports 0 <= g <= 6, got g = {g}")
     total = sum(bc.degree for bc in factors)
     if total > 6:
         raise ValueError("oracle expansion capped at total degree 6")

@@ -1,12 +1,18 @@
 """Cones of rank-1 quadratic forms, their invariants, and the shipped catalog.
 
 A cone is an ordered list of primitive integer vectors xi in Z^i, each
-standing for the rank-1 symmetric form xi*xi^T.  The catalog ships one
-explicit representative per GL(i,Z)-orbit for every orbit of dimension up to
-6 that contributes to degree <= 12 of the assembled tables.  The g <= 4 face walk of `voronoi` finds every entry of
-rank <= 4, and for each non-matroidal dimension-6 entry the tests hold an
-integral positive definite form whose minimal vectors are exactly +- its
-generators, which makes it a perfect-cone cell.
+standing for the rank-1 symmetric form xi*xi^T.  Each cone fact has one
+rule: dimension and rank by `rank`, the simplicial and basic flags in
+`describe`, the matroidal flag by the maximal minors (`is_matroidal`), and
+GL(i,Z)-equivalence by `cones_equivalent`, which first compares the cached
+invariants of both cones (`_equivalence_invariants`).
+
+The catalog is one table of explicit representatives (`_CATALOG_CONES`),
+one per GL(i,Z)-orbit for every orbit of dimension up to 6 that contributes
+to degree <= 12 of the assembled tables.  The g <= 4 face walk of `voronoi`
+finds every entry of rank <= 4, and for each non-matroidal dimension-6
+entry the tests hold an integral positive definite form whose minimal
+vectors are exactly +- its generators, which makes it a perfect-cone cell.
 """
 
 from __future__ import annotations
@@ -118,50 +124,18 @@ def cone_rank(c: Cone) -> int:
     return rank(c.generators)
 
 
-def is_simplicial(c: Cone) -> bool:
-    """Generators linearly independent as forms."""
-    return cone_dim(c) == c.n_generators
-
-
-def is_basic(c: Cone) -> bool:
-    """Generators extendable to a Z-basis of Sym^2(Z^i).
-
-    Interpreted for non-full-dimensional cones as: independent forms whose
-    Z-span is saturated in the lattice of integer symmetric matrices.
-    """
-    return is_simplicial(c) and lattice_index(c.sym2_matrix()) == 1
-
-
 def is_matroidal(c: Cone) -> bool:
     """Whether the generators are the rank-1 forms of a unimodular matrix.
 
-    Test: the generators must span a saturated sublattice of Z^i; rewritten
-    in a basis of that sublattice they form a full-row-rank matrix which,
-    after pivoting on a determinant +-1 column subset, must be totally
-    unimodular.
+    Written on a basis of the saturation of their span (`reduce_to_span`),
+    the generators are the columns of a full-row-rank matrix A.  A is
+    unimodular when every maximal minor is 0 or +-1, which holds exactly
+    when B^-1 A is totally unimodular for a basis B (Schrijver, Theory of
+    Linear and Integer Programming, 1986, Thm 19.5).  A span that is not
+    saturated has every nonzero maximal minor divisible by its index, so
+    the one test also rejects it.
     """
-    if lattice_index(c.generators) != 1:
-        return False
-    red = reduce_to_span(c)
-    r, n = red.ambient, red.n_generators
-    a = transpose(red.generators)  # r x n, columns are the generators
-    for sel in itertools.combinations(range(n), r):
-        sub = tuple(tuple(a[i][j] for j in sel) for i in range(r))
-        if det(sub) in (1, -1):
-            pivot = invert_unimodular(sub)
-            t = matmul(pivot, a)
-            return _totally_unimodular(t)
-    return False
-
-
-def _totally_unimodular(a: IntMatrix) -> bool:
-    rows, cols = len(a), len(a[0])
-    for k in range(1, min(rows, cols) + 1):
-        for rsel in itertools.combinations(range(rows), k):
-            for csel in itertools.combinations(range(cols), k):
-                if det(tuple(tuple(a[i][j] for j in csel) for i in rsel)) not in (-1, 0, 1):
-                    return False
-    return True
+    return set(_max_rank_minors(reduce_to_span(c))) <= {-1, 0, 1}
 
 
 def orth_lattice(c: Cone) -> tuple[IntVector, ...]:
@@ -410,17 +384,21 @@ def _assignment_search(
     yield from extend(0)
 
 
-def _equivalence_invariants(c: Cone):
-    red = reduce_to_span(c)
-    minors = sorted(abs(x) for x in _max_rank_minors(red))
-    residues = sorted(_f2_relation_weights(red))
+@lru_cache(maxsize=None)
+def _equivalence_invariants(c: Cone) -> tuple:
+    """GL-invariants of a cone, once per cone per process.
+
+    Every entry depends only on the set of generators, so the order-blind
+    `Cone` key is safe.  The F2 relations keep their weights under
+    `reduce_to_span`, whose saturated basis extends to GL(i,Z) and stays
+    independent mod 2, so they are read off the cone itself.
+    """
     return (
         cone_rank(c),
         cone_dim(c),
         c.n_generators,
         lattice_index(c.generators),
-        tuple(minors),
-        tuple(residues),
+        _f2_relation_weights(c),
     )
 
 
@@ -436,10 +414,10 @@ def _max_rank_minors(c: Cone) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _f2_relation_weights(c: Cone) -> list[int]:
-    """Weights of the F2-relations among the generators (a GL invariant)."""
+def _f2_relation_weights(c: Cone) -> tuple[int, ...]:
+    """Sorted weights of all F2-relations among the generators (a GL invariant)."""
     masks = [vector_bitmask(g) for g in c.generators]
-    return sorted(bin(v).count("1") for v in f2_kernel(masks))
+    return tuple(sorted(bin(v).count("1") for v in f2_kernel(masks)))
 
 
 def vector_bitmask(v: IntVector) -> int:
@@ -514,122 +492,59 @@ def _standard(i: int, name: str) -> Cone:
     return Cone(i, identity(i), name)
 
 
-def _named_cones() -> dict[str, Cone]:
-    cones = {
-        "1": _standard(1, "1"),
-        "1+1": _standard(2, "1+1"),
-        "K3": Cone(2, [(1, 0), (0, 1), (1, -1)], "K3"),
-        "1+1+1": _standard(3, "1+1+1"),
-        "1+1+1+1": _standard(4, "1+1+1+1"),
-        "K3+1": Cone(3, [(1, 0, 0), (0, 1, 0), (1, -1, 0), (0, 0, 1)], "K3+1"),
-        "C4": Cone(3, [(1, 0, 0), (0, 1, 0), (1, 0, -1), (0, 1, -1)], "C4"),
-        "K4-1": Cone(
-            3,
-            [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, -1), (0, 1, -1)],
-            "K4-1",
-        ),
-        "K3+1+1": Cone(
-            4,
-            [(1, 0, 0, 0), (0, 1, 0, 0), (1, -1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)],
-            "K3+1+1",
-        ),
-        "C4+1": Cone(
-            4,
-            [(1, 0, 0, 0), (0, 1, 0, 0), (1, 0, -1, 0), (0, 1, -1, 0), (0, 0, 0, 1)],
-            "C4+1",
-        ),
-        "C5": Cone(
-            4,
-            [(1, 0, 0, 0), (0, 1, 0, 0), (1, 0, 0, -1), (0, 1, -1, 0), (0, 0, 1, -1)],
-            "C5",
-        ),
-        "1+1+1+1+1": _standard(5, "1+1+1+1+1"),
-        "NS": Cone(
-            5,
-            [
-                (1, 0, 0, 0, 0),
-                (0, 1, 0, 0, 0),
-                (0, 0, 1, 0, 0),
-                (0, 0, 0, 1, 0),
-                (1, 1, 1, 1, -2),
-            ],
-            "NS",
-        ),
-        "K4": graphical_cone(complete_graph(4), 0, "K4"),
-        "C6": graphical_cone(cycle_graph(6), 0, "C6"),
-        "C5+1": graphical_cone(cycle_graph(5), 1, "C5+1"),
-        "C4+1+1": graphical_cone(cycle_graph(4), 2, "C4+1+1"),
-        "C3+1+1+1": graphical_cone(cycle_graph(3), 3, "C3+1+1+1"),
-        "1+1+1+1+1+1": _standard(6, "1+1+1+1+1+1"),
-        # the four dim-6 rank-4 classes of voronoi.classify_faces(4, 6), in
-        # its sort order
-        "6d-g4-a": Cone(
-            4,
-            [(0, 0, 0, 1), (0, 0, 1, -1), (0, 0, 1, 0), (0, 1, -1, 0), (0, 1, 0, -1), (1, -1, 0, 0)],
-            "6d-g4-a",
-        ),
-        "6d-g4-b": Cone(
-            4,
-            [(0, 0, 0, 1), (0, 0, 1, -1), (0, 0, 1, 0), (0, 1, -1, 0), (1, -1, 0, 0), (1, 0, -1, 0)],
-            "6d-g4-b",
-        ),
-        "6d-g4-c": Cone(
-            4,
-            [(0, 0, 0, 1), (0, 0, 1, -1), (0, 0, 1, 0), (0, 1, -1, 0), (1, -1, 0, 0), (1, 0, 0, -1)],
-            "6d-g4-c",
-        ),
-        "6d-g4-d": Cone(
-            4,
-            [(0, 0, 0, 1), (0, 0, 1, -1), (0, 1, -1, 0), (0, 1, 0, 0), (1, -1, 0, 0), (1, 0, 0, -1)],
-            "6d-g4-d",
-        ),
-        # the non-matroidal cells of rank 5 and 6, each certified by a witness
-        # form in the tests
-        "6d-g5-x": Cone(
-            5,
-            [
-                (0, 0, 0, 0, 1),
-                (0, 0, 0, 1, -1),
-                (0, 0, 1, -1, 0),
-                (0, 1, -1, 0, 0),
-                (1, -1, -1, 0, 0),
-                (1, 0, 0, -1, 0),
-            ],
-            "6d-g5-x",
-        ),
-        "6d-g6-x": Cone(
-            6,
-            [
-                (0, 0, 0, 0, 0, 1),
-                (0, 0, 0, 0, 1, -1),
-                (0, 0, 0, 1, -1, 0),
-                (0, 1, -1, 0, 0, 0),
-                (1, -1, -1, 0, 0, 0),
-                (1, 0, 0, -1, 0, -1),
-            ],
-            "6d-g6-x",
-        ),
-        "6d-g6-y": Cone(
-            6,
-            [
-                (0, 0, 0, 0, 0, 1),
-                (0, 0, 0, 0, 1, -1),
-                (0, 0, 1, -1, 0, 0),
-                (0, 1, -1, 0, 0, 0),
-                (1, -1, 0, -1, 0, 0),
-                (1, 0, 0, 0, -1, 0),
-            ],
-            "6d-g6-y",
-        ),
-    }
-    return cones
+# One explicit representative per orbit, in catalog order.  The four
+# dimension-6 rank-4 classes 6d-g4-a..d come in the sort order of
+# voronoi.classify_faces(4, 6); the non-matroidal cells of rank 5 and 6 are
+# each certified by a witness form in the tests.
+_CATALOG_CONES = (
+    _standard(1, "1"),
+    _standard(2, "1+1"),
+    Cone(2, [(1, 0), (0, 1), (1, -1)], "K3"),
+    _standard(3, "1+1+1"),
+    _standard(4, "1+1+1+1"),
+    Cone(3, [(1, 0, 0), (0, 1, 0), (1, -1, 0), (0, 0, 1)], "K3+1"),
+    Cone(3, [(1, 0, 0), (0, 1, 0), (1, 0, -1), (0, 1, -1)], "C4"),
+    Cone(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, -1), (0, 1, -1)], "K4-1"),
+    Cone(4, [(1, 0, 0, 0), (0, 1, 0, 0), (1, -1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)], "K3+1+1"),
+    Cone(4, [(1, 0, 0, 0), (0, 1, 0, 0), (1, 0, -1, 0), (0, 1, -1, 0), (0, 0, 0, 1)], "C4+1"),
+    Cone(4, [(1, 0, 0, 0), (0, 1, 0, 0), (1, 0, 0, -1), (0, 1, -1, 0), (0, 0, 1, -1)], "C5"),
+    _standard(5, "1+1+1+1+1"),
+    Cone(5, [*identity(5)[:4], (1, 1, 1, 1, -2)], "NS"),
+    graphical_cone(complete_graph(4), 0, "K4"),
+    Cone(4, [(0, 0, 0, 1), (0, 0, 1, -1), (0, 0, 1, 0),
+             (0, 1, -1, 0), (0, 1, 0, -1), (1, -1, 0, 0)], "6d-g4-a"),
+    Cone(4, [(0, 0, 0, 1), (0, 0, 1, -1), (0, 0, 1, 0),
+             (0, 1, -1, 0), (1, -1, 0, 0), (1, 0, -1, 0)], "6d-g4-b"),
+    Cone(4, [(0, 0, 0, 1), (0, 0, 1, -1), (0, 0, 1, 0),
+             (0, 1, -1, 0), (1, -1, 0, 0), (1, 0, 0, -1)], "6d-g4-c"),
+    Cone(4, [(0, 0, 0, 1), (0, 0, 1, -1), (0, 1, -1, 0),
+             (0, 1, 0, 0), (1, -1, 0, 0), (1, 0, 0, -1)], "6d-g4-d"),
+    graphical_cone(cycle_graph(6), 0, "C6"),
+    graphical_cone(cycle_graph(5), 1, "C5+1"),
+    graphical_cone(cycle_graph(4), 2, "C4+1+1"),
+    graphical_cone(cycle_graph(3), 3, "C3+1+1+1"),
+    Cone(5, [(0, 0, 0, 0, 1), (0, 0, 0, 1, -1), (0, 0, 1, -1, 0),
+             (0, 1, -1, 0, 0), (1, -1, -1, 0, 0), (1, 0, 0, -1, 0)], "6d-g5-x"),
+    _standard(6, "1+1+1+1+1+1"),
+    Cone(6, [(0, 0, 0, 0, 0, 1), (0, 0, 0, 0, 1, -1), (0, 0, 0, 1, -1, 0),
+             (0, 1, -1, 0, 0, 0), (1, -1, -1, 0, 0, 0), (1, 0, 0, -1, 0, -1)], "6d-g6-x"),
+    Cone(6, [(0, 0, 0, 0, 0, 1), (0, 0, 0, 0, 1, -1), (0, 0, 1, -1, 0, 0),
+             (0, 1, -1, 0, 0, 0), (1, -1, 0, -1, 0, 0), (1, 0, 0, 0, -1, 0)], "6d-g6-y"),
+)
+# The published matroidal flags: every catalog cone but these is matroidal.
+_NON_MATROIDAL = frozenset({"NS", "6d-g5-x", "6d-g6-x", "6d-g6-y"})
 
 
 def describe(cone: Cone, matroidal: Optional[bool] = None) -> CatalogEntry:
     """Catalog entry of a cone, named by its name, with its dimension, rank
-    and flags computed.  A given `matroidal` flag is taken as it is, which
-    spares `catalog` the slowest of the tests.  The Sym^2 matrix and its
-    rank are computed once, for `cone_dim`, `is_simplicial` and `is_basic`."""
+    and flags computed.  A given `matroidal` flag is taken as it is: the
+    catalog's flags are published data, which `catalog show --check-flags`
+    checks against `is_matroidal`.
+
+    This is the one definition of the simplicial flag (the generators are
+    independent as forms) and of the basic flag (independent forms whose
+    Z-span is saturated in the lattice of integer symmetric matrices, that
+    is, extendable to a Z-basis of Sym^2(Z^i) when full-dimensional)."""
     sym2 = cone.sym2_matrix()
     dim = rank(sym2)
     simplicial = dim == cone.n_generators
@@ -654,36 +569,7 @@ def catalog(max_dim: int = 6) -> tuple[CatalogEntry, ...]:
         raise ValueError("catalog incomplete beyond dimension 6")
     if max_dim < 6:
         return tuple(e for e in catalog(6) if e.dim <= max_dim)
-    named = _named_cones()
-    entries = [
-        describe(named["1"], True),
-        describe(named["1+1"], True),
-        describe(named["K3"], True),
-        describe(named["1+1+1"], True),
-        describe(named["1+1+1+1"], True),
-        describe(named["K3+1"], True),
-        describe(named["C4"], True),
-        describe(named["K4-1"], True),
-        describe(named["K3+1+1"], True),
-        describe(named["C4+1"], True),
-        describe(named["C5"], True),
-        describe(named["1+1+1+1+1"], True),
-        describe(named["NS"], False),
-        describe(named["K4"], True),
-        describe(named["6d-g4-a"], True),
-        describe(named["6d-g4-b"], True),
-        describe(named["6d-g4-c"], True),
-        describe(named["6d-g4-d"], True),
-        describe(named["C6"], True),
-        describe(named["C5+1"], True),
-        describe(named["C4+1+1"], True),
-        describe(named["C3+1+1+1"], True),
-        describe(named["6d-g5-x"], False),
-        describe(named["1+1+1+1+1+1"], True),
-        describe(named["6d-g6-x"], False),
-        describe(named["6d-g6-y"], False),
-    ]
-    return tuple(entries)
+    return tuple(describe(c, c.name not in _NON_MATROIDAL) for c in _CATALOG_CONES)
 
 
 def catalog_entry(name: str) -> CatalogEntry:

@@ -26,6 +26,8 @@ def molien(action: GroupAction, max_deg: int) -> TruncatedSeries:
     of `product_free` over the cycle types (Polya's cycle index), summed in
     integers.  Each coefficient of the sum must be divisible by |G|.
     """
+    if max_deg < 0:
+        raise ValueError(f"Molien series needs max_deg >= 0, got max_deg = {max_deg}")
     total = [0] * (max_deg + 1)
     for perm in action.perms:
         free = product_free(_cycle_lengths(perm), max_deg)

@@ -18,14 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt, lcm
+from math import isqrt, lcm
 from typing import Optional, Sequence
 
 from . import polyhedral
 from .cones import (
     Cone,
     _assignment_search,
-    _equivalence_invariants,
     cone_dim,
     cones_equivalent,
     describe,
@@ -33,7 +32,7 @@ from .cones import (
     render_catalog,
     sym2_pairs,
 )
-from .matrices import IntMatrix, IntVector, matmul, rank, sign_canonical, transpose
+from .matrices import IntMatrix, IntVector, matmul, rank, sign_canonical, transpose, vec_content
 from .stabilizers import permutation_group
 
 
@@ -53,9 +52,6 @@ class QuadraticForm:
                     raise ValueError("matrix is not symmetric")
         if not _is_positive_definite(self.matrix):
             raise ValueError("form is not positive definite")
-
-    def value(self, x: Sequence[int]):
-        return sum(self.matrix[i][j] * x[i] * x[j] for i in range(self.g) for j in range(self.g))
 
 
 @dataclass(frozen=True)
@@ -165,10 +161,7 @@ def min_vectors(q: QuadraticForm) -> tuple[int, tuple[IntVector, ...]]:
 def perfect_form(matrix) -> PerfectForm:
     """Normalize to a primitive integral matrix and cache the minimum data."""
     m, _ = _integral(matrix)
-    content = 0
-    for row in m:
-        for x in row:
-            content = gcd(content, abs(x))
+    content = vec_content([x for row in m for x in row])
     m = tuple(tuple(x // content for x in row) for row in m)
     q = QuadraticForm(len(m), m)
     mu, vecs = min_vectors(q)
@@ -270,7 +263,7 @@ def neighbor(p: PerfectForm, facet: Facet) -> PerfectForm:
                 continue
             assert mur < mu * scale
             candidates = [
-                Fraction(mu - p.form.value(v), _form_value(r, v))
+                Fraction(mu - _form_value(p.form.matrix, v), _form_value(r, v))
                 for v in vecs
                 if _form_value(r, v) < 0
             ]
@@ -310,8 +303,6 @@ def equivalent_forms(p1: PerfectForm, p2: PerfectForm) -> bool:
 def first_perfect_form(g: int) -> PerfectForm:
     """The classical starting point of the walk: x_i^2 terms plus all cross
     terms (the root lattice A_g)."""
-    if g == 1:
-        return perfect_form(((1,),))
     m = tuple(tuple(2 if i == j else 1 for j in range(g)) for i in range(g))
     return perfect_form(m)
 
@@ -319,6 +310,8 @@ def first_perfect_form(g: int) -> PerfectForm:
 @lru_cache(maxsize=None)
 def enumerate_perfect(g: int) -> tuple[PerfectForm, ...]:
     """Complete neighbor walk up to arithmetic equivalence, once per genus."""
+    if g < 1:
+        raise ValueError(f"perfect-form enumeration needs genus g >= 1, got g = {g}")
     if g > 4:
         raise ValueError("perfect-form enumeration is out of desk-scale scope for g > 4")
     start = first_perfect_form(g)
@@ -355,17 +348,16 @@ def classify_faces(g: int, max_dim: int = 6) -> tuple[Cone, ...]:
     """GL(g,Z)-inequivalent faces of the perfect domains, up to max_dim.
 
     Face subsets are first collapsed to orbit representatives under the
-    domain's own automorphism group, then fused across domains by invariants
-    plus an explicit equivalence search.  Results are reduced to their spans
-    (ambient rank equals cone rank), so catalog representatives can be
-    matched directly with `cones_equivalent`.
+    domain's own automorphism group, then fused across domains by
+    `cones_equivalent`, whose cached invariants reject most pairs at once.
+    Results are reduced to their spans (ambient rank equals cone rank), so
+    catalog representatives can be matched directly with `cones_equivalent`.
     """
     if g > 4:
         raise ValueError("face classification is out of desk-scale scope for g > 4")
     if max_dim > 6:
         raise ValueError("face classification is validated only to dimension 6")
     found: list[Cone] = []
-    buckets: dict = {}
     for p in enumerate_perfect(g):
         n = len(p.min_vectors)
         ray_sets = list(polyhedral.face_ray_sets([f.rays for f in facets(p)], n))
@@ -384,10 +376,7 @@ def classify_faces(g: int, max_dim: int = 6) -> tuple[Cone, ...]:
             if cone_dim(sub) > max_dim:
                 continue
             red = reduce_to_span(sub)
-            key = _equivalence_invariants(red)
-            group = buckets.setdefault(key, [])
-            if not any(cones_equivalent(red, other) is not None for other in group):
-                group.append(red)
+            if not any(cones_equivalent(red, other) is not None for other in found):
                 found.append(red)
     found.sort(key=lambda c: (cone_dim(c), c.ambient, c.n_generators, c.generators))
     return tuple(found)

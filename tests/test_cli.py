@@ -129,6 +129,23 @@ def test_negative_count_fails(capsys, argv, named):
     assert named in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv,bound",
+    [
+        (["voronoi", "enumerate", "-g", "0"], "g >= 1, got g = 0"),
+        (["voronoi", "faces", "-g", "0"], "g >= 1, got g = 0"),
+        (["molien", "K3", "--max-degree", "-1"], "max_deg >= 0, got max_deg = -1"),
+        (["brackets", "oracle", "-g", "-1", "{1}"], "0 <= g <= 6, got g = -1"),
+    ],
+)
+def test_out_of_range_genus_or_degree_names_the_bound(capsys, argv, bound):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert bound in captured.err
+
+
 def test_power_zero_is_the_unit(capsys):
     assert main(["brackets", "multiply", "{1}*{12}^0"]) == 0
     assert main(["brackets", "multiply", "{1}"]) == 0

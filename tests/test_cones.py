@@ -48,18 +48,18 @@ def test_cone_rank_examples():
 def test_all_catalog_cones_dim_le_5_simplicial():
     for e in CAT:
         if e.dim <= 5:
-            assert cn.is_simplicial(e.cone), e.name
+            assert cn.describe(e.cone).simplicial, e.name
 
 
 def test_k3_is_basic():
     c = cn.catalog_cone("K3")
-    assert cn.is_basic(c)
+    assert cn.describe(c).basic
     assert mx.lattice_index(c.sym2_matrix()) == 1
 
 
 def test_dependent_generators_not_simplicial():
     c = cn.Cone(2, [(1, 0), (0, 1), (1, 1), (1, -1)])
-    assert not cn.is_simplicial(c)
+    assert not cn.describe(c).simplicial
 
 
 def test_ns_generator_matrix_snf():
@@ -76,16 +76,114 @@ def test_matroidal_flags():
         assert cn.is_matroidal(cn.Cone(i, mx.identity(i)))
 
 
-def test_matroidal_matches_catalog_flags_dim_le_5():
+def test_matroidal_matches_catalog_flags():
     for e in CAT:
-        if e.dim <= 5:
-            assert cn.is_matroidal(e.cone) == e.matroidal, e.name
+        assert cn.is_matroidal(e.cone) == e.matroidal, e.name
+        # the flag does not change when the span has lower rank than Z^i
+        assert cn.is_matroidal(embedded(e.cone)) == e.matroidal, e.name
 
 
 def test_matroidal_implies_simplicial_on_catalog():
     for e in CAT:
         if cn.is_matroidal(e.cone):
-            assert cn.is_simplicial(e.cone), e.name
+            assert cn.describe(e.cone).simplicial, e.name
+
+
+def pivot_is_matroidal(c):
+    """Oracle: pivot on a determinant +-1 basis of the saturated span, then
+    test every square submatrix for total unimodularity."""
+    if mx.lattice_index(c.generators) != 1:
+        return False
+    red = cn.reduce_to_span(c)
+    r, n = red.ambient, red.n_generators
+    a = mx.transpose(red.generators)
+    for sel in itertools.combinations(range(n), r):
+        sub = tuple(tuple(a[i][j] for j in sel) for i in range(r))
+        if mx.det(sub) in (1, -1):
+            return totally_unimodular(mx.matmul(mx.invert_unimodular(sub), a))
+    return False
+
+
+def totally_unimodular(a):
+    rows, cols = len(a), len(a[0])
+    return all(
+        mx.det(tuple(tuple(a[i][j] for j in csel) for i in rsel)) in (-1, 0, 1)
+        for k in range(1, min(rows, cols) + 1)
+        for rsel in itertools.combinations(range(rows), k)
+        for csel in itertools.combinations(range(cols), k)
+    )
+
+
+def random_families(rng, count):
+    """`count` cones of 1-7 distinct primitive generators in Z^1..Z^5 with
+    entries in -2..2, mostly in -1..1 so that both answers occur often."""
+    out = []
+    while len(out) < count:
+        n = rng.randint(1, 5)
+        bound = 2 if rng.random() < 0.25 else 1
+        gens = set()
+        for _ in range(rng.randint(1, 7)):
+            v = tuple(rng.randint(-bound, bound) for _ in range(n))
+            if any(v) and mx.vec_content(v) == 1:
+                gens.add(mx.sign_canonical(v))
+        if gens:
+            out.append(cn.Cone(n, sorted(gens)))
+    return out
+
+
+def embedded(c):
+    """The cone in one more dimension, moved off the coordinate subspace by
+    a fixed unimodular map, so that its span has lower rank."""
+    n = c.ambient + 1
+    lower = [[1 if i == j else (j + 1 if i == n - 1 else 0) for j in range(n)] for i in range(n)]
+    upper = [[1 if i == j else (-1 if j == i + 1 else 0) for j in range(n)] for i in range(n)]
+    u = mx.matmul(lower, upper)
+    assert mx.det(u) == 1
+    return cn.Cone(n, [mx.mat_vec(u, g + (0,)) for g in c.generators])
+
+
+def test_matroidal_agrees_with_pivot_oracle():
+    cones = [e.cone for e in CAT] + [embedded(e.cone) for e in CAT]
+    for g in (2, 3, 4):
+        cones += [vr.domain(p) for p in vr.enumerate_perfect(g)]
+        cones += list(vr.classify_faces(g, 6))
+    cones += random_families(random.Random(13), 3000)
+    got = [cn.is_matroidal(c) for c in cones]
+    assert got == [pivot_is_matroidal(c) for c in cones]
+    # both answers occur often, on cones of lower rank than their ambient too
+    assert 1000 < sum(got) < len(cones) - 1000
+    lower = [m for c, m in zip(cones, got) if cn.cone_rank(c) < c.ambient]
+    assert 100 < sum(lower) < len(lower) - 100
+
+
+def test_equivalence_invariants_are_order_blind():
+    # the cache is keyed on the order-blind cone, so whichever order is
+    # computed first must give the invariants of the other
+    inv = cn._equivalence_invariants
+    for e in CAT:
+        rev = cn.Cone(e.cone.ambient, e.cone.generators[::-1])
+        assert rev == e.cone
+        for first, second in ((e.cone, rev), (rev, e.cone)):
+            inv.cache_clear()
+            assert inv(first) == inv(second) == inv.__wrapped__(second), e.name
+
+
+def test_equivalence_invariants_computed_once_per_cone(monkeypatch):
+    calls = []
+    weights = cn._f2_relation_weights
+
+    def counted(c):
+        calls.append(c)
+        return weights(c)
+
+    monkeypatch.setattr(cn, "_f2_relation_weights", counted)
+    cn._equivalence_invariants.cache_clear()
+    small = [e.cone for e in cn.catalog(5)]
+    for g in (2, 3, 4):
+        for face in vr.classify_faces(g, 6):
+            if cn.cone_dim(face) <= 5:
+                assert sum(cn.cones_equivalent(face, c) is not None for c in small) == 1
+    assert calls and len(calls) == len(set(calls))
 
 
 def test_orth_lattice_standard_cones():
