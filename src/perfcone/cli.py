@@ -9,21 +9,14 @@ import sys
 from . import brackets as br
 from . import cones as cn
 from . import voronoi as vr
-from .betti import CatalogDepthError, Space, assemble
-from .invariants import koszul_check, molien
+from .betti import assemble
+from .invariants import check_molien_degree, koszul_check, molien
 from .stabilizers import invariant_dim_degree1, stabilizer_action
 from .verify import FAIL, render_results, run_checks
 
 
 class CommandError(Exception):
     pass
-
-
-def _space(text: str) -> Space:
-    try:
-        return Space.parse(text)
-    except ValueError as exc:
-        raise CommandError(str(exc)) from None
 
 
 def _catalog_entry(name: str) -> cn.CatalogEntry:
@@ -38,7 +31,7 @@ def _catalog_cone(name: str) -> cn.Cone:
 
 
 def cmd_betti(args) -> int:
-    report = assemble(_space(args.space), args.max_degree)
+    report = assemble(args.space, args.max_degree)
     if args.format == "csv":
         print(report.to_csv(), end="")
     elif args.format == "json":
@@ -86,6 +79,7 @@ def cmd_stabilizer(args) -> int:
 
 
 def cmd_molien(args) -> int:
+    check_molien_degree(args.max_degree)
     cone = _catalog_cone(args.name)
     series = molien(stabilizer_action(cone), args.max_degree)
     print(" ".join(str(c) for c in series.coeffs))
@@ -130,22 +124,21 @@ def cmd_brackets(args) -> int:
             f"({bounds.strata[0]} with lambda factors + {bounds.strata[1]} pure)"
         )
         return 0
-    if args.action == "oracle":
-        factors = br.parse_factors(args.expr)
-        expanded = br.oracle_expand(args.genus, factors)
-        print(expanded)
-        product = br.ClassSum.unit()
-        for bc in factors:
-            product = product * br.ClassSum.of(bc)
-        restricted = br.ClassSum.from_dict(
-            {bc: c for bc, c in product.as_dict().items() if br.representable(bc, args.genus)}
-        )
-        if expanded == restricted:
-            print(f"# agrees with multiply restricted to g = {args.genus}")
-            return 0
-        print("# DISAGREES with multiply")
-        return 1
-    raise CommandError(f"unknown brackets action {args.action!r}")
+    # oracle, the last of the fixed subcommand choices
+    factors = br.parse_factors(args.expr)
+    expanded = br.oracle_expand(args.genus, factors)
+    print(expanded)
+    product = br.ClassSum.unit()
+    for bc in factors:
+        product = product * br.ClassSum.of(bc)
+    restricted = br.ClassSum.from_dict(
+        {bc: c for bc, c in product.as_dict().items() if br.representable(bc, args.genus)}
+    )
+    if expanded == restricted:
+        print(f"# agrees with multiply restricted to g = {args.genus}")
+        return 0
+    print("# DISAGREES with multiply")
+    return 1
 
 
 def cmd_strata_count(args) -> int:
@@ -159,16 +152,15 @@ def cmd_voronoi(args) -> int:
         print(f"{len(forms)} perfect form class(es) at g = {args.genus}")
         print(vr.render_forms(forms), end="")
         return 0
-    if args.action == "faces":
-        faces = vr.classify_faces(args.genus, args.max_dim)
-        entries = [cn.describe(c.with_name(f"face-{k + 1}")) for k, c in enumerate(faces)]
-        print(
-            f"{len(faces)} inequivalent face class(es) at g = {args.genus}, "
-            f"dim <= {args.max_dim}"
-        )
-        print(cn.render_catalog(entries), end="")
-        return 0
-    raise CommandError(f"unknown voronoi action {args.action!r}")
+    # faces, the other fixed subcommand choice
+    faces = vr.classify_faces(args.genus, args.max_dim)
+    entries = [cn.describe(c.with_name(f"face-{k + 1}")) for k, c in enumerate(faces)]
+    print(
+        f"{len(faces)} inequivalent face class(es) at g = {args.genus}, "
+        f"dim <= {args.max_dim}"
+    )
+    print(cn.render_catalog(entries), end="")
+    return 0
 
 
 def cmd_verify(args) -> int:
@@ -255,7 +247,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CommandError, CatalogDepthError, ValueError) as exc:
+    except (CommandError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

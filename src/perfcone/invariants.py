@@ -1,5 +1,4 @@
-"""Molien series by cycle index, free Hilbert series, Koszul strand checks,
-Sym^l dimensions."""
+"""Molien series by cycle index, Koszul strand checks, Sym^l dimensions."""
 
 from __future__ import annotations
 
@@ -13,9 +12,10 @@ from .series import TruncatedSeries, product_free
 from .stabilizers import GroupAction
 
 
-def hilbert_free(degrees: Sequence[int], max_deg: int) -> TruncatedSeries:
-    """Hilbert series of a free commutative algebra on the given degrees."""
-    return product_free(degrees, max_deg)
+def check_molien_degree(max_deg: int) -> None:
+    """Reject a negative truncation degree, before any group is built."""
+    if max_deg < 0:
+        raise ValueError(f"Molien series needs max_deg >= 0, got max_deg = {max_deg}")
 
 
 def molien(action: GroupAction, max_deg: int) -> TruncatedSeries:
@@ -26,8 +26,7 @@ def molien(action: GroupAction, max_deg: int) -> TruncatedSeries:
     of `product_free` over the cycle types (Polya's cycle index), summed in
     integers.  Each coefficient of the sum must be divisible by |G|.
     """
-    if max_deg < 0:
-        raise ValueError(f"Molien series needs max_deg >= 0, got max_deg = {max_deg}")
+    check_molien_degree(max_deg)
     total = [0] * (max_deg + 1)
     for perm in action.perms:
         free = product_free(_cycle_lengths(perm), max_deg)

@@ -1,4 +1,7 @@
-"""Truncated one-variable power series with exact integer coefficients."""
+"""Truncated one-variable power series with exact integer coefficients: the
+product and scaling that table assembly needs, the Hilbert series of a free
+algebra (`product_free`), and the rational inverse behind the matrix-form
+Molien oracle."""
 
 from __future__ import annotations
 
@@ -12,7 +15,7 @@ class TruncatedSeries:
     """Integer-coefficient power series truncated at a fixed degree.
 
     `coeffs[k]` is the coefficient of t^k; the truncation degree is
-    len(coeffs) - 1.  Arithmetic between two series requires equal truncation.
+    len(coeffs) - 1.  Multiplying two series requires equal truncation.
     """
 
     coeffs: tuple[int, ...]
@@ -38,10 +41,6 @@ class TruncatedSeries:
         if self.truncation != other.truncation:
             raise ValueError("mismatched truncation degrees")
 
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check(other)
-        return TruncatedSeries(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check(other)
         n = self.truncation
@@ -57,24 +56,6 @@ class TruncatedSeries:
 
     def scale(self, c: int) -> "TruncatedSeries":
         return TruncatedSeries(tuple(c * a for a in self.coeffs))
-
-    def shift(self, k: int) -> "TruncatedSeries":
-        """Multiply by t^k, keeping the truncation degree."""
-        if k < 0:
-            raise ValueError("negative shift")
-        n = self.truncation
-        return TruncatedSeries((0,) * min(k, n + 1) + self.coeffs[: max(0, n + 1 - k)])
-
-    def __str__(self) -> str:
-        return " + ".join(f"{c}*t^{k}" for k, c in enumerate(self.coeffs) if c) or "0"
-
-
-def one(n: int) -> TruncatedSeries:
-    return TruncatedSeries((1,) + (0,) * n)
-
-
-def zero(n: int) -> TruncatedSeries:
-    return TruncatedSeries((0,) * (n + 1))
 
 
 def product_free(degrees: Sequence[int], n: int) -> TruncatedSeries:

@@ -16,8 +16,9 @@ from dataclasses import dataclass
 from . import brackets as br
 from . import cones as cn
 from . import voronoi as vr
-from .betti import Space, assemble, consistency_report, lambda_series, std_identity_check
-from .invariants import hilbert_free, koszul_check, molien
+from .betti import assemble, lambda_series, std_identity_check
+from .invariants import koszul_check, molien
+from .series import product_free
 from .stabilizers import StabilizerGroupError, invariant_dim_degree1, stabilizer_action
 
 PASS, FAIL, FLAG = "PASS", "FAIL", "FLAG"
@@ -57,6 +58,40 @@ PUBLISHED_BRACKET_LISTS = {
     ],
 }
 
+PUBLISHED_TABLE_DEGREES = (0, 2, 4, 6, 8, 10, 12)
+
+PUBLISHED_TABLE = {
+    "interior": (1, 1, 1, 2, 2, 3, 4),
+    "beta1": (0, 1, 2, 3, 5, 7, 10),
+    "beta2": (0, 0, 1, 3, 6, 11, 18),
+    "sigma-1+1+1": (0, 0, 0, 1, 2, 4, 8),
+    "codim4": (0, 0, 0, 0, 3, 7, 15),
+    "codim5": (0, 0, 0, 0, 0, 6, 15),
+    "codim6": (0, 0, 0, 0, 0, 0, 13),
+}
+
+PUBLISHED_BETA2_LOW_DEGREES = (1, 3, 6, 11, 19)
+
+
+def table_mismatches() -> tuple[tuple[str, int, int, int], ...]:
+    """(row, degree, computed, published) for each published table cell that
+    the strata of `assemble("perf", 12)` do not reproduce; the one expected
+    is beta2 in degree 12, reported and never patched over."""
+    by_name = dict(assemble("perf", 12).rows)
+    strata = {
+        "interior": ["interior"], "beta1": ["1"], "beta2": ["1+1", "K3"],
+        "sigma-1+1+1": ["1+1+1"],
+    }
+    for dim in (4, 5, 6):
+        strata[f"codim{dim}"] = [e.name for e in cn.catalog(6) if e.dim == dim]
+    out = []
+    for row, values in PUBLISHED_TABLE.items():
+        for d, want in zip(PUBLISHED_TABLE_DEGREES, values):
+            got = sum(by_name[name][d] for name in strata[row])
+            if got != want:
+                out.append((row, d, got, want))
+    return tuple(out)
+
 
 def _even(values, upto):
     return tuple(values[k] for k in range(0, upto + 1, 2))
@@ -82,8 +117,11 @@ def check_perf_table() -> list[CheckResult]:
             PASS if odd_ok else FAIL,
         )
     )
-    rep = consistency_report()
-    if rep.expected_discrepancy_only:
+    mismatches = table_mismatches()
+    beta2_degree8 = assemble("beta2", 8).totals[8]
+    if mismatches == (("beta2", 12, 19, 18),) and (
+        beta2_degree8 == PUBLISHED_BETA2_LOW_DEGREES[-1] == 19
+    ):
         out.append(
             CheckResult(
                 1,
@@ -99,7 +137,7 @@ def check_perf_table() -> list[CheckResult]:
                 1,
                 "degree-12 table breakdown",
                 FAIL,
-                f"unexpected mismatches: {rep.mismatches}",
+                f"unexpected mismatches: {mismatches}",
             )
         )
     return out
@@ -133,7 +171,7 @@ def check_matroidal_table() -> list[CheckResult]:
 
 
 def check_beta2() -> list[CheckResult]:
-    report = assemble(Space("beta_open", 2), 8)
+    report = assemble("beta2", 8)
     ok = _even(report.totals, 8) == (1, 3, 6, 11, 19)
     return [
         CheckResult(
@@ -297,7 +335,7 @@ def check_molien_suite() -> list[CheckResult]:
         except ValueError:
             ok = False
             break
-        if series.coeffs != hilbert_free(range(1, k + 1), 8).coeffs:
+        if series.coeffs != product_free(range(1, k + 1), 8).coeffs:
             ok = False
             break
     out.append(
@@ -351,7 +389,7 @@ def check_series_identities() -> list[CheckResult]:
             PASS if std_identity_check(20) else FAIL,
         )
     ]
-    same = assemble(Space("universal", 1), 20).totals == assemble("partial", 20).totals
+    same = assemble("universal:1", 20).totals == assemble("partial", 20).totals
     out.append(
         CheckResult(
             9,

@@ -1,12 +1,13 @@
 """The names the benchmark harness reaches into must still exist.
 
 `bench/tracing.py` rebinds every function in TRACED by name, and
-`bench/workloads.py` reads `cache_info()` of every cache in CACHES; a deleted
-or renamed one fails every traced benchmark process.  The functions in
-GENERATORS are wrapped so that each resumption is a span, which times a
-plain function wrongly without any error, so they must stay generator
-functions.  The names are read from the source text, so neither file is
-imported or run.
+`bench/workloads.py` reads `cache_info()` of every cache in CACHES and
+assembles every space label in TABLE_SPACES; a deleted or renamed one fails
+every traced benchmark process.  The functions in GENERATORS are wrapped so
+that each resumption is a span, which times a plain function wrongly without
+any error, so they must stay generator functions.  The names are read from
+the source text, and only the expression assigned to each is evaluated, so
+neither file is imported or run.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ def _names(filename: str, variable: str):
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == variable for t in node.targets
         ):
-            return ast.literal_eval(node.value)
+            expr = compile(ast.Expression(node.value), filename, "eval")
+            return eval(expr, {"__builtins__": {"range": range, "tuple": tuple}})
     raise LookupError(f"{variable} not found in bench/{filename}")
 
 
@@ -51,3 +53,10 @@ def test_benchmarked_cache_exists(module, attr):
 @pytest.mark.parametrize("module,attr", sorted(_names("tracing.py", "GENERATORS")))
 def test_traced_generator_is_generator_function(module, attr):
     assert inspect.isgeneratorfunction(_resolve(module, attr))
+
+
+@pytest.mark.parametrize("label", sorted({s for s, _ in _names("workloads.py", "TABLE_SPACES")}))
+def test_benchmarked_space_label_parses(label):
+    from perfcone.betti import parse_space
+
+    parse_space(label)

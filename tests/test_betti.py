@@ -1,13 +1,12 @@
 import pytest
 
 from perfcone import cones as cn
+from perfcone import verify
 from perfcone.betti import (
     CatalogDepthError,
-    ConsistencyReport,
-    Space,
     assemble,
-    consistency_report,
     lambda_series,
+    parse_space,
     std_identity_check,
     stratum_series,
 )
@@ -52,7 +51,7 @@ def test_perf_totals():
     assert even(report.totals, 10) == (1, 2, 4, 9, 18, 38)
     assert all(report.totals[k] == 0 for k in range(1, 13, 2))
     # recomputation from the strata gives 84 in degree 12 (the published
-    # table's 83 differs in exactly one cell, surfaced by consistency_report)
+    # table's 83 differs in exactly one cell, surfaced by verify.table_mismatches)
     assert report.totals[12] == 84
 
 
@@ -70,7 +69,7 @@ def test_simp_smooth_agree_with_perf_low_degrees():
 
 
 def test_beta2_betti_numbers():
-    report = assemble(Space("beta_open", 2), 8)
+    report = assemble("beta2", 8)
     assert even(report.totals, 8) == (1, 3, 6, 11, 19)
     assert all(report.totals[k] == 0 for k in range(1, 9, 2))
 
@@ -81,7 +80,7 @@ def test_satake_is_lambda_series():
 
 
 def test_universal1_equals_mumford_partial():
-    assert assemble(Space("universal", 1), 20).totals == assemble("partial", 20).totals
+    assert assemble("universal:1", 20).totals == assemble("partial", 20).totals
 
 
 def test_mumford_partial_is_lambda_over_one_minus_t2():
@@ -101,12 +100,17 @@ def test_depth_errors():
 
 
 def test_space_parsing():
-    assert Space.parse("perf") == Space("perf")
-    assert Space.parse("beta2") == Space("beta_open", 2)
-    assert Space.parse("universal:3") == Space("universal", 3)
-    assert Space.parse("partial") == Space("mumford_partial")
-    with pytest.raises(ValueError):
-        Space.parse("everything")
+    assert parse_space("perf") == ("perf", None)
+    assert parse_space(" partial ") == ("partial", None)
+    assert parse_space("beta2") == ("beta", 2)
+    assert parse_space("universal:3") == ("universal", 3)
+    for label in ("everything", "mumford_partial", "beta_open", "beta0", "universal",
+                  "universal:x"):
+        with pytest.raises(ValueError, match="unknown space"):
+            parse_space(label)
+    for label in ("universal:9", "universal:-1"):
+        with pytest.raises(ValueError, match=r"universal\(n\) is supported for n <= 8"):
+            parse_space(label)
 
 
 def test_matroidal_difference_localized():
@@ -120,11 +124,10 @@ def test_matroidal_difference_localized():
 
 
 def test_consistency_report_flags_single_cell():
-    rep = consistency_report()
-    assert isinstance(rep, ConsistencyReport)
-    assert rep.mismatches == (("beta2", 12, 19, 18),)
-    assert rep.expected_discrepancy_only
-    assert rep.computed["codim6"] == (0, 0, 0, 0, 0, 0, 13)
+    assert verify.table_mismatches() == (("beta2", 12, 19, 18),)
+    perf = assemble("perf", 12)
+    dim6 = {e.name for e in cn.catalog(6) if e.dim == 6}
+    assert sum(values[12] for name, values in perf.rows if name in dim6) == 13
 
 
 def test_report_renderers():

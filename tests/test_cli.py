@@ -47,6 +47,31 @@ def test_unknown_space_fails(capsys):
     assert "unknown space" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "label", ["universal:x", "universal", "mumford_partial", "beta_open", "beta0"]
+)
+def test_bad_space_label_fails_cleanly(capsys, label):
+    assert main(["betti", "--space", label, "--max-degree", "4"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: unknown space {label!r}; expected perf, matr,")
+    assert "universal:<n> with 0 <= n <= 8" in captured.err
+    assert captured.err.count("\n") == 1
+
+
+def test_negative_molien_degree_fails_before_the_stabilizer_search(capsys, monkeypatch):
+    from perfcone import cli
+
+    def refuse(cone):
+        raise AssertionError("stabilizer search ran before the degree check")
+
+    monkeypatch.setattr(cli, "stabilizer_action", refuse)
+    assert main(["molien", "6d-g6-x", "--max-degree", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: Molien series needs max_deg >= 0, got max_deg = -1\n"
+
+
 def test_unknown_cone_fails(capsys):
     assert main(["stabilizer", "Zeta"]) == 1
     assert "unknown catalog cone" in capsys.readouterr().err
@@ -136,6 +161,8 @@ def test_negative_count_fails(capsys, argv, named):
         (["voronoi", "faces", "-g", "0"], "g >= 1, got g = 0"),
         (["molien", "K3", "--max-degree", "-1"], "max_deg >= 0, got max_deg = -1"),
         (["brackets", "oracle", "-g", "-1", "{1}"], "0 <= g <= 6, got g = -1"),
+        (["betti", "--space", "universal:9", "--max-degree", "4"], "supported for n <= 8"),
+        (["betti", "--space", "universal:-1", "--max-degree", "4"], "supported for n <= 8"),
     ],
 )
 def test_out_of_range_genus_or_degree_names_the_bound(capsys, argv, bound):

@@ -9,8 +9,8 @@ from perfcone import cones as cn
 from perfcone import matrices as mx
 from perfcone import invariants, verify
 from perfcone.cli import main
-from perfcone.invariants import hilbert_free, koszul_check, molien
-from perfcone.series import rational_inverse
+from perfcone.invariants import koszul_check, molien
+from perfcone.series import product_free, rational_inverse
 from perfcone.stabilizers import GroupAction, invariant_dim_degree1, stabilizer_action
 
 # not a group: its degree-1 Molien sum is 3, which |G| = 2 does not divide
@@ -109,7 +109,7 @@ def test_molien_trivial_group():
 
 def test_molien_trivial_group_higher_dim_is_free_on_degree_ones():
     action = GroupAction(dim=3, order=1, perms=((0, 1, 2),), orbits=((0,), (1,), (2,)))
-    assert molien(action, 6).coeffs == hilbert_free([1, 1, 1], 6).coeffs
+    assert molien(action, 6).coeffs == product_free([1, 1, 1], 6).coeffs
 
 
 def test_molien_matches_matrix_oracle_on_tables_cones():
@@ -141,7 +141,7 @@ def test_molien_s3_brute_force_oracle():
     s = molien(action, 6)
     assert s.coeffs == (1, 1, 2, 3, 4, 5, 7)
     assert s.coeffs == brute_molien_permutations(action.perms, 6)
-    assert s.coeffs == hilbert_free([1, 2, 3], 6).coeffs
+    assert s.coeffs == product_free([1, 2, 3], 6).coeffs
 
 
 def test_molien_s4_low_degrees():
@@ -154,7 +154,7 @@ def test_molien_full_symmetric_catalog_cones_match_hilbert_free():
         action = stabilizer_action(cn.catalog_cone(name))
         if action.order != [1, 1, 2, 6, 24, 120][k]:
             continue
-        assert molien(action, 6).coeffs == hilbert_free(list(range(1, k + 1)), 6).coeffs
+        assert molien(action, 6).coeffs == product_free(list(range(1, k + 1)), 6).coeffs
 
 
 def test_molien_coefficient_one_equals_invariant_dim():
@@ -179,9 +179,9 @@ def test_molien_conjugation_invariance():
 
 
 def test_hilbert_free_examples():
-    assert hilbert_free([1, 2, 3], 6).coeffs == (1, 1, 2, 3, 4, 5, 7)
-    assert hilbert_free([], 4).coeffs == (1, 0, 0, 0, 0)
-    lam = hilbert_free([2, 6, 10], 12)
+    assert product_free([1, 2, 3], 6).coeffs == (1, 1, 2, 3, 4, 5, 7)
+    assert product_free([], 4).coeffs == (1, 0, 0, 0, 0)
+    lam = product_free([2, 6, 10], 12)
     assert tuple(lam[k] for k in range(0, 13, 2)) == (1, 1, 1, 2, 2, 3, 4)
 
 
