@@ -9,8 +9,8 @@ invariants of both cones (`_equivalence_invariants`).
 
 The catalog is one table of explicit representatives (`_CATALOG_CONES`),
 one per GL(i,Z)-orbit for every orbit of dimension up to 6 that contributes
-to degree <= 12 of the assembled tables.  The g <= 4 face walk of `voronoi`
-finds every entry of rank <= 4, and for each non-matroidal dimension-6
+to degree <= 12 of the assembled tables.  The g <= 5 face walk of `voronoi`
+finds every entry of rank <= 5, and for each non-matroidal dimension-6
 entry the tests hold an integral positive definite form whose minimal
 vectors are exactly +- its generators, which makes it a perfect-cone cell.
 """
@@ -469,7 +469,7 @@ class CatalogEntry:
     """One GL-orbit of cones: an explicit representative with its dimension,
     rank and flags.
 
-    The entries of rank <= 4 are certified by the g <= 4 face walk, the
+    The entries of rank <= 5 are certified by the g <= 5 face walk, the
     non-matroidal dimension-6 ones by a witness form whose minimal vectors
     are exactly +- the generators.
     """

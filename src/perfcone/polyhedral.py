@@ -1,83 +1,140 @@
-"""Exact polyhedral helpers for pointed rational cones.
+"""Exact polyhedral helpers for full-dimensional pointed rational cones.
 
-A cone is described by its generating rays (integer vectors in Z^D).  All
-cones handled here are pointed, so they are cut out inside the linear span of
-their rays by finitely many facet inequalities.  Facets are found by
-enumerating candidate supporting hyperplanes spanned by ray subsets; at the
-sizes this package needs (at most ~12 rays in ambient dimension <= 15) this is
-faster to trust than an incremental double-description update.  The face
-lattice is then the closure of the facets' ray sets under intersection, with
-no further geometry.
+A cone is described by its generating rays (integer vectors in Z^D that span
+R^D).  Its facets come from an integer double description (Fukuda-Prodon
+1996, "Double description method revisited"): the inequalities of a simplex
+of rays, read off an adjugate, are refined by one ray at a time, and each
+adjacent pair of inequalities on opposite sides of the new ray gives a new
+one.  Adjacency is the combinatorial test on zero sets, kept as int bitmasks,
+so no rank is computed after the start.
+
+Faces are ray sets, found top-down from the facets' ray sets by intersection,
+with no further geometry.  Under a group of ray permutations (the
+automorphisms of a perfect domain) only one face per orbit is kept, as in
+Bremner-Dutour Sikirić-Schürmann 2009, "Polyhedral representation conversion
+up to symmetries".
 """
 
 from __future__ import annotations
 
-import itertools
+from operator import or_
 from typing import Collection, Sequence
 
-from .matrices import IntVector, kernel_basis, rank, vec_dot
+from .matrices import IntVector, adjugate, rank, transpose, vec_content, vec_dot
+
+
+def _primitive(v) -> IntVector:
+    c = vec_content(v)
+    return tuple(x // c for x in v)
 
 
 def facets(rays: Sequence[IntVector], ambient: int) -> tuple[tuple[IntVector, frozenset], ...]:
-    """Facets of the pointed cone generated by the rays.
+    """Facets of the pointed cone generated by rays that span Z^D, D = ambient.
 
     Returns (inward primitive normal, indices of rays on the facet) pairs,
-    one per facet, sorted by ray set.  A normal is a `kernel_basis` row, a
-    row of a unimodular matrix, so primitive as it comes.  Normals are
-    functionals on Z^D; they
-    are canonical only modulo functionals vanishing on the span of the rays,
-    so facets are deduplicated by their ray sets.
+    one per facet, sorted by ray set; a cone of lower rank raises
+    `ValueError`.  The start is the first maximal independent rays B: the
+    rows of adj(B^T), times the sign of det(B^T), are the inward normals of
+    their simplex.  Each further ray r keeps the inequalities h with
+    h.r >= 0 and combines each adjacent pair h+.r > 0 > h-.r into
+    (h+.r) h- - (h-.r) h+, made primitive.  Two inequalities are adjacent
+    when their zero sets share at least D - 2 rays and no third zero set
+    contains that intersection.
     """
     rays = [tuple(r) for r in rays]
-    r = rank(rays) if rays else 0
-    if r == 0:
-        return ()
-    if r == 1:
-        v = rays[0]
-        j = next(i for i, x in enumerate(v) if x != 0)
-        n = tuple((1 if v[j] > 0 else -1) if i == j else 0 for i in range(ambient))
-        return ((n, frozenset()),)
-    found = {}
-    for subset in itertools.combinations(range(len(rays)), r - 1):
-        sub = [rays[i] for i in subset]
-        if rank(sub) != r - 1:
+    basis: list[int] = []
+    for i, ray in enumerate(rays):
+        if len(basis) < ambient and rank([rays[j] for j in basis] + [ray]) > len(basis):
+            basis.append(i)
+    if len(basis) != ambient:
+        raise ValueError(f"facets need rays of full rank {ambient}, got rank {len(basis)}")
+    adj, d = adjugate(transpose([rays[i] for i in basis]))
+    done = sum(1 << i for i in basis)
+    # [normal, bitmask of the rays added so far on which it vanishes]
+    ineqs = [
+        (_primitive([x if d > 0 else -x for x in row]), done & ~(1 << i))
+        for row, i in zip(adj, basis)
+    ]
+    for i, ray in enumerate(rays):
+        if done >> i & 1:
             continue
-        # all functionals vanishing on the subset; their value vectors on the
-        # rays form a 1-dimensional space, spanned by the facet functional
-        vanish = kernel_basis(tuple(sub), cols=ambient)
-        cand = next((f for f in vanish if any(vec_dot(f, ray) != 0 for ray in rays)), None)
-        if cand is None:
-            continue
-        pos = [vec_dot(cand, ray) for ray in rays]
-        if all(x <= 0 for x in pos):
-            cand = tuple(-x for x in cand)
-            pos = [-x for x in pos]
-        if any(x < 0 for x in pos):
-            continue
-        zero_set = frozenset(i for i, x in enumerate(pos) if x == 0)
-        found.setdefault(zero_set, cand)
-    return tuple((found[s], s) for s in sorted(found, key=lambda s: sorted(s)))
+        bit = 1 << i
+        values = [vec_dot(h, ray) for h, _ in ineqs]
+        kept = [(h, z | bit if v == 0 else z) for (h, z), v in zip(ineqs, values) if v >= 0]
+        for a in (k for k, v in enumerate(values) if v > 0):
+            for b in (k for k, v in enumerate(values) if v < 0):
+                (ha, za), (hb, zb) = ineqs[a], ineqs[b]
+                common = za & zb
+                if common.bit_count() < ambient - 2 or any(
+                    z & common == common for k, (_, z) in enumerate(ineqs) if k != a and k != b
+                ):
+                    continue
+                h = [values[a] * y - values[b] * x for x, y in zip(ha, hb)]
+                kept.append((_primitive(h), common | bit))
+        ineqs = kept
+        done |= bit
+    found = [(h, frozenset(i for i in range(len(rays)) if z >> i & 1)) for h, z in ineqs]
+    return tuple(sorted(found, key=lambda f: sorted(f[1])))
 
 
-def face_ray_sets(facet_sets: Collection[frozenset], n: int) -> tuple[frozenset, ...]:
-    """All proper nonempty faces of a pointed cone with n rays, as frozensets
-    of ray indices, from the ray sets of its facets.
+def _orbit_tables(perms: Sequence[Sequence[int]], n: int) -> list[list[list[int]]]:
+    """tables[c][x][k]: the image under perms[k] of the rays whose bits are
+    the nibble x at bits 4c..4c+3, in the mask layout of `face_ray_sets`."""
+    tables = []
+    for base in range(0, n, 4):
+        chunk = [[0] * len(perms)]
+        for x in range(1, 16):
+            low = x & -x
+            j = n - 1 - (base + low.bit_length() - 1)  # the ray of the lowest bit
+            if j < 0:
+                chunk.append(chunk[x - low])
+                continue
+            chunk.append(
+                [rest | 1 << (n - 1 - p[j]) for rest, p in zip(chunk[x - low], perms)]
+            )
+        tables.append(chunk)
+    return tables
 
-    Faces of a pointed cone are exactly the intersections of facets with the
-    cone, so the face lattice is generated from the top by intersecting with
+
+def face_ray_sets(
+    facet_sets: Collection[frozenset], n: int, perms: Sequence[Sequence[int]]
+) -> tuple[frozenset, ...]:
+    """One representative of each orbit of proper nonempty faces of a pointed
+    cone with n rays, as frozensets of ray indices, from the ray sets of its
     facets.
+
+    perms are permutations of the rays (perm[i] is the image of ray i) that
+    form a group mapping facets to facets; under the identity alone every
+    face is its own orbit.  Faces of a pointed cone are exactly the
+    intersections of facets, and the children of an image of a face are the
+    images of its children, so the lattice is walked top-down from one
+    representative per orbit.  Each new face's whole orbit goes into `seen`
+    at once, through image tables over 4-bit chunks of the mask.  The
+    representative is the orbit's least set by (size, sorted indices), and
+    the result is sorted by that key.
     """
-    all_idx = frozenset(range(n))
-    seen = {all_idx}
-    queue = [all_idx]
-    out = set()
+    # ray i is bit n-1-i: among sets of one size, the least by sorted
+    # indices is the largest mask
+    tables = _orbit_tables(perms, n)
+    facet_masks = [sum(1 << (n - 1 - i) for i in s) for s in facet_sets]
+    top = (1 << n) - 1
+    seen = {top}
+    queue = [top]
+    reps = []
     while queue:
-        f = queue.pop()
-        for h in facet_sets:
-            g = f & h
-            if g not in seen:
-                seen.add(g)
-                if g:
-                    out.add(g)
-                    queue.append(g)
-    return tuple(sorted(out, key=lambda s: (len(s), sorted(s))))
+        face = queue.pop()
+        for h in facet_masks:
+            child = face & h
+            if child and child not in seen:
+                images = [0] * len(perms)
+                for c, chunk in enumerate(tables):
+                    x = child >> 4 * c & 15
+                    if x:
+                        images = map(or_, images, chunk[x])
+                orbit = set(images)
+                seen |= orbit
+                rep = max(orbit)
+                reps.append(rep)
+                queue.append(rep)
+    reps.sort(key=lambda m: (m.bit_count(), -m))
+    return tuple(frozenset(i for i in range(n) if rep >> (n - 1 - i) & 1) for rep in reps)

@@ -1,5 +1,5 @@
 """Desk-scale Voronoi reduction: shortest vectors, perfect domains, the
-neighbor walk, arithmetic equivalence and face classification for g <= 4.
+neighbor walk, arithmetic equivalence and face classification for g <= 5.
 
 Everything is exact.  A rational form is scaled to integers once
 (`_integral`); a fraction-free LDL^T (`_ldl`, Bareiss without pivoting) both
@@ -9,8 +9,11 @@ the pencil Q + rho*R.  Equivalence of forms comes from
 `cones._assignment_search`, the one integral-symmetry search, over the
 minimal vectors, with a congruence check on every map it yields; their
 automorphisms come from the stabilizer chain on the same search
-(`stabilizers.permutation_group`).  Each perfect domain's facets are found
-once per process (`facets`), and the walk and the face lattice share them.
+(`stabilizers.permutation_group`).  Each perfect domain's facets and
+automorphism group are found once per process (`facets`,
+`domain_automorphism_perms`), and the walk and the face lattice share them;
+both work once per Aut(Q)-orbit, crossing one facet and keeping one face of
+each.
 """
 
 from __future__ import annotations
@@ -307,19 +310,35 @@ def first_perfect_form(g: int) -> PerfectForm:
     return perfect_form(m)
 
 
+MAX_GENUS = 5
+
+
 @lru_cache(maxsize=None)
 def enumerate_perfect(g: int) -> tuple[PerfectForm, ...]:
-    """Complete neighbor walk up to arithmetic equivalence, once per genus."""
+    """Complete neighbor walk up to arithmetic equivalence, once per genus.
+
+    Facets in one Aut(Q)-orbit have equivalent neighbors, so the walk
+    crosses only the first facet of each orbit, in `facets` order; the
+    classes and their representatives are those of crossing every facet.
+    """
     if g < 1:
         raise ValueError(f"perfect-form enumeration needs genus g >= 1, got g = {g}")
-    if g > 4:
-        raise ValueError("perfect-form enumeration is out of desk-scale scope for g > 4")
+    if g > MAX_GENUS:
+        raise ValueError(
+            f"perfect-form enumeration is out of desk-scale scope: "
+            f"needs g <= {MAX_GENUS}, got g = {g}"
+        )
     start = first_perfect_form(g)
     classes = [start]
     queue = [start]
     while queue:
         p = queue.pop(0)
+        perms = domain_automorphism_perms(p)
+        crossed: set[frozenset] = set()
         for facet in facets(p):
+            if facet.rays in crossed:
+                continue
+            crossed |= {frozenset(perm[i] for i in facet.rays) for perm in perms}
             rays = [p.min_vectors[i] for i in sorted(facet.rays)]
             if rank(rays) != g:
                 continue  # boundary facet: no contiguous domain
@@ -330,48 +349,43 @@ def enumerate_perfect(g: int) -> tuple[PerfectForm, ...]:
     return tuple(classes)
 
 
+@lru_cache(maxsize=None)
 def domain_automorphism_perms(p: PerfectForm) -> tuple[tuple[int, ...], ...]:
     """Permutations of the minimal-vector rays induced by Aut(Q) in GL(g,Z),
-    sorted; a non-perfect form raises `ValueError` (from `domain`).
+    sorted, once per form per process; a non-perfect form raises
+    `ValueError` (from `domain`).
 
     For a perfect Q the rank-1 forms of the minimal vectors span Sym^2, so Q
     is the only form taking the value mu on all of them.  A U that permutes
     them up to sign therefore has U^T Q U = Q, and Aut(Q) acts on them as
     the group of all such permutations: the stabilizer chain of
-    `stabilizers.permutation_group`.
+    `stabilizers.permutation_group`.  Keyed on the form, like `facets`.
     """
     domain(p)
     return permutation_group(p.min_vectors, p.form.g, f"the perfect form {p.form.matrix}")
 
 
 def classify_faces(g: int, max_dim: int = 6) -> tuple[Cone, ...]:
-    """GL(g,Z)-inequivalent faces of the perfect domains, up to max_dim.
+    """GL(g,Z)-inequivalent faces of the perfect domains, up to max_dim,
+    for 1 <= g <= MAX_GENUS.
 
-    Face subsets are first collapsed to orbit representatives under the
-    domain's own automorphism group, then fused across domains by
-    `cones_equivalent`, whose cached invariants reject most pairs at once.
-    Results are reduced to their spans (ambient rank equals cone rank), so
-    catalog representatives can be matched directly with `cones_equivalent`.
+    Each domain gives one face per orbit of its own automorphism group
+    (`polyhedral.face_ray_sets`), plus the domain itself; these are fused
+    across domains by `cones_equivalent`, whose cached invariants reject
+    most pairs at once.  Results are reduced to their spans (ambient rank
+    equals cone rank), so catalog representatives can be matched directly
+    with `cones_equivalent`.
     """
-    if g > 4:
-        raise ValueError("face classification is out of desk-scale scope for g > 4")
-    if max_dim > 6:
-        raise ValueError("face classification is validated only to dimension 6")
+    if not 0 <= max_dim <= 6:
+        raise ValueError(
+            f"face classification is validated for 0 <= max_dim <= 6, got max_dim = {max_dim}"
+        )
     found: list[Cone] = []
     for p in enumerate_perfect(g):
         n = len(p.min_vectors)
-        ray_sets = list(polyhedral.face_ray_sets([f.rays for f in facets(p)], n))
-        ray_sets.append(frozenset(range(n)))  # the domain itself
         perms = domain_automorphism_perms(p)
-        seen: set[frozenset] = set()
-        reps = []
-        for rays in ray_sets:
-            if rays in seen:
-                continue
-            orbit = {frozenset(perm[i] for i in rays) for perm in perms}
-            seen |= orbit
-            reps.append(rays)
-        for rays in reps:
+        reps = polyhedral.face_ray_sets([f.rays for f in facets(p)], n, perms)
+        for rays in reps + (frozenset(range(n)),):
             sub = Cone(g, [p.min_vectors[i] for i in sorted(rays)])
             if cone_dim(sub) > max_dim:
                 continue

@@ -163,6 +163,9 @@ def test_negative_count_fails(capsys, argv, named):
         (["brackets", "oracle", "-g", "-1", "{1}"], "0 <= g <= 6, got g = -1"),
         (["betti", "--space", "universal:9", "--max-degree", "4"], "supported for n <= 8"),
         (["betti", "--space", "universal:-1", "--max-degree", "4"], "supported for n <= 8"),
+        (["voronoi", "enumerate", "-g", "6"], "g <= 5, got g = 6"),
+        (["voronoi", "faces", "-g", "3", "--max-dim", "-1"], "got max_dim = -1"),
+        (["voronoi", "faces", "-g", "3", "--max-dim", "7"], "got max_dim = 7"),
     ],
 )
 def test_out_of_range_genus_or_degree_names_the_bound(capsys, argv, bound):

@@ -380,9 +380,24 @@ def test_enumerate_perfect_genus4():
     assert any(vr.equivalent_forms(p, vr.perfect_form(D4)) for p in forms)
 
 
+def test_enumerate_perfect_genus5():
+    # A5, D5 and A5^3 (Korkine-Zolotarev 1877), in walk order
+    forms = vr.enumerate_perfect(5)
+    assert [len(p.min_vectors) for p in forms] == [15, 20, 15]
+    assert forms[0] == vr.first_perfect_form(5)
+
+
 def test_enumerate_rejects_large_genus():
-    with pytest.raises(ValueError):
-        vr.enumerate_perfect(5)
+    with pytest.raises(ValueError, match="needs g <= 5, got g = 6"):
+        vr.enumerate_perfect(6)
+    with pytest.raises(ValueError, match="needs g <= 5, got g = 6"):
+        vr.classify_faces(6, 2)
+
+
+@pytest.mark.parametrize("max_dim", (-1, 7))
+def test_classify_faces_rejects_max_dim_out_of_range(max_dim):
+    with pytest.raises(ValueError, match=f"0 <= max_dim <= 6, got max_dim = {max_dim}"):
+        vr.classify_faces(3, max_dim)
 
 
 def test_voronoi_walk_runs_once_per_genus(monkeypatch):
@@ -421,6 +436,25 @@ def test_facets_run_once_per_walk_domain(monkeypatch):
     assert sorted(calls) == sorted(len(p.min_vectors) for p in forms) == [3, 6, 10, 12]
 
 
+def test_automorphism_group_built_once_per_walk_domain(monkeypatch):
+    # the walk's facet orbits and the face orbits share each domain's group
+    calls = []
+    step = vr.permutation_group
+
+    def counted(vectors, *args):
+        calls.append(len(vectors))
+        return step(vectors, *args)
+
+    monkeypatch.setattr(vr, "permutation_group", counted)
+    vr.enumerate_perfect.cache_clear()
+    vr.domain_automorphism_perms.cache_clear()
+    for g in (2, 3, 4):
+        vr.enumerate_perfect(g)
+    for g in (2, 3, 4):
+        vr.classify_faces(g)
+    assert sorted(calls) == [3, 6, 10, 12]
+
+
 def test_facets_are_indexed_by_the_forms_own_vector_order():
     # equal cones with their generators in another order: a cache keyed on
     # the cone would hand one of them facets indexed for the other
@@ -451,6 +485,25 @@ def test_classify_faces_g4_matches_catalog():
     assert len(dim6rank4) == 4
     for c, suffix in zip(dim6rank4, "abcd"):
         assert cn.cones_equivalent(c, cn.catalog_cone(f"6d-g4-{suffix}")) is not None
+
+
+G5_FACE_CLASSES = [
+    "1", "1+1", "K3", "1+1+1", "K3+1", "C4", "1+1+1+1", "K4-1", "K3+1+1", "C4+1", "C5",
+    "1+1+1+1+1", "NS", "K4", "6d-g4-a", "6d-g4-b", "6d-g4-c", "6d-g4-d", "C3+1+1+1",
+    "C4+1+1", "C5+1", "6d-g5-x", "C6",
+]
+
+
+def test_classify_faces_g5_matches_catalog():
+    faces = vr.classify_faces(5, 6)
+    catalog = cn.catalog(6)
+    assert len(catalog) == 26
+    names = []
+    for c in faces:
+        hits = [e.name for e in catalog if cn.cones_equivalent(c, e.cone) is not None]
+        assert len(hits) == 1, c.generators
+        names += hits
+    assert names == G5_FACE_CLASSES
 
 
 # integral positive definite forms whose minimal vectors are exactly +- the
@@ -621,6 +674,36 @@ def _neighbors(g):
             if mx.rank([p.min_vectors[i] for i in facet.rays]) == g:
                 out.append(vr.neighbor(p, facet))
     return out
+
+
+@pytest.mark.parametrize("g", (2, 3, 4))
+def test_every_neighbor_is_equivalent_to_exactly_one_class(g):
+    classes = vr.enumerate_perfect(g)
+    for q in _neighbors(g):
+        assert sum(vr.equivalent_forms(q, p) for p in classes) == 1
+
+
+def test_walk_crosses_the_first_facet_of_each_orbit(monkeypatch):
+    crossed = []
+    step = vr.neighbor
+
+    def counted(p, facet):
+        crossed.append((p, facet.rays))
+        return step(p, facet)
+
+    monkeypatch.setattr(vr, "neighbor", counted)
+    vr.enumerate_perfect.cache_clear()
+    forms = [p for g in (2, 3, 4) for p in vr.enumerate_perfect(g)]
+    for p in forms:
+        perms = gram_automorphism_perms(p)
+        orbits, expected = set(), []
+        for f in vr.facets(p):
+            orbit = frozenset(frozenset(perm[i] for i in f.rays) for perm in perms)
+            if orbit not in orbits:
+                orbits.add(orbit)
+                expected.append(f.rays)
+        assert [rays for q, rays in crossed if q is p] == expected
+    assert len(crossed) == 5
 
 
 @pytest.mark.parametrize("g", (2, 3, 4))
