@@ -534,7 +534,10 @@ def parse_factors(text: str) -> list[BracketClass]:
         power = 1
         if "}^" in chunk:
             chunk, _, p = chunk.rpartition("^")
-            power = int(p)
+            try:
+                power = int(p)
+            except ValueError:
+                raise ValueError(f"power {p!r} is not an integer in {text!r}") from None
             if power < 0:
                 raise ValueError(f"negative power {power} in {text!r}")
         bc = parse_bracket(chunk)

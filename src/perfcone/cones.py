@@ -10,9 +10,11 @@ invariants of both cones (`_equivalence_invariants`).
 The catalog is one table of explicit representatives (`_CATALOG_CONES`),
 one per GL(i,Z)-orbit for every orbit of dimension up to 6 that contributes
 to degree <= 12 of the assembled tables.  The g <= 5 face walk of `voronoi`
-finds every entry of rank <= 5, and for each non-matroidal dimension-6
-entry the tests hold an integral positive definite form whose minimal
-vectors are exactly +- its generators, which makes it a perfect-cone cell.
+finds every entry of rank <= 5, the faces of the A6 domain give every
+matroidal entry, `1+1+1+1+1+1` included, and for each non-matroidal
+dimension-6 entry the tests hold an integral positive definite form whose
+minimal vectors are exactly +- its generators, which makes it a
+perfect-cone cell.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .matrices import (
     det,
     f2_kernel,
     identity,
+    independent_indices,
     integral_map,
     invert_unimodular,
     kernel_basis,
@@ -135,7 +138,11 @@ def is_matroidal(c: Cone) -> bool:
     saturated has every nonzero maximal minor divisible by its index, so
     the one test also rejects it.
     """
-    return set(_max_rank_minors(reduce_to_span(c))) <= {-1, 0, 1}
+    red = reduce_to_span(c)
+    return all(
+        det([red.generators[j] for j in sel]) in (-1, 0, 1)
+        for sel in itertools.combinations(range(red.n_generators), red.ambient)
+    )
 
 
 def orth_lattice(c: Cone) -> tuple[IntVector, ...]:
@@ -272,16 +279,11 @@ def _family(vectors: tuple[IntVector, ...], ambient: int) -> _Family:
     Raises ValueError, on every call, for a family that does not span the
     ambient space: `lru_cache` does not cache exceptions.
     """
-    if rank(vectors) != ambient:
+    order = list(independent_indices(vectors))
+    if len(order) != ambient:
         raise ValueError("assignment search requires full-rank vector families")
-    order = []
-    chosen: list[IntVector] = []
-    for j, v in enumerate(vectors):
-        if rank(chosen + [v]) > len(chosen):
-            chosen.append(v)
-            order.append(j)
+    adj, d = adjugate(transpose([vectors[j] for j in order]))
     order += [j for j in range(len(vectors)) if j not in order]
-    adj, d = adjugate(transpose(chosen))
     return _Family(
         order=tuple(order),
         adj=adj,
@@ -402,18 +404,6 @@ def _equivalence_invariants(c: Cone) -> tuple:
     )
 
 
-def _max_rank_minors(c: Cone) -> tuple[int, ...]:
-    """Maximal minors of the generator-vector matrix of a reduced cone."""
-    a = transpose(c.generators)
-    r = cone_rank(c)
-    if len(a) != r:
-        raise ValueError("expects a cone reduced to its span")
-    out = []
-    for sel in itertools.combinations(range(c.n_generators), r):
-        out.append(det(tuple(tuple(a[i][j] for j in sel) for i in range(r))))
-    return tuple(out)
-
-
 def _f2_relation_weights(c: Cone) -> tuple[int, ...]:
     """Sorted weights of all F2-relations among the generators (a GL invariant)."""
     masks = [vector_bitmask(g) for g in c.generators]
@@ -470,6 +460,7 @@ class CatalogEntry:
     rank and flags.
 
     The entries of rank <= 5 are certified by the g <= 5 face walk, the
+    matroidal ones also by the faces of the A6 domain, and the
     non-matroidal dimension-6 ones by a witness form whose minimal vectors
     are exactly +- the generators.
     """

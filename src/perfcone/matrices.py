@@ -5,11 +5,11 @@ tuples.  Everything is exact: no floating point is used anywhere in this
 package.  Sizes stay tiny (at most ~25 rows/columns), so the algorithms favour
 clarity over asymptotics.
 
-Elimination is fraction-free (Bareiss): `det`, `rank` and `adjugate` work in
-integers, dividing only where the division is exact.  An integral map is
-found by inverting its source basis once, as an integer adjugate and a
-determinant, after which each candidate costs one integer product and a
-divisibility test (`integral_map`).
+Elimination is fraction-free (Bareiss): `det`, `rank`, `independent_indices`
+and `adjugate` work in integers, dividing only where the division is exact.
+An integral map is found by inverting its source basis once, as an integer
+adjugate and a determinant, after which each candidate costs one integer
+product and a divisibility test (`integral_map`).
 
 `hnf` is the one lattice kernel: integer kernels (`kernel_basis`), the
 saturation of a span with coordinates on it and its completion to a
@@ -142,6 +142,15 @@ def rank(a: Sequence[Sequence]) -> int:
         den = lcm(*(x.denominator for x in row))
         m.append([x.numerator * (den // x.denominator) for x in row])
     return len(_bareiss(m, len(m[0]) if m else 0)[0])
+
+
+def independent_indices(vectors: Sequence[IntVector]) -> tuple[int, ...]:
+    """Indices of the first maximal independent subset of integer vectors,
+    the one a greedy pass keeps when it takes each vector that raises the
+    rank: the pivot columns of one elimination of the matrix whose columns
+    are the vectors."""
+    m = [list(row) for row in zip(*vectors)]
+    return tuple(_bareiss(m, len(vectors))[0])
 
 
 def hnf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:

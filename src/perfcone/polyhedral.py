@@ -8,11 +8,11 @@ adjacent pair of inequalities on opposite sides of the new ray gives a new
 one.  Adjacency is the combinatorial test on zero sets, kept as int bitmasks,
 so no rank is computed after the start.
 
-Faces are ray sets, found top-down from the facets' ray sets by intersection,
-with no further geometry.  Under a group of ray permutations (the
-automorphisms of a perfect domain) only one face per orbit is kept, as in
-Bremner-Dutour Sikirić-Schürmann 2009, "Polyhedral representation conversion
-up to symmetries".
+Faces are ray sets, found bottom-up, one dimension at a time, as closures
+under the facets' ray sets, with no further geometry.  Under a group of ray
+permutations (the automorphisms of a perfect domain) only one face per orbit
+is kept and lifted, as in Bremner-Dutour Sikirić-Schürmann 2009,
+"Polyhedral representation conversion up to symmetries".
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 from operator import or_
 from typing import Collection, Sequence
 
-from .matrices import IntVector, adjugate, rank, transpose, vec_content, vec_dot
+from .matrices import IntVector, adjugate, independent_indices, transpose, vec_content, vec_dot
 
 
 def _primitive(v) -> IntVector:
@@ -42,10 +42,7 @@ def facets(rays: Sequence[IntVector], ambient: int) -> tuple[tuple[IntVector, fr
     contains that intersection.
     """
     rays = [tuple(r) for r in rays]
-    basis: list[int] = []
-    for i, ray in enumerate(rays):
-        if len(basis) < ambient and rank([rays[j] for j in basis] + [ray]) > len(basis):
-            basis.append(i)
+    basis = independent_indices(rays)
     if len(basis) != ambient:
         raise ValueError(f"facets need rays of full rank {ambient}, got rank {len(basis)}")
     adj, d = adjugate(transpose([rays[i] for i in basis]))
@@ -97,44 +94,58 @@ def _orbit_tables(perms: Sequence[Sequence[int]], n: int) -> list[list[list[int]
 
 
 def face_ray_sets(
-    facet_sets: Collection[frozenset], n: int, perms: Sequence[Sequence[int]]
+    facet_sets: Collection[frozenset], n: int, perms: Sequence[Sequence[int]], max_dim: int
 ) -> tuple[frozenset, ...]:
-    """One representative of each orbit of proper nonempty faces of a pointed
-    cone with n rays, as frozensets of ray indices, from the ray sets of its
-    facets.
+    """One representative of each orbit of nonempty faces of dimension at
+    most max_dim, the cone itself included, of a pointed cone with n rays,
+    as frozensets of ray indices, from the ray sets of its facets.
 
     perms are permutations of the rays (perm[i] is the image of ray i) that
     form a group mapping facets to facets; under the identity alone every
-    face is its own orbit.  Faces of a pointed cone are exactly the
-    intersections of facets, and the children of an image of a face are the
-    images of its children, so the lattice is walked top-down from one
-    representative per orbit.  Each new face's whole orbit goes into `seen`
-    at once, through image tables over 4-bit chunks of the mask.  The
-    representative is the orbit's least set by (size, sorted indices), and
-    the result is sorted by that key.
+    face is its own orbit.  The face lattice is walked bottom-up, one level
+    per dimension, from the empty face, so no face above max_dim is built.
+    The closure of a ray set is the intersection of the facets that contain
+    it (every ray when none does), and the faces covering a face F are the
+    inclusion-minimal closures of F and one more ray.  The covers of an
+    image of a face are the images of its covers, so only one
+    representative per orbit is lifted.  Each new face's whole orbit goes
+    into `seen` at once, through image tables over 4-bit chunks of the mask.
+    The representative is the orbit's least set by (size, sorted indices),
+    and the result is sorted by that key.
     """
     # ray i is bit n-1-i: among sets of one size, the least by sorted
     # indices is the largest mask
     tables = _orbit_tables(perms, n)
     facet_masks = [sum(1 << (n - 1 - i) for i in s) for s in facet_sets]
     top = (1 << n) - 1
-    seen = {top}
-    queue = [top]
+    seen = {0}
+    level = [0]  # the faces of dimension 0: the apex, whose ray set is empty
     reps = []
-    while queue:
-        face = queue.pop()
-        for h in facet_masks:
-            child = face & h
-            if child and child not in seen:
+    for _ in range(max_dim):
+        lifted = []
+        for face in level:
+            above = [h for h in facet_masks if h & face == face]
+            closures = set()
+            for i in range(n):
+                bit = 1 << i
+                if not face & bit:
+                    closure = top
+                    for h in above:
+                        if h & bit:
+                            closure &= h
+                    closures.add(closure)
+            for cover in closures:
+                if cover in seen or any(o != cover and o & cover == o for o in closures):
+                    continue
                 images = [0] * len(perms)
                 for c, chunk in enumerate(tables):
-                    x = child >> 4 * c & 15
+                    x = cover >> 4 * c & 15
                     if x:
                         images = map(or_, images, chunk[x])
                 orbit = set(images)
                 seen |= orbit
-                rep = max(orbit)
-                reps.append(rep)
-                queue.append(rep)
+                lifted.append(max(orbit))
+        reps += lifted
+        level = lifted
     reps.sort(key=lambda m: (m.bit_count(), -m))
     return tuple(frozenset(i for i in range(n) if rep >> (n - 1 - i) & 1) for rep in reps)

@@ -369,12 +369,12 @@ def classify_faces(g: int, max_dim: int = 6) -> tuple[Cone, ...]:
     """GL(g,Z)-inequivalent faces of the perfect domains, up to max_dim,
     for 1 <= g <= MAX_GENUS.
 
-    Each domain gives one face per orbit of its own automorphism group
-    (`polyhedral.face_ray_sets`), plus the domain itself; these are fused
-    across domains by `cones_equivalent`, whose cached invariants reject
-    most pairs at once.  Results are reduced to their spans (ambient rank
-    equals cone rank), so catalog representatives can be matched directly
-    with `cones_equivalent`.
+    Each domain gives one face per orbit of its own automorphism group,
+    the domain itself included, found bottom-up to max_dim
+    (`polyhedral.face_ray_sets`); these are fused across domains by
+    `cones_equivalent`, whose cached invariants reject most pairs at once.
+    Results are reduced to their spans (ambient rank equals cone rank), so
+    catalog representatives can be matched directly with `cones_equivalent`.
     """
     if not 0 <= max_dim <= 6:
         raise ValueError(
@@ -382,14 +382,10 @@ def classify_faces(g: int, max_dim: int = 6) -> tuple[Cone, ...]:
         )
     found: list[Cone] = []
     for p in enumerate_perfect(g):
-        n = len(p.min_vectors)
         perms = domain_automorphism_perms(p)
-        reps = polyhedral.face_ray_sets([f.rays for f in facets(p)], n, perms)
-        for rays in reps + (frozenset(range(n)),):
-            sub = Cone(g, [p.min_vectors[i] for i in sorted(rays)])
-            if cone_dim(sub) > max_dim:
-                continue
-            red = reduce_to_span(sub)
+        facet_sets = [f.rays for f in facets(p)]
+        for rays in polyhedral.face_ray_sets(facet_sets, len(p.min_vectors), perms, max_dim):
+            red = reduce_to_span(Cone(g, [p.min_vectors[i] for i in sorted(rays)]))
             if not any(cones_equivalent(red, other) is not None for other in found):
                 found.append(red)
     found.sort(key=lambda c: (cone_dim(c), c.ambient, c.n_generators, c.generators))

@@ -176,6 +176,16 @@ def test_out_of_range_genus_or_degree_names_the_bound(capsys, argv, bound):
     assert bound in captured.err
 
 
+@pytest.mark.parametrize(
+    "expression,power", [("{1^2}^x", "'x'"), ("{1}^", "''"), ("{1}*{12}^1.5", "'1.5'")]
+)
+def test_bad_power_names_the_power_and_the_expression(capsys, expression, power):
+    assert main(["brackets", "multiply", expression]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: power {power} is not an integer in {expression!r}\n"
+
+
 def test_power_zero_is_the_unit(capsys):
     assert main(["brackets", "multiply", "{1}*{12}^0"]) == 0
     assert main(["brackets", "multiply", "{1}"]) == 0

@@ -342,6 +342,19 @@ def test_bareiss_rank_matches_fraction_oracle_on_rational_matrices():
     assert mx.rank([[Fraction(1, 2), Fraction(1, 3)], [3, 2]]) == 1
 
 
+def test_independent_indices_match_greedy_rank_loop():
+    rng = random.Random(23)
+    for _ in range(300):
+        ambient, count = rng.randint(1, 6), rng.randint(0, 8)
+        low = rng.choice([None, 1, 2, 3])
+        vectors = _random_matrix(rng, count, ambient, low) if count else ()
+        greedy = []
+        for i, v in enumerate(vectors):
+            if mx.rank([vectors[j] for j in greedy] + [v]) > len(greedy):
+                greedy.append(i)
+        assert mx.independent_indices(vectors) == tuple(greedy), vectors
+
+
 def test_integral_map_solves_or_rejects():
     basis = [(1, 1), (1, -1)]
     adj, d = mx.adjugate(mx.transpose(basis))

@@ -10,10 +10,10 @@ from perfcone import voronoi as vr
 
 
 # ---------------------------------------------------------------------------
-# Oracles: the (r-1)-subset facet search and the whole-lattice closure that
-# `polyhedral.facets` and `polyhedral.face_ray_sets` used before the double
-# description and the walk by orbits.  The subset search also handles cones
-# of lower rank, which `facets` rejects.
+# Oracles: the (r-1)-subset facet search and the top-down whole-lattice
+# closure that `polyhedral.facets` and `polyhedral.face_ray_sets` used before
+# the double description and the bottom-up walk by orbits.  The subset search
+# also handles cones of lower rank, which `facets` rejects.
 # ---------------------------------------------------------------------------
 
 
@@ -183,43 +183,62 @@ def test_extremal_ray_indices():
 
 def test_face_ray_sets_of_simplex():
     rays = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    faces = ph.face_ray_sets([s for _, s in ph.facets(rays, 3)], 3, [(0, 1, 2)])
-    assert sorted(len(f) for f in faces) == [1, 1, 1, 2, 2, 2]
-
-
-def test_face_ray_sets_of_square_pyramid():
-    # rays 0..3 around the base, 4 the apex
-    facet_sets = [frozenset(s) for s in ({0, 1, 4}, {1, 2, 4}, {2, 3, 4}, {0, 3, 4}, {0, 1, 2, 3})]
-    faces = ph.face_ray_sets(facet_sets, 5, [(0, 1, 2, 3, 4)])
-    assert [len(f) for f in faces] == [1] * 5 + [2] * 8 + [3] * 4 + [4]
-    assert frozenset({0, 2}) not in faces
-    assert faces == closure_faces(facet_sets, 5)
-    # the rotations of the base: one orbit per face kind, least member first
-    rotations = [tuple((i + k) % 4 for i in range(4)) + (4,) for k in range(4)]
-    reps = ph.face_ray_sets(facet_sets, 5, rotations)
-    assert [sorted(f) for f in reps] == [[0], [4], [0, 1], [0, 4], [0, 1, 4], [0, 1, 2, 3]]
+    facet_sets = [s for _, s in ph.facets(rays, 3)]
+    faces = ph.face_ray_sets(facet_sets, 3, [(0, 1, 2)], 3)
+    assert sorted(len(f) for f in faces) == [1, 1, 1, 2, 2, 2, 3]
+    assert ph.face_ray_sets(facet_sets, 3, [(0, 1, 2)], 2) == faces[:-1]
+    assert ph.face_ray_sets(facet_sets, 3, [(0, 1, 2)], 0) == ()
 
 
 def _key(s):
     return (len(s), sorted(s))
 
 
-@pytest.mark.parametrize("g", (2, 3, 4))
-def test_face_orbits_partition_the_face_lattice(g):
-    for p in vr.enumerate_perfect(g):
-        n = len(p.min_vectors)
-        facet_sets = [f.rays for f in vr.facets(p)]
-        lattice = closure_faces(facet_sets, n)
-        assert ph.face_ray_sets(facet_sets, n, [tuple(range(n))]) == lattice
-        perms = vr.domain_automorphism_perms(p)
-        reps = ph.face_ray_sets(facet_sets, n, perms)
+def _check_walk_to_every_dimension(coords, facet_sets, perms):
+    """At every max_dim up to the full dimension, the walk under the
+    identity is the whole-lattice closure plus the cone, cut to that
+    dimension, and the walk under perms gives least orbit members whose
+    orbits partition it."""
+    n = len(coords)
+    lattice = closure_faces(facet_sets, n) + (frozenset(range(n)),)
+    dims = {f: mx.rank([coords[i] for i in f]) for f in lattice}
+    assert max(dims.values()) == mx.rank(coords)
+    for max_dim in range(mx.rank(coords) + 1):
+        expected = tuple(f for f in lattice if dims[f] <= max_dim)
+        assert ph.face_ray_sets(facet_sets, n, [tuple(range(n))], max_dim) == expected
+        reps = ph.face_ray_sets(facet_sets, n, perms, max_dim)
         assert list(reps) == sorted(reps, key=_key)
         covered = []
         for rep in reps:
             orbit = {frozenset(perm[i] for i in rep) for perm in perms}
             assert min(orbit, key=_key) == rep
             covered += orbit
-        assert sorted(covered, key=_key) == list(lattice)
+        assert sorted(covered, key=_key) == list(expected)
+
+
+def test_face_ray_sets_of_square_pyramid():
+    # the cone over a square pyramid: rays 0..3 around the base, 4 the apex
+    pyramid = [(0, 0, 0, 1), (1, 0, 0, 1), (1, 1, 0, 1), (0, 1, 0, 1), (0, 0, 1, 1)]
+    facet_sets = [frozenset(s) for s in ({0, 1, 4}, {1, 2, 4}, {2, 3, 4}, {0, 3, 4}, {0, 1, 2, 3})]
+    assert {s for _, s in ph.facets(pyramid, 4)} == set(facet_sets)
+    faces = ph.face_ray_sets(facet_sets, 5, [(0, 1, 2, 3, 4)], 4)
+    assert [len(f) for f in faces] == [1] * 5 + [2] * 8 + [3] * 4 + [4] + [5]
+    assert frozenset({0, 2}) not in faces
+    # the rotations of the base: one orbit per face kind, least member first
+    rotations = [tuple((i + k) % 4 for i in range(4)) + (4,) for k in range(4)]
+    reps = ph.face_ray_sets(facet_sets, 5, rotations, 4)
+    assert [sorted(f) for f in reps] == [
+        [0], [4], [0, 1], [0, 4], [0, 1, 4], [0, 1, 2, 3], [0, 1, 2, 3, 4]
+    ]
+    _check_walk_to_every_dimension(pyramid, facet_sets, rotations)
+
+
+@pytest.mark.parametrize("g", (1, 2, 3, 4))
+def test_face_orbits_partition_the_face_lattice(g):
+    for p in vr.enumerate_perfect(g):
+        facet_sets = [f.rays for f in vr.facets(p)]
+        perms = vr.domain_automorphism_perms(p)
+        _check_walk_to_every_dimension(vr.domain(p).sym2_matrix(), facet_sets, perms)
 
 
 def _random_families(seed, count):

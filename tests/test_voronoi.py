@@ -7,6 +7,7 @@ import pytest
 
 from perfcone import cones as cn
 from perfcone import matrices as mx
+from perfcone import polyhedral as ph
 from perfcone import voronoi as vr
 
 
@@ -504,6 +505,32 @@ def test_classify_faces_g5_matches_catalog():
         assert len(hits) == 1, c.generators
         names += hits
     assert names == G5_FACE_CLASSES
+
+
+def test_a6_domain_faces_are_the_matroidal_catalog_entries():
+    # the A6 domain alone, with no walk: its faces of dim <= 6 fall into
+    # exactly the 22 matroidal classes, which certifies 1+1+1+1+1+1, the one
+    # entry of rank 6 that the g <= 5 faces cannot reach
+    p = vr.first_perfect_form(6)
+    facet_sets = [f.rays for f in vr.facets(p)]
+    perms = vr.domain_automorphism_perms(p)
+    assert len(perms) == 5040
+    reps = ph.face_ray_sets(facet_sets, len(p.min_vectors), perms, 6)
+    assert len(reps) == 80
+    classes = []
+    for rays in reps:
+        red = cn.reduce_to_span(cn.Cone(6, [p.min_vectors[i] for i in sorted(rays)]))
+        if not any(cn.cones_equivalent(red, c) is not None for c in classes):
+            classes.append(red)
+    assert len(classes) == 22
+    catalog = cn.catalog(6)
+    names = []
+    for c in classes:
+        hits = [e.name for e in catalog if cn.cones_equivalent(c, e.cone) is not None]
+        assert len(hits) == 1, c.generators
+        names += hits
+    assert sorted(names) == sorted(e.name for e in catalog if e.matroidal)
+    assert "1+1+1+1+1+1" in names
 
 
 # integral positive definite forms whose minimal vectors are exactly +- the
