@@ -163,8 +163,11 @@ def _span(vectors: Iterable[int]) -> frozenset[int]:
 
 
 def render_bracket(bc: BracketClass) -> str:
+    """One digit per index and exponent: a class needing 10 would not parse back."""
     if bc is UNIT or not bc.exponents:
         return "{}"
+    if bc.length > 9 or bc.exponents[0] > 9:  # exponents are nonincreasing
+        raise ValueError(f"bracket indices and exponents are one digit (at most 9): {bc.exponents}")
     parts = []
     for j, e in enumerate(bc.exponents):
         parts.append(f"{j + 1}^{e}" if e > 1 else f"{j + 1}")

@@ -11,10 +11,11 @@ An integral map is found by inverting its source basis once, as an integer
 adjugate and a determinant, after which each candidate costs one integer
 product and a divisibility test (`integral_map`).
 
-`hnf` is the one lattice kernel: integer kernels (`kernel_basis`), the
-saturation of a span with coordinates on it and its completion to a
-unimodular matrix (`span_basis`), and the index of a span in its
-saturation (`lattice_index`) are each one or two `hnf` calls.
+`_hermite` is the one lattice kernel.  Integer kernels (`kernel_basis`) and
+the saturation of a span with coordinates on it, completed to a unimodular
+matrix (`span_basis`), are one or two `hnf` calls, which keep the transform;
+the index of a span in its saturation (`lattice_index`) is two eliminations
+without one.
 `solve_rational`, Gauss-Jordan over Q, has no caller in the package; it is
 the rational oracle of the tests.
 """
@@ -153,27 +154,17 @@ def independent_indices(vectors: Sequence[IntVector]) -> tuple[int, ...]:
     return tuple(_bareiss(m, len(vectors))[0])
 
 
-def hnf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
-    """Hermite normal form h = u*a with u unimodular.
-
-    Pivots are positive and entries above each pivot are reduced into
-    [0, pivot).  The row/column orientation is an internal convention and is
-    relied upon nowhere outside this module.
-    """
-    rows, cols = shape(a)
-    m = [list(row) for row in a]
-    u = [list(row) for row in identity(rows)]
+def _hermite(m: list[list[int]], ncols: int) -> None:
+    """Hermite elimination of the integer rows `m` in place, pivoting on the
+    first `ncols` columns by unimodular operations on whole rows; pivots end
+    positive, with the entries above each reduced into [0, pivot)."""
+    rows = len(m)
     r = 0
-    for c in range(cols):
-        piv = None
-        for i in range(r, rows):
-            if m[i][c] != 0:
-                piv = i
-                break
+    for c in range(ncols):
+        piv = next((i for i in range(r, rows) if m[i][c] != 0), None)
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        u[r], u[piv] = u[piv], u[r]
         # euclidean elimination below the pivot
         while True:
             nz = [i for i in range(r + 1, rows) if m[i][c] != 0]
@@ -182,24 +173,29 @@ def hnf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
             i = min(nz + [r], key=lambda k: abs(m[k][c]))
             if i != r:
                 m[r], m[i] = m[i], m[r]
-                u[r], u[i] = u[i], u[r]
             for i in range(r + 1, rows):
                 q = m[i][c] // m[r][c]
                 if q:
                     m[i] = [x - q * y for x, y in zip(m[i], m[r])]
-                    u[i] = [x - q * y for x, y in zip(u[i], u[r])]
         if m[r][c] < 0:
             m[r] = [-x for x in m[r]]
-            u[r] = [-x for x in u[r]]
         for i in range(r):
             q = m[i][c] // m[r][c]
             if q:
                 m[i] = [x - q * y for x, y in zip(m[i], m[r])]
-                u[i] = [x - q * y for x, y in zip(u[i], u[r])]
         r += 1
         if r == rows:
             break
-    return tuple(map(tuple, m)), tuple(map(tuple, u))
+
+
+def hnf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
+    """Hermite normal form h = u*a with u unimodular: `_hermite` of [a | I],
+    pivoting only in a's columns, split into [h | u].  The row/column
+    orientation is an internal convention relied upon nowhere else."""
+    rows, cols = shape(a)
+    m = [list(row) + [int(i == j) for j in range(rows)] for i, row in enumerate(a)]
+    _hermite(m, cols)
+    return tuple(tuple(row[:cols]) for row in m), tuple(tuple(row[cols:]) for row in m)
 
 
 def kernel_basis(a: IntMatrix, cols: Optional[int] = None) -> tuple[IntVector, ...]:
@@ -242,17 +238,19 @@ def span_basis(vectors: Sequence[IntVector], ambient: int) -> tuple[IntMatrix, t
 def lattice_index(vectors: Sequence[IntVector]) -> int:
     """Index of the span of `vectors` inside its saturation (0 if empty).
 
-    h = u * V^T with u unimodular, so the nonzero rows of h hold, as
-    columns, the coordinates of the vectors on a basis of the saturation.
-    The index is the covolume of the lattice those columns span: the
-    product of the pivots of their own `hnf`, which is also the gcd of the
-    r x r minors of V.
+    The Hermite form of V^T is u * V^T with u unimodular, so its nonzero
+    rows hold, as columns, the coordinates of the vectors on a basis of the
+    saturation.  The index is the covolume of the lattice those columns
+    span: the product of the pivots of their own Hermite form, which is also
+    the gcd of the r x r minors of V.  Neither elimination keeps a transform.
     """
     if not vectors:
         return 0
-    h, _ = hnf(transpose(vectors))
-    coords = tuple(row for row in h if any(row))
-    top, _ = hnf(transpose(coords))
+    h = [list(row) for row in zip(*vectors)]
+    _hermite(h, len(vectors))
+    coords = [row for row in h if any(row)]
+    top = [list(col) for col in zip(*coords)]
+    _hermite(top, len(coords))
     return prod(top[i][i] for i in range(len(coords)))
 
 

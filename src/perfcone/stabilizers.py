@@ -8,19 +8,23 @@ permutations realizable by integral cone automorphisms, and the Molien series
 is computed by cycle index, as an average over their cycle types
 (`invariants.molien`).
 
-G is built by `permutation_group` as a stabilizer chain (Sims 1970; Butler,
-LNCS 559, 1991) on the one integral-symmetry search,
-`cones._assignment_search`.  The same chain gives the automorphism group of a
+G is built by `permutation_group` from a stabilizer chain (Sims 1970;
+Butler, LNCS 559, 1991) on the one integral-symmetry search,
+`cones._assignment_search`; the same chain gives the automorphism group of a
 perfect form as permutations of its minimal vectors
 (`voronoi.domain_automorphism_perms`).  The base is the vectors b_1..b_n in
 the search's basis-first order.  At level i, for each vector k, one
 first-leaf search with b_j -> b_j (j < i) and b_i -> k prescribed finds an
 element of the pointwise stabilizer of b_1..b_{i-1} moving b_i to k, or
-proves there is none; the elements found form the transversal U_i.  Every g
-in G is exactly one product u_1 o u_2 o ... o u_n with u_i in U_i, so
-|G| = prod |U_i|.  `_check_group` proves that these products form a group:
-it holds the identity, has no repeated product, and is closed under right
-multiplication by every transversal element.
+proves there is none; the elements found form the transversal U_i.
+
+The closure H of the transversals is both the element list and the proof.
+Its elements are automorphisms, and each U_i fixes b_1..b_{i-1} and moves
+b_i to distinct places, so |H| >= prod |U_i|, with equality exactly when
+every U_i is a complete transversal of H's own chain.  An element joins the
+generators only when the closure misses it, so each one kept at least
+doubles H (Lagrange): at most log2 |G| are kept, and the closure costs about
+|G| compositions per generator.
 """
 
 from __future__ import annotations
@@ -75,7 +79,7 @@ def stabilizer_action(c: Cone) -> GroupAction:
 
 
 class StabilizerGroupError(AssertionError):
-    """The products of the transversals of a stabilizer chain are not a group."""
+    """A stabilizer group fails its order proof or Burnside's lemma."""
 
 
 @lru_cache(maxsize=None)
@@ -101,15 +105,31 @@ def permutation_group(
     """The permutations of the vectors induced by every U in GL(ambient, Z)
     that maps them onto themselves up to sign, sorted.
 
-    The vectors must span Q^ambient.  The group is built from the stabilizer
-    chain's transversals and proved a group by `_check_group`, which names
-    `label` when it fails.
+    The vectors must span Q^ambient.  The group is the closure of the
+    chain's transversals, which must have prod |U_i| elements, or
+    `StabilizerGroupError` names `label`.
     """
     transversals = _transversals(vectors, ambient)
-    group = [tuple(range(len(vectors)))]
-    for level in reversed(transversals):
-        group = [tuple(u[x] for x in s) for u in level for s in group]
-    _check_group(group, transversals, label)
+    group = {tuple(range(len(vectors)))}
+    generators: list[tuple[int, ...]] = []
+    for u in (u for level in transversals for u in level):
+        if u in group:
+            continue
+        generators.append(u)
+        frontier = list(group)
+        while frontier:
+            s = frontier.pop()
+            for t in generators:
+                st = tuple([s[x] for x in t])  # a list builds it faster than a generator
+                if st not in group:
+                    group.add(st)
+                    frontier.append(st)
+    expected = math.prod(len(level) for level in transversals)
+    if len(group) != expected:
+        raise StabilizerGroupError(
+            f"stabilizer image of {label}: the transversals generate {len(group)} "
+            f"permutations, their lengths multiply to {expected}"
+        )
     return tuple(sorted(group))
 
 
@@ -135,33 +155,6 @@ def _transversals(rays: Sequence[IntVector], ambient: int) -> list[list[tuple[in
     return transversals
 
 
-def _check_group(
-    group: list[tuple[int, ...]], transversals: list[list[tuple[int, ...]]], label: str
-) -> None:
-    """Prove that the products of the transversals form a group.
-
-    Every product lies in the group T generates.  A set S of them that holds
-    the identity and has S*u in S for every transversal element u holds
-    every word in T, so S is that group.
-    """
-    members = set(group)
-    expected = math.prod(len(level) for level in transversals)
-    if tuple(range(len(group[0]))) not in members:
-        raise StabilizerGroupError(f"stabilizer image of {label} misses the identity")
-    if len(members) != expected:
-        raise StabilizerGroupError(
-            f"stabilizer image of {label}: {len(members)} distinct products, "
-            f"transversal lengths multiply to {expected}"
-        )
-    for s in group:
-        for level in transversals:
-            for u in level:
-                if tuple(s[x] for x in u) not in members:
-                    raise StabilizerGroupError(
-                        f"stabilizer image of {label} is not closed under products"
-                    )
-
-
 def invariant_dim_degree1(c: Cone) -> int:
     """Dimension of the fixed subspace of Span(sigma): the number of ray orbits.
 
@@ -171,8 +164,8 @@ def invariant_dim_degree1(c: Cone) -> int:
     action = stabilizer_action(c)
     fixed = sum(sum(1 for j, x in enumerate(p) if j == x) for p in action.perms)
     if fixed != len(action.orbits) * action.order:
-        raise AssertionError(
-            f"fixed-point average {fixed}/{action.order} and orbit count "
-            f"{len(action.orbits)} disagree"
+        raise StabilizerGroupError(
+            f"stabilizer image of {c.name or c.generators}: fixed-point average "
+            f"{fixed}/{action.order} and orbit count {len(action.orbits)} disagree"
         )
     return len(action.orbits)

@@ -225,6 +225,10 @@ def _form_value(matrix, x):
     return sum(matrix[i][j] * x[i] * x[j] for i in range(n) for j in range(n))
 
 
+class NeighborSearchError(AssertionError):
+    """The exact line search of `neighbor` broke its own invariants."""
+
+
 def neighbor(p: PerfectForm, facet: Facet) -> PerfectForm:
     """The contiguous perfect form across the facet.
 
@@ -232,8 +236,8 @@ def neighbor(p: PerfectForm, facet: Facet) -> PerfectForm:
     tightened until a vector outside the facet reaches the minimum exactly.
     A bisection bracket handles losses of positive definiteness; whenever a
     vector drops strictly below the minimum, the exact crossing value
-    (mu - Q(v)) / R(v) replaces rho.  Failure to validate the facet data
-    signals a non-facet input.
+    (mu - Q(v)) / R(v) replaces rho, and must lie in the bracket
+    (`NeighborSearchError`).  Invalid facet data signals a non-facet input.
     """
     g = p.form.g
     facet_rays = [p.min_vectors[i] for i in sorted(facet.rays)]
@@ -264,20 +268,17 @@ def neighbor(p: PerfectForm, facet: Facet) -> PerfectForm:
                 good = rho
                 rho = (good + bad) / 2 if bad is not None else 2 * rho
                 continue
-            assert mur < mu * scale
             candidates = [
                 Fraction(mu - _form_value(p.form.matrix, v), _form_value(r, v))
                 for v in vecs
                 if _form_value(r, v) < 0
             ]
-            assert candidates
-            bad = rho
-            rho = min(candidates)
-            assert good < rho <= bad
+            if mur > mu * scale or not candidates or not good < min(candidates) <= rho:
+                raise NeighborSearchError(f"neighbor line search left its bracket at rho = {rho}")
+            bad, rho = rho, min(candidates)
         else:
-            bad = rho
-            rho = (good + bad) / 2
-    raise AssertionError("neighbor line search did not terminate")
+            bad, rho = rho, (good + rho) / 2
+    raise NeighborSearchError("neighbor line search did not terminate")
 
 
 def _pull_back(matrix, u: IntMatrix) -> IntMatrix:

@@ -93,6 +93,20 @@ def test_render_parse_roundtrip():
             assert br.parse_bracket(br.render_bracket(bc)) == bc
 
 
+def test_render_rejects_classes_past_one_digit():
+    # a cone in Z^4 with ten distinct residues mod 2 would render as
+    # "{1 2 ... 10 (...)}", which parses back as a repeated index 1; the class
+    # is taken before `cone_to_bracket` canonicalizes it, a walk over an
+    # S10-orbit of codes that takes about 30 s
+    ten = [v for v in itertools.product((0, 1), repeat=4) if any(v)][:10]
+    wide = br.BracketClass((1,) * 10, frozenset(f2_kernel([cn.vector_bitmask(v) for v in ten])))
+    with pytest.raises(ValueError, match=r"one digit \(at most 9\): \((1, ){9}1\)"):
+        br.render_bracket(wide)
+    with pytest.raises(ValueError, match=r"one digit \(at most 9\): \(10,\)"):
+        br.render_bracket(br.canonical_bracket([10], []))
+    assert br.render_bracket(br.canonical_bracket([9], [])) == "{1^9}"
+
+
 def test_parse_accepts_spaced_and_compact_forms():
     assert br.parse_bracket("{1^2 2 3 4 (1234)}") == br.parse_bracket("{1^2234(1234)}")
 

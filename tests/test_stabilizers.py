@@ -120,8 +120,20 @@ def test_invariant_dim_cross_checks_orbits_by_burnside(monkeypatch):
     # three fixed points on average, but the orbits claim one
     wrong = GroupAction(dim=3, order=1, perms=((0, 1, 2),), orbits=((0, 1, 2),))
     monkeypatch.setattr(stabilizers, "stabilizer_action", lambda c: wrong)
-    with pytest.raises(AssertionError, match="disagree"):
+    with pytest.raises(stabilizers.StabilizerGroupError, match="disagree"):
         invariant_dim_degree1(cn.catalog_cone("K3"))
+
+
+def test_verify_reports_a_burnside_mismatch_as_fail(monkeypatch, capsys):
+    wrong = GroupAction(dim=3, order=1, perms=((0, 1, 2),), orbits=((0, 1, 2),))
+    monkeypatch.setattr(stabilizers, "stabilizer_action", lambda c: wrong)
+    assert main(["verify"]) == 1
+    captured = capsys.readouterr()
+    failed = {int(line.split()[1]) for line in captured.out.splitlines() if "[FAIL]" in line}
+    assert failed == {7}
+    assert "criterion  7  [FAIL]  check_stabilizers raised  -- StabilizerGroupError: " in captured.out
+    assert "disagree" in captured.out
+    assert "Traceback" not in captured.out + captured.err
 
 
 # ---------------------------------------------------------------------------
@@ -208,14 +220,15 @@ def fresh_stabilizer_cache():
     stabilizers._stabilizer_action_cached.cache_clear()
 
 
-def _break_k3_first_transversal(monkeypatch, edit):
-    """Replace K3's first transversal [id, u, v] by edit(it)."""
+def _break_first_transversal(monkeypatch, name, edit):
+    """Replace the first transversal of the named cone's chain by edit(it);
+    K3's is [id, (0 1), (0 2 1)]."""
     chain = stabilizers._transversals
-    k3 = cn.catalog_cone("K3").generators
+    rays = cn.catalog_cone(name).generators
 
-    def broken(rays, ambient):
-        transversals = chain(rays, ambient)
-        if tuple(rays) == k3:
+    def broken(vectors, ambient):
+        transversals = chain(vectors, ambient)
+        if tuple(vectors) == rays:
             transversals[0] = edit(transversals[0])
         return transversals
 
@@ -223,32 +236,39 @@ def _break_k3_first_transversal(monkeypatch, edit):
 
 
 def _drop_last(level):
-    # 2*2*1 = 4 products, which are no subgroup of S3
+    # lengths 2*2*1 = 4, but the kept elements still generate S3
     return level[:-1]
 
 
+def _foreign_last(level):
+    # K3+1 fixes ray 3; a permutation moving it into the K3 rays is no
+    # automorphism, and with S3 it generates S4
+    return level[:-1] + [(0, 1, 3, 2)]
+
+
 @pytest.mark.parametrize(
-    "edit,message",
+    "name,edit,message",
     [
-        (_drop_last, "K3 is not closed"),
-        (lambda level: level[1:], "K3 misses the identity"),
-        (lambda level: level + level[-1:], "K3: 6 distinct products, .* multiply to 8"),
+        ("K3", _drop_last, "K3: the transversals generate 6 permutations, .* multiply to 4"),
+        ("K3", lambda level: level[1:], "K3: the transversals generate 6 .* multiply to 4"),
+        ("K3", lambda level: level + level[-1:], "K3: the transversals generate 6 .* multiply to 8"),
+        ("K3+1", _foreign_last, "K3\\+1: the transversals generate 24 .* multiply to 6"),
     ],
-    ids=["drop-representative", "drop-identity", "repeat-representative"],
+    ids=["drop-representative", "drop-identity", "repeat-representative", "foreign-permutation"],
 )
 def test_closure_check_rejects_a_broken_transversal(
-    monkeypatch, fresh_stabilizer_cache, edit, message
+    monkeypatch, fresh_stabilizer_cache, name, edit, message
 ):
-    _break_k3_first_transversal(monkeypatch, edit)
+    _break_first_transversal(monkeypatch, name, edit)
     with pytest.raises(stabilizers.StabilizerGroupError, match=message):
-        stabilizer_action(cn.catalog_cone("K3"))
+        stabilizer_action(cn.catalog_cone(name))
 
 
 def test_verify_reports_stabilizer_group_error_as_fail(monkeypatch, fresh_stabilizer_cache):
-    _break_k3_first_transversal(monkeypatch, _drop_last)
+    _break_first_transversal(monkeypatch, "K3", _drop_last)
     results = verify.check_molien_suite()
     assert [r.status for r in results] == [verify.FAIL, verify.FAIL, verify.PASS]
-    assert all("K3 is not closed" in r.detail for r in results[:2])
+    assert all("K3: the transversals generate 6" in r.detail for r in results[:2])
     text = verify.render_results(results)
     assert "criterion  8  [FAIL]  molien equals hilbert_free" in text
     assert "Traceback" not in text
@@ -258,12 +278,12 @@ def test_verify_reports_stabilizer_group_error_as_fail(monkeypatch, fresh_stabil
 def test_run_checks_reports_a_broken_chain_as_fail(monkeypatch, fresh_stabilizer_cache, capsys):
     # criteria 1-3 reach K3's stabilizer through the cached Molien prefixes
     betti._molien_prefix.cache_clear()
-    _break_k3_first_transversal(monkeypatch, _drop_last)
+    _break_first_transversal(monkeypatch, "K3", _drop_last)
     text = verify.render_results(verify.run_checks())
     failed = {int(line.split()[1]) for line in text.splitlines() if "[FAIL]" in line}
     assert failed == {1, 2, 3, 7, 8}
     assert "criterion  7  [FAIL]  check_stabilizers raised  -- StabilizerGroupError: " in text
-    assert text.count("K3 is not closed") == 6
+    assert text.count("K3: the transversals generate 6") == 6
     assert "Traceback" not in text
     assert main(["verify"]) == 1
     assert capsys.readouterr().out == text + "\n"

@@ -301,6 +301,16 @@ def test_a2_neighbors_close_up():
         assert vr.equivalent_forms(p, q)
 
 
+def test_neighbor_line_search_leaving_its_bracket_raises(monkeypatch):
+    # a shortest-vector search that reports a lower minimum with no vector
+    # on the far side of the facet leaves no crossing value to move rho to
+    p = vr.perfect_form(A2)
+    facet = vr.facets(p)[0]
+    monkeypatch.setattr(vr, "_minimum", lambda m: (0, ()))
+    with pytest.raises(vr.NeighborSearchError, match="left its bracket"):
+        vr.neighbor(p, facet)
+
+
 def test_genus3_domain_is_the_dim6_graphical_cone():
     p = vr.first_perfect_form(3)
     c = vr.domain(p)
@@ -733,6 +743,25 @@ def test_walk_crosses_the_first_facet_of_each_orbit(monkeypatch):
     assert len(crossed) == 5
 
 
+def test_e6_domain_group_is_the_weyl_group():
+    # Aut(E6) = W(E6) x {+-1}, and -1 fixes every minimal-vector pair, so
+    # the 36 pairs carry |W(E6)| = 51 840 permutations in one orbit
+    e6 = vr.perfect_form(
+        (
+            (2, -1, 0, 0, 0, 0),
+            (-1, 2, -1, 0, 0, 0),
+            (0, -1, 2, -1, 0, -1),
+            (0, 0, -1, 2, -1, 0),
+            (0, 0, 0, -1, 2, 0),
+            (0, 0, -1, 0, 0, 2),
+        )
+    )
+    perms = vr.domain_automorphism_perms(e6)
+    assert len(e6.min_vectors) == 36
+    assert len(perms) == 51840
+    assert {perm[0] for perm in perms} == set(range(36))
+
+
 @pytest.mark.parametrize("g", (2, 3, 4))
 def test_domain_automorphism_perms_match_gram_oracle(g):
     for p in vr.enumerate_perfect(g):
@@ -815,3 +844,18 @@ def test_render_forms_roundtrip():
     assert len(parsed) == 1
     assert parsed[0].dim == 3
     assert cn.cones_equivalent(parsed[0].cone, cn.catalog_cone("K3")) is not None
+
+
+def test_verify_reports_a_neighbor_search_error_as_fail(monkeypatch):
+    from perfcone import verify
+
+    def broken(p, facet):
+        raise vr.NeighborSearchError("neighbor line search did not terminate")
+
+    monkeypatch.setattr(vr, "neighbor", broken)
+    vr.enumerate_perfect.cache_clear()
+    text = verify.render_results(verify.run_checks())
+    failed = {int(line.split()[1]) for line in text.splitlines() if "[FAIL]" in line}
+    assert failed == {10}
+    assert "check_voronoi raised  -- NeighborSearchError: " in text
+    assert "Traceback" not in text
