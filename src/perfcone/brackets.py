@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 import warnings
 from collections import Counter
 from dataclasses import dataclass
@@ -133,10 +134,16 @@ def canonical_bracket(exponents: Sequence[int], code: Iterable[int]) -> BracketC
 
     Positions are first sorted by decreasing exponent (relations remapped
     along), then the code is minimized over its orbit under the
-    pattern-preserving permutations.  The code may be given by any set of vectors; its span is
-    taken, excluding zero.
+    pattern-preserving permutations.  The code may be given by any set of
+    vectors; its span is taken, excluding zero.  The notation writes each
+    index as one digit, so more than nine positions are rejected before the
+    orbit walk, whose cost grows like the factorial of their number.
     """
     exponents = tuple(exponents)
+    if len(exponents) > 9:
+        raise ValueError(
+            f"bracket classes have at most 9 indices (one digit each), got {len(exponents)}"
+        )
     span = _span(code)
     order = sorted(range(len(exponents)), key=lambda j: (-exponents[j], j))
     perm = [0] * len(exponents)
@@ -148,9 +155,8 @@ def canonical_bracket(exponents: Sequence[int], code: Iterable[int]) -> BracketC
 
 
 def _span(vectors: Iterable[int]) -> frozenset[int]:
-    vs = [v for v in vectors if v]
     out = {0}
-    for v in vs:
+    for v in vectors:
         if v not in out:
             out |= {v ^ x for x in out}
     out.discard(0)
@@ -190,60 +196,44 @@ def _display_generators(code: frozenset[int]) -> list[int]:
     return chosen
 
 
+# One token of a bracket body: an index with an optional exponent, a group
+# of relations in parentheses, or spaces.  The last alternative catches any
+# other character, so that it is rejected rather than skipped.
+_BRACKET_TOKEN = re.compile(r"([0-9])(?:\^([0-9]))?|\(([^()]*)\)|\s+|(.)")
+
+
 def parse_bracket(text: str) -> BracketClass:
-    """Parse the bracket notation; accepts compact forms like {1^22 3(123)}."""
+    """Read the notation {1^2 2 3 (123,145)}, or its compact form {1^22 3(123)}.
+
+    The body between the braces is a sequence of tokens: an index digit with
+    an optional `^` and exponent digit, a parenthesised comma-separated list
+    of relations, each written as the digits of its indices, or spaces.  The
+    indices are exactly 1..l, each once.  Every rejection, the class's own
+    checks included, is a ValueError that names the text.
+    """
     s = text.strip()
     if not (s.startswith("{") and s.endswith("}")):
         raise ValueError(f"bracket class must be enclosed in braces: {text!r}")
-    s = s[1:-1]
-    exponents: dict[int, int] = {}
+    indices: list[tuple[int, int]] = []
     relations: list[int] = []
-    i = 0
-    n = len(s)
-    while i < n:
-        ch = s[i]
-        if ch.isspace():
-            i += 1
-        elif ch.isdigit():
-            idx = int(ch)
-            i += 1
-            exp = 1
-            if i < n and s[i] == "^":
-                i += 1
-                if i >= n or not s[i].isdigit():
-                    raise ValueError(f"dangling exponent in {text!r}")
-                exp = int(s[i])
-                i += 1
-            if idx in exponents:
-                raise ValueError(f"index {idx} repeated in {text!r}")
-            exponents[idx] = exp
-        elif ch == "(":
-            j = s.find(")", i)
-            if j < 0:
-                raise ValueError(f"unclosed relation group in {text!r}")
-            for chunk in s[i + 1 : j].split(","):
-                chunk = chunk.strip()
-                if not chunk:
-                    continue
-                v = 0
-                for d in chunk:
-                    if not d.isdigit():
-                        raise ValueError(f"bad relation {chunk!r} in {text!r}")
-                    v |= 1 << (int(d) - 1)
-                relations.append(v)
-            i = j + 1
-        else:
-            raise ValueError(f"unexpected character {ch!r} in {text!r}")
-    if not exponents:
-        return UNIT
-    l = len(exponents)
-    if sorted(exponents) != list(range(1, l + 1)):
-        raise ValueError(f"indices must be exactly 1..{l} in {text!r}")
-    for v in relations:
-        if v >> l:
-            raise ValueError(f"relation uses an index beyond {l} in {text!r}")
-    exp_list = [exponents[idx] for idx in range(1, l + 1)]
-    return canonical_bracket(exp_list, relations)
+    for index, exp, group, stray in _BRACKET_TOKEN.findall(s[1:-1]):
+        if stray:
+            raise ValueError(f"unexpected character {stray!r} in {text!r}")
+        if index:
+            indices.append((int(index), int(exp or 1)))
+        for chunk in filter(None, map(str.strip, group.split(","))):
+            if not re.fullmatch("[1-9]+", chunk):
+                raise ValueError(f"bad relation {chunk!r} in {text!r}")
+            relations.append(sum(1 << (int(d) - 1) for d in set(chunk)))
+    l = len(indices)
+    if sorted(j for j, _ in indices) != list(range(1, l + 1)):
+        raise ValueError(f"indices must be 1..{l}, each once, in {text!r}")
+    if any(v >> l for v in relations):
+        raise ValueError(f"relation uses an index beyond {l} in {text!r}")
+    try:
+        return canonical_bracket([e for _, e in sorted(indices)], relations)
+    except ValueError as e:
+        raise ValueError(f"{e} in {text!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -568,22 +558,10 @@ def parse_expression(text: str) -> ClassSum:
 
 def cone_to_bracket(c: Cone) -> BracketClass:
     """Class of the boundary monomial cut out by the cone's generators mod 2."""
-    residues = []
-    for g in c.generators:
-        m = vector_bitmask(g)
-        if m == 0:
-            raise ValueError("generator vanishes mod 2; cannot classify")
-        residues.append(m)
-    distinct: list[int] = []
-    counts: list[int] = []
-    for m in residues:
-        if m in distinct:
-            counts[distinct.index(m)] += 1
-        else:
-            distinct.append(m)
-            counts.append(1)
-    kernel = f2_kernel([m for m in distinct])
-    return canonical_bracket(counts, kernel)
+    residues = Counter(vector_bitmask(g) for g in c.generators)  # in first-seen order
+    if 0 in residues:
+        raise ValueError("generator vanishes mod 2; cannot classify")
+    return canonical_bracket(list(residues.values()), f2_kernel(list(residues)))
 
 
 # ---------------------------------------------------------------------------

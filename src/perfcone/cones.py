@@ -20,6 +20,7 @@ perfect-cone cell.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Mapping, Optional, Sequence
@@ -604,50 +605,48 @@ def render_catalog(entries: Sequence[CatalogEntry]) -> str:
     return "\n\n".join(blocks) + "\n"
 
 
+# The `key = value` lines of a block, in the order `render_catalog` writes
+# them, and the reader of each value.
+_CATALOG_KEYS = "name ambient dim rank multiplicity matroidal simplicial basic".split()
+_CATALOG_READERS = (str,) + (int,) * 4 + (_flag_parse,) * 3
+
+
 def parse_catalog(text: str) -> tuple[CatalogEntry, ...]:
+    """Read `render_catalog` text back; empty text gives no entries.
+
+    Blocks are separated by blank lines.  Each is a `[cone]` line, the eight
+    `key = value` lines, `generators:`, then one `  (x, y, ...)` line per
+    generator.  Every rejection is a ValueError that names the block.
+    """
     entries = []
-    block: dict = {}
-    gens: list[tuple[int, ...]] = []
-    in_block = False
-    in_gens = False
-
-    def flush():
-        nonlocal block, gens, in_block, in_gens
-        if not in_block:
-            return
-        entries.append(
-            CatalogEntry(
-                name=block["name"],
-                dim=int(block["dim"]),
-                rank=int(block["rank"]),
-                cone=Cone(int(block["ambient"]), gens, block["name"]),
-                matroidal=_flag_parse(block["matroidal"]),
-                simplicial=_flag_parse(block["simplicial"]),
-                basic=_flag_parse(block["basic"]),
-                multiplicity=int(block.get("multiplicity", "1")),
-            )
-        )
-        block, gens, in_block, in_gens = {}, [], False, False
-
-    for raw in text.splitlines():
-        line = raw.rstrip()
-        if not line.strip():
-            continue
-        if line.startswith("["):
-            flush()
-            kind = line.strip("[]")
-            if kind != "cone":
-                raise ValueError(f"unknown block type {kind!r}")
-            in_block = True
-            continue
-        if line.strip() == "generators:":
-            in_gens = True
-            continue
-        if in_gens and line.startswith("  ("):
-            gens.append(tuple(int(x) for x in line.strip().strip("()").split(",")))
-            continue
-        in_gens = False
-        key, _, value = line.partition("=")
-        block[key.strip()] = value.strip()
-    flush()
+    for block in filter(None, re.split(r"\n\s*\n", text.strip())):
+        head, *lines = block.splitlines()
+        if head != "[cone]":
+            raise ValueError(f"unknown block type {head.strip('[]')!r}")
+        try:
+            entries.append(_cone_block(lines))
+        except ValueError as e:
+            name = lines[0].removeprefix("name = ") if lines else ""
+            raise ValueError(f"catalog block {name!r}: {e}") from None
     return tuple(entries)
+
+
+def _cone_block(lines: list[str]) -> CatalogEntry:
+    """The entry of the lines that follow a `[cone]` line."""
+    padded = lines + [""] * 9
+    fields = {}
+    for key, read, line in zip(_CATALOG_KEYS, _CATALOG_READERS, padded):
+        got, sep, value = line.partition(" = ")
+        if (got, sep) != (key, " = "):
+            raise ValueError(f"expected '{key} = ...', got {line!r}")
+        try:
+            fields[key] = read(value)
+        except (KeyError, ValueError):
+            raise ValueError(f"bad value in {line!r}") from None
+    if padded[8] != "generators:":
+        raise ValueError(f"expected 'generators:', got {padded[8]!r}")
+    for line in lines[9:]:
+        if not re.fullmatch(r"  \(-?[0-9]+(, -?[0-9]+)*\)", line):
+            raise ValueError(f"bad generator line {line!r}")
+    generators = [tuple(map(int, line[3:-1].split(", "))) for line in lines[9:]]
+    return CatalogEntry(cone=Cone(fields.pop("ambient"), generators, fields["name"]), **fields)

@@ -344,30 +344,18 @@ def f2_kernel(columns: Sequence[int]) -> list[int]:
     bitmasks over the column indices (bit j set means column j participates).
     """
     pivots: dict[int, tuple[int, int]] = {}
-    kernel_gens = []
+    span = {0}
     for j, mask in enumerate(columns):
         comb = 1 << j
         while mask:
             top = mask.bit_length() - 1
-            if top in pivots:
-                pm, pc = pivots[top]
-                mask ^= pm
-                comb ^= pc
-            else:
+            if top not in pivots:
                 pivots[top] = (mask, comb)
                 break
-        if mask == 0:
-            kernel_gens.append(comb)
-    out = set()
-    for bits in range(1, 1 << len(kernel_gens)):
-        v = 0
-        b = bits
-        idx = 0
-        while b:
-            if b & 1:
-                v ^= kernel_gens[idx]
-            b >>= 1
-            idx += 1
-        out.add(v)
-    out.discard(0)
-    return sorted(out)
+            pm, pc = pivots[top]
+            mask ^= pm
+            comb ^= pc
+        else:  # column j reduced to zero: comb is a new kernel vector
+            span |= {comb ^ x for x in span}
+    span.discard(0)
+    return sorted(span)

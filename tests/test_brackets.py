@@ -77,13 +77,25 @@ def test_codes_have_minimum_weight_3():
                 assert bin(v).count("1") >= 3
 
 
+BAD_BRACKETS = [
+    "{123(120)}",  # relation digit 0
+    "{1^0}",  # exponent 0
+    "{12(12)}",  # weight-2 relation
+    "{1^}",  # dangling exponent
+    "{1 (12}",  # unclosed relation group
+    "{1 1 2}",  # repeated index
+    "{1 3}",  # gap in indices
+    "{(123)}",  # relation with no indices
+    "1 2",  # no braces
+]
+
+
 def test_parse_rejects_bad_classes():
-    with pytest.raises(ValueError):
-        br.parse_bracket("{12(12)}")  # weight-2 relation
-    with pytest.raises(ValueError):
-        br.parse_bracket("{1 1 2}")  # repeated index
-    with pytest.raises(ValueError):
-        br.parse_bracket("{1 3}")  # gap in indices
+    # every rejection names the text, the class's own checks included
+    for text in BAD_BRACKETS:
+        with pytest.raises(ValueError) as caught:
+            br.parse_bracket(text)
+        assert repr(text) in str(caught.value), text
 
 
 @pytest.mark.filterwarnings("ignore:bracket classes of degree 7")
@@ -96,8 +108,7 @@ def test_render_parse_roundtrip():
 def test_render_rejects_classes_past_one_digit():
     # a cone in Z^4 with ten distinct residues mod 2 would render as
     # "{1 2 ... 10 (...)}", which parses back as a repeated index 1; the class
-    # is taken before `cone_to_bracket` canonicalizes it, a walk over an
-    # S10-orbit of codes that takes about 30 s
+    # is built directly, since `canonical_bracket` refuses ten indices
     ten = [v for v in itertools.product((0, 1), repeat=4) if any(v)][:10]
     wide = br.BracketClass((1,) * 10, frozenset(f2_kernel([cn.vector_bitmask(v) for v in ten])))
     with pytest.raises(ValueError, match=r"one digit \(at most 9\): \((1, ){9}1\)"):
@@ -105,6 +116,16 @@ def test_render_rejects_classes_past_one_digit():
     with pytest.raises(ValueError, match=r"one digit \(at most 9\): \(10,\)"):
         br.render_bracket(br.canonical_bracket([10], []))
     assert br.render_bracket(br.canonical_bracket([9], [])) == "{1^9}"
+
+
+def test_canonical_bracket_rejects_ten_indices_before_the_orbit_walk(monkeypatch):
+    # the same ten residues through `cone_to_bracket`: without the bound its
+    # orbit walk visits 151 200 codes (over 20 s) and returns a class that
+    # `render_bracket` refuses
+    ten = [v for v in itertools.product((0, 1), repeat=4) if any(v)][:10]
+    monkeypatch.setattr(br, "_orbit", lambda *a: pytest.fail("orbit walked"))
+    with pytest.raises(ValueError, match=r"at most 9 indices \(one digit each\), got 10"):
+        br.cone_to_bracket(cn.Cone(4, ten))
 
 
 def test_parse_accepts_spaced_and_compact_forms():

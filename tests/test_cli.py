@@ -186,6 +186,19 @@ def test_bad_power_names_the_power_and_the_expression(capsys, expression, power)
     assert captured.err == f"error: power {power} is not an integer in {expression!r}\n"
 
 
+@pytest.mark.parametrize(
+    "expression",
+    ["{123(120)}", "{1^0}", "{12(12)}", "{1^}", "{1 (12}", "{1 1 2}", "{1 3}"],
+)
+def test_bad_bracket_names_the_expression(capsys, expression):
+    assert main(["brackets", "multiply", expression]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ")
+    assert repr(expression) in line
+
+
 def test_power_zero_is_the_unit(capsys):
     assert main(["brackets", "multiply", "{1}*{12}^0"]) == 0
     assert main(["brackets", "multiply", "{1}"]) == 0

@@ -290,6 +290,30 @@ def test_parse_catalog_rejects_placeholder_block():
         cn.parse_catalog(text)
 
 
+@pytest.mark.parametrize(
+    "old,new,named",
+    [
+        ("dim = 3\n", "", "'K3': expected 'dim = ...', got 'rank = 2'"),
+        ("matroidal = yes", "matroidal = maybe", "'K3': bad value in 'matroidal = maybe'"),
+        ("ambient = 2", "ambient = two", "'K3': bad value in 'ambient = two'"),
+        ("generators:", "gens:", "'K3': expected 'generators:', got 'gens:'"),
+        ("  (1, -1)", "  (1 -1)", "'K3': bad generator line '  (1 -1)'"),
+        ("  (1, -1)", "  (2, -2)", "'K3': generator (2, -2) is not primitive"),
+    ],
+    ids=["no-dim", "bad-flag", "bad-int", "no-generators", "bad-generator", "not-primitive"],
+)
+def test_parse_catalog_names_the_block_and_the_bad_line(old, new, named):
+    text = cn.render_catalog([cn.catalog_entry("K3")])
+    assert old in text
+    with pytest.raises(ValueError) as caught:
+        cn.parse_catalog(text.replace(old, new))
+    assert str(caught.value) == f"catalog block {named}"
+
+
+def test_parse_catalog_of_empty_text_is_empty():
+    assert cn.parse_catalog("") == cn.parse_catalog("\n\n") == ()
+
+
 def test_reduce_to_span():
     c = cn.Cone(4, [(1, 0, 0, 0), (0, 1, 0, 0), (1, -1, 0, 0)])
     red = cn.reduce_to_span(c)

@@ -381,3 +381,20 @@ def test_assignment_search_rejects_non_integral_forced_image(monkeypatch):
     dst = [(1, 0), (0, 1), (1, 1)]
     assert list(cn._assignment_search(src, dst, 2)) == []
     assert leaves == []
+
+
+def test_f2_kernel_matches_every_zero_sum_column_subset():
+    # oracle: the nonzero subsets of columns whose XOR is 0, as bitmasks
+    rng = random.Random(11)
+    families = [[], [0], [5, 5], [0, 3, 0, 3]]
+    families += [[rng.randrange(16) for _ in range(rng.randrange(1, 9))] for _ in range(300)]
+    for cols in families:
+        want = []
+        for subset in range(1, 1 << len(cols)):
+            xor = 0
+            for j, c in enumerate(cols):
+                if subset >> j & 1:
+                    xor ^= c
+            if xor == 0:
+                want.append(subset)
+        assert mx.f2_kernel(cols) == want, cols

@@ -311,6 +311,34 @@ def test_neighbor_line_search_leaving_its_bracket_raises(monkeypatch):
         vr.neighbor(p, facet)
 
 
+def test_neighbor_takes_the_exact_crossing_of_a_scaled_normal(monkeypatch):
+    # a normal scaled by 3 puts the crossing value at a non-dyadic rho, which
+    # doubling and halving never reach: each neighbor the walk takes at g <= 4
+    # must come from the exact crossing (mu - Q(v)) / R(v) in a few searches
+    crossed = []
+    step = vr.neighbor
+    monkeypatch.setattr(vr, "neighbor", lambda p, f: crossed.append((p, f)) or step(p, f))
+    vr.enumerate_perfect.cache_clear()
+    for g in (2, 3, 4):
+        vr.enumerate_perfect(g)
+    monkeypatch.undo()
+    assert len(crossed) == 5
+    calls = []
+    search = vr._minimum
+
+    def capped(m):
+        calls.append(m)
+        if len(calls) > 20:
+            raise RuntimeError("neighbor needed more than 20 shortest-vector searches")
+        return search(m)
+
+    monkeypatch.setattr(vr, "_minimum", capped)
+    for p, facet in crossed:
+        calls.clear()
+        scaled = vr.Facet(tuple(3 * x for x in facet.normal), facet.rays)
+        assert vr.neighbor(p, scaled) == step(p, facet)
+
+
 def test_genus3_domain_is_the_dim6_graphical_cone():
     p = vr.first_perfect_form(3)
     c = vr.domain(p)
@@ -844,6 +872,16 @@ def test_render_forms_roundtrip():
     assert len(parsed) == 1
     assert parsed[0].dim == 3
     assert cn.cones_equivalent(parsed[0].cone, cn.catalog_cone("K3")) is not None
+
+
+@pytest.mark.parametrize("g", (1, 2, 3, 4, 5))
+def test_face_catalog_text_parses_back(g):
+    # the text `perfcone voronoi faces` prints, below its count line
+    faces = vr.classify_faces(g, 6)
+    entries = tuple(cn.describe(c.with_name(f"face-{k + 1}")) for k, c in enumerate(faces))
+    text = cn.render_catalog(entries)
+    assert cn.parse_catalog(text) == entries
+    assert cn.render_catalog(cn.parse_catalog(text)) == text
 
 
 def test_verify_reports_a_neighbor_search_error_as_fail(monkeypatch):
