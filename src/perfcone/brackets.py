@@ -405,6 +405,10 @@ class ClassSum:
     def scale(self, c: int) -> "ClassSum":
         return ClassSum.from_dict({bc: c * v for bc, v in self.terms})
 
+    def restricted(self, g: int) -> "ClassSum":
+        """The terms whose classes have monomials over F2^g (`representable`)."""
+        return ClassSum(tuple((bc, c) for bc, c in self.terms if representable(bc, g)))
+
     def __mul__(self, other: "ClassSum") -> "ClassSum":
         data: dict[BracketClass, int] = {}
         for a, ca in self.terms:

@@ -125,16 +125,9 @@ def cmd_brackets(args) -> int:
         )
         return 0
     # oracle, the last of the fixed subcommand choices
-    factors = br.parse_factors(args.expr)
-    expanded = br.oracle_expand(args.genus, factors)
+    expanded = br.oracle_expand(args.genus, br.parse_factors(args.expr))
     print(expanded)
-    product = br.ClassSum.unit()
-    for bc in factors:
-        product = product * br.ClassSum.of(bc)
-    restricted = br.ClassSum.from_dict(
-        {bc: c for bc, c in product.as_dict().items() if br.representable(bc, args.genus)}
-    )
-    if expanded == restricted:
+    if expanded == br.parse_expression(args.expr).restricted(args.genus):
         print(f"# agrees with multiply restricted to g = {args.genus}")
         return 0
     print("# DISAGREES with multiply")

@@ -4,8 +4,8 @@ A cone is an ordered list of primitive integer vectors xi in Z^i, each
 standing for the rank-1 symmetric form xi*xi^T.  Each cone fact has one
 rule: dimension and rank by `rank`, the simplicial and basic flags in
 `describe`, the matroidal flag by the maximal minors (`is_matroidal`), and
-GL(i,Z)-equivalence by `cones_equivalent`, which first compares the cached
-invariants of both cones (`_equivalence_invariants`).
+GL(i,Z)-equivalence of spanning cones by `cones_equivalent`, which first
+compares the cached invariants of both cones (`_equivalence_invariants`).
 
 The catalog is one table of explicit representatives (`_CATALOG_CONES`),
 one per GL(i,Z)-orbit for every orbit of dimension up to 6 that contributes
@@ -30,7 +30,6 @@ from .matrices import (
     IntVector,
     adjugate,
     det,
-    f2_kernel,
     identity,
     independent_indices,
     integral_map,
@@ -38,7 +37,6 @@ from .matrices import (
     kernel_basis,
     lattice_index,
     mat_vec,
-    matmul,
     rank,
     sign_canonical,
     span_basis,
@@ -392,23 +390,28 @@ def _equivalence_invariants(c: Cone) -> tuple:
     """GL-invariants of a cone, once per cone per process.
 
     Every entry depends only on the set of generators, so the order-blind
-    `Cone` key is safe.  The F2 relations keep their weights under
-    `reduce_to_span`, whose saturated basis extends to GL(i,Z) and stays
-    independent mod 2, so they are read off the cone itself.
+    `Cone` key is safe.  The first entry is the rank, which
+    `cones_equivalent` also reads to reject a cone that does not span.
     """
     return (
         cone_rank(c),
         cone_dim(c),
         c.n_generators,
         lattice_index(c.generators),
-        _f2_relation_weights(c),
+        _f2_word_weights(c),
     )
 
 
-def _f2_relation_weights(c: Cone) -> tuple[int, ...]:
-    """Sorted weights of all F2-relations among the generators (a GL invariant)."""
+def _f2_word_weights(c: Cone) -> tuple[int, ...]:
+    """Sorted weights of the words (a.v mod 2 over the generators v), a in F2^i.
+
+    A GL(i,Z) map permutes the a.  By the MacWilliams identity these weights
+    and those of the F2 relations among the generators determine each other
+    for cones of equal ambient and generator count.
+    """
     masks = [vector_bitmask(g) for g in c.generators]
-    return tuple(sorted(bin(v).count("1") for v in f2_kernel(masks)))
+    words = (sum((a & m).bit_count() & 1 for m in masks) for a in range(1 << c.ambient))
+    return tuple(sorted(words))
 
 
 def vector_bitmask(v: IntVector) -> int:
@@ -423,30 +426,20 @@ def vector_bitmask(v: IntVector) -> int:
 def cones_equivalent(c1: Cone, c2: Cone) -> Optional[IntMatrix]:
     """A matrix Q in GL(i,Z) whose action maps c1 onto c2, or None.
 
-    The action on forms is M -> Q^-T M Q^-1; Q exists exactly when some
-    R in GL(i,Z) maps the generator vectors of c1 onto those of c2 up to
-    sign, and then Q = (R^T)^-1.
+    Both cones must span their ambient space, or a ValueError names
+    `reduce_to_span`; their ranks, the first invariant, then tell different
+    ambients apart.  The action on forms is M -> Q^-T M Q^-1; Q exists
+    exactly when some R in GL(i,Z) maps the generator vectors of c1 onto
+    those of c2 up to sign, and then Q = (R^T)^-1.
     """
-    if c1.ambient != c2.ambient:
-        return None
+    for c in (c1, c2):
+        r = _equivalence_invariants(c)[0]
+        if r != c.ambient:
+            raise ValueError(f"{c!r} has rank {r}; reduce_to_span it before cones_equivalent")
     if _equivalence_invariants(c1) != _equivalence_invariants(c2):
         return None
-    r1, r2 = reduce_to_span(c1), reduce_to_span(c2)
-    for r_matrix, _perm in _assignment_search(r1.generators, r2.generators, r1.ambient):
-        if r1.ambient == c1.ambient:
-            full = r_matrix
-        else:
-            m1, _ = span_basis(c1.generators, c1.ambient)
-            m2, _ = span_basis(c2.generators, c2.ambient)
-            k = c1.ambient - r1.ambient
-            block = [list(row) + [0] * k for row in r_matrix]
-            for t in range(k):
-                block.append([0] * r1.ambient + [1 if j == t else 0 for j in range(k)])
-            full = matmul(
-                matmul(transpose(m2), tuple(tuple(row) for row in block)),
-                invert_unimodular(transpose(m1)),
-            )
-        return transpose(invert_unimodular(full))
+    for r_matrix, _perm in _assignment_search(c1.generators, c2.generators, c1.ambient):
+        return transpose(invert_unimodular(r_matrix))
     return None
 
 

@@ -285,28 +285,22 @@ def solve_rational(a, b) -> Optional[tuple[Fraction, ...]]:
 
 
 def adjugate(a: Sequence[Sequence[int]]) -> tuple[IntMatrix, int]:
-    """Adjugate and determinant of a square integer matrix: adj*a = det*I.
+    """Adjugate and determinant of a nonsingular integer matrix: adj*a = det*I.
 
     Fraction-free Gauss-Jordan elimination of [a | I], with the rows
     permuted by P, ends at [d*I | d*a^-1] for d = det(P*a) = +-det(a); so
     adj(a) = det(a) * a^-1 is the right block times the sign of P.  A
-    singular matrix has no full pivot sequence; its adjugate is then built
-    from its cofactors.
+    singular or non-square matrix raises ValueError.
     """
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("adjugate of non-square matrix")
     m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
     pivots, sign = _bareiss(m, n, jordan=True)
-    if len(pivots) == n:
-        d = sign * m[-1][n - 1] if n else 1
-        return tuple(tuple(sign * x for x in row[n:]) for row in m), d
-
-    def minor(r: int, c: int) -> int:
-        rest = (row for i, row in enumerate(a) if i != r)
-        return det(tuple(tuple(x for k, x in enumerate(row) if k != c) for row in rest))
-
-    return tuple(tuple((-1) ** (i + j) * minor(j, i) for j in range(n)) for i in range(n)), 0
+    if len(pivots) != n:
+        raise ValueError("adjugate of singular matrix")
+    d = sign * m[-1][n - 1] if n else 1
+    return tuple(tuple(sign * x for x in row[n:]) for row in m), d
 
 
 def integral_map(adj: IntMatrix, d: int, images: Sequence[IntVector]) -> Optional[IntMatrix]:

@@ -42,19 +42,17 @@ from .matrices import IntVector, rank
 class GroupAction:
     """A finite group acting on Span(sigma) by permuting a basis.
 
-    The basis is the rank-1 forms of the generators, so `dim` is their
-    number; `perms[k]` is the k-th group element as a permutation of the
-    generators and `orbits` is the orbit partition of the generators.
+    The basis is the rank-1 forms of the generators; `perms[k]` is the k-th
+    group element as a permutation of the generators and `orbits` is the
+    orbit partition of the generators.
     """
 
-    dim: int
-    order: int
     perms: tuple[tuple[int, ...], ...]
     orbits: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        if self.order != len(self.perms):
-            raise ValueError("inconsistent group data")
+    @property
+    def order(self) -> int:
+        return len(self.perms)
 
 
 def stabilizer_action(c: Cone) -> GroupAction:
@@ -91,8 +89,6 @@ def _stabilizer_action_cached(rays: tuple[IntVector, ...], ambient: int, label: 
         )
     perms = permutation_group(rays, ambient, label)
     return GroupAction(
-        dim=len(rays),
-        order=len(perms),
         perms=perms,
         # the orbit of ray j is its image under every group element
         orbits=tuple(sorted({tuple(sorted({p[j] for p in perms})) for j in range(len(rays))})),

@@ -243,10 +243,7 @@ def check_products(full_oracle: bool = False) -> list[CheckResult]:
     for a, b in pairs:
         product = br.ClassSum.of(a) * br.ClassSum.of(b)
         oracle = br.oracle_expand(g, [a, b])
-        restricted = br.ClassSum.from_dict(
-            {bc: c for bc, c in product.as_dict().items() if br.representable(bc, g)}
-        )
-        if oracle != restricted:
+        if oracle != product.restricted(g):
             bad.append((str(a), str(b)))
     label = (
         f"multiply vs oracle_expand, all products of total degree <= {max_total} at g = {g}"
@@ -470,15 +467,14 @@ def check_cone_to_bracket() -> list[CheckResult]:
 
 
 def check_matroidal_flags() -> list[CheckResult]:
-    ok = True
-    for e in cn.catalog(5):
-        if cn.is_matroidal(e.cone) != (e.name != "NS"):
-            ok = False
+    entries = cn.catalog(6)
+    wrong = [e.name for e in entries if cn.is_matroidal(e.cone) != e.matroidal]
     return [
         CheckResult(
             12,
-            "matroidal predicate: NS false, all other named dim <= 5 cones true",
-            PASS if ok else FAIL,
+            f"matroidal predicate matches the published flag of all {len(entries)} catalog cones",
+            FAIL if wrong else PASS,
+            f"disagrees on {wrong}" if wrong else "",
         )
     ]
 

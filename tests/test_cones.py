@@ -1,4 +1,7 @@
+import collections
+import dataclasses
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -6,6 +9,7 @@ import pytest
 
 from perfcone import cones as cn
 from perfcone import matrices as mx
+from perfcone import verify
 from perfcone import voronoi as vr
 
 from test_matrices import assert_span_basis
@@ -81,6 +85,18 @@ def test_matroidal_matches_catalog_flags():
         assert cn.is_matroidal(e.cone) == e.matroidal, e.name
         # the flag does not change when the span has lower rank than Z^i
         assert cn.is_matroidal(embedded(e.cone)) == e.matroidal, e.name
+
+
+def test_criterion_12_fails_on_a_flipped_published_flag(monkeypatch):
+    assert verify.check_matroidal_flags()[0].status == verify.PASS
+    for name in ("NS", "K3"):
+        flipped = tuple(
+            dataclasses.replace(e, matroidal=not e.matroidal) if e.name == name else e
+            for e in CAT
+        )
+        monkeypatch.setattr(cn, "catalog", lambda max_dim=6: flipped)
+        [row] = verify.check_matroidal_flags()
+        assert row.status == verify.FAIL and row.detail == f"disagrees on {[name]}"
 
 
 def test_matroidal_implies_simplicial_on_catalog():
@@ -170,13 +186,13 @@ def test_equivalence_invariants_are_order_blind():
 
 def test_equivalence_invariants_computed_once_per_cone(monkeypatch):
     calls = []
-    weights = cn._f2_relation_weights
+    weights = cn._f2_word_weights
 
     def counted(c):
         calls.append(c)
         return weights(c)
 
-    monkeypatch.setattr(cn, "_f2_relation_weights", counted)
+    monkeypatch.setattr(cn, "_f2_word_weights", counted)
     cn._equivalence_invariants.cache_clear()
     small = [e.cone for e in cn.catalog(5)]
     for g in (2, 3, 4):
@@ -242,6 +258,53 @@ def test_cones_equivalent_action_maps_generators():
     r = mx.transpose(mx.invert_unimodular(q))
     images = {mx.sign_canonical(mx.mat_vec(r, g)) for g in c1.generators}
     assert images == set(c2.generators)
+
+
+def test_cones_equivalent_rejects_cones_that_do_not_span():
+    k3_in_4 = cn.Cone(4, [(1, 0, 0, 0), (0, 1, 0, 0), (1, -1, 0, 0)])
+    std = cn.Cone(4, mx.identity(4))
+    pairs = [
+        # equivalent, and with equal invariants
+        (k3_in_4, cn.Cone(4, [(0, 0, 1, 0), (0, 1, 1, 0), (0, 1, 0, 0)])),
+        # the invariants differ, in either order, or the ambients do
+        (k3_in_4, std),
+        (std, k3_in_4),
+        (k3_in_4, cn.catalog_cone("K3")),
+    ]
+    for a, b in pairs:
+        with pytest.raises(ValueError, match="reduce_to_span"):
+            cn.cones_equivalent(a, b)
+
+
+def f2_relation_weights(c):
+    """Oracle: the sorted weights of all F2 relations among the generators."""
+    masks = [cn.vector_bitmask(g) for g in c.generators]
+    return tuple(sorted(bin(v).count("1") for v in mx.f2_kernel(masks)))
+
+
+def test_f2_word_weights_separate_the_pairs_the_relation_weights_do():
+    # by the MacWilliams identity either list determines the other for equal
+    # ambient and generator count, so both split every such group of cones
+    # into the same classes
+    cones = [e.cone for e in CAT] + [embedded(e.cone) for e in CAT]
+    for g in (2, 3, 4, 5):
+        cones += [vr.domain(p) for p in vr.enumerate_perfect(g)]
+    for g in (2, 3, 4):
+        cones += list(vr.classify_faces(g, 6))
+    cones += random_families(random.Random(43), 3000)
+    groups = {}
+    for c in set(cones):
+        key = (c.ambient, c.n_generators)
+        both = (cn._f2_word_weights(c), f2_relation_weights(c))
+        groups.setdefault(key, collections.Counter())[both] += 1
+    for key, classes in groups.items():
+        words = {w for w, _ in classes}
+        relations = {r for _, r in classes}
+        assert len(words) == len(relations) == len(classes), key
+    # both answers occur often: pairs of cones told apart, and pairs not
+    pairs = sum(math.comb(sum(c.values()), 2) for c in groups.values())
+    together = sum(math.comb(k, 2) for c in groups.values() for k in c.values())
+    assert 10000 < together < pairs - 10000
 
 
 def test_c5_ns_not_equivalent():
@@ -323,8 +386,8 @@ def test_reduce_to_span():
 
 def test_complete_to_unimodular():
     # span_basis completes the saturated basis of a span to GL(n, Z); here
-    # on random non-saturated spans of lower rank, as cones_equivalent
-    # lifts its maps through them
+    # on random non-saturated spans of lower rank, as reduce_to_span meets
+    # them
     rng = random.Random(29)
     for _ in range(100):
         n = rng.randint(2, 5)
@@ -455,8 +518,6 @@ def _equivalence_pairs():
         (cn.graphical_cone(cn.cycle_graph(4)), cn.catalog_cone("C4")),
         (cn.graphical_cone(cn.complete_graph(3)), cn.catalog_cone("K3")),
         (cn.reduce_to_span(k3_in_4), cn.catalog_cone("K3")),
-        # not reduced to the span: exercises the completion to GL(4, Z)
-        (k3_in_4, cn.Cone(4, [(0, 0, 1, 0), (0, 1, 1, 0), (0, 1, 0, 0)])),
         (cn.graphical_cone(star), cn.Cone(4, mx.identity(4))),
     ]
     equivalent += [

@@ -14,7 +14,7 @@ from perfcone.series import product_free, rational_inverse
 from perfcone.stabilizers import GroupAction, invariant_dim_degree1, stabilizer_action
 
 # not a group: its degree-1 Molien sum is 3, which |G| = 2 does not divide
-NON_GROUP = GroupAction(dim=3, order=2, perms=((0, 1, 2), (1, 2, 0)), orbits=((0, 1, 2),))
+NON_GROUP = GroupAction(perms=((0, 1, 2), (1, 2, 0)), orbits=((0, 1, 2),))
 
 
 def brute_molien_permutations(perms, max_deg):
@@ -108,7 +108,7 @@ def test_molien_trivial_group():
 
 
 def test_molien_trivial_group_higher_dim_is_free_on_degree_ones():
-    action = GroupAction(dim=3, order=1, perms=((0, 1, 2),), orbits=((0,), (1,), (2,)))
+    action = GroupAction(perms=((0, 1, 2),), orbits=((0,), (1,), (2,)))
     assert molien(action, 6).coeffs == product_free([1, 1, 1], 6).coeffs
 
 

@@ -118,14 +118,14 @@ def test_conjugated_cone_has_same_group_order():
 
 def test_invariant_dim_cross_checks_orbits_by_burnside(monkeypatch):
     # three fixed points on average, but the orbits claim one
-    wrong = GroupAction(dim=3, order=1, perms=((0, 1, 2),), orbits=((0, 1, 2),))
+    wrong = GroupAction(perms=((0, 1, 2),), orbits=((0, 1, 2),))
     monkeypatch.setattr(stabilizers, "stabilizer_action", lambda c: wrong)
     with pytest.raises(stabilizers.StabilizerGroupError, match="disagree"):
         invariant_dim_degree1(cn.catalog_cone("K3"))
 
 
 def test_verify_reports_a_burnside_mismatch_as_fail(monkeypatch, capsys):
-    wrong = GroupAction(dim=3, order=1, perms=((0, 1, 2),), orbits=((0, 1, 2),))
+    wrong = GroupAction(perms=((0, 1, 2),), orbits=((0, 1, 2),))
     monkeypatch.setattr(stabilizers, "stabilizer_action", lambda c: wrong)
     assert main(["verify"]) == 1
     captured = capsys.readouterr()
