@@ -1,17 +1,24 @@
 """Named acceptance checks behind the `verify` command.
 
-Each check pins published numbers against recomputation from first
-principles.  One discrepancy is expected and surfaced as a flag rather than a
-failure: the degree-12 entry of the beta2 row, where the published table and
-the published low-degree series for beta2 disagree; the recomputation sides
-with the series (19, not 18).
+`rows` is one ordered table: each row pins published numbers against
+recomputation from first principles, and `run_row` turns it into a
+`CheckResult`.  Two discrepancies are expected and surfaced as flags rather
+than failures:
+
+- the degree-12 entry of the beta2 row, where the published table and the
+  published low-degree series for beta2 disagree; the recomputation sides
+  with the series (19, not 18);
+- the matroidal total in degree 12, computed 79 against the published 78,
+  which differs by exactly that beta2 cell.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from . import brackets as br
 from . import cones as cn
@@ -19,7 +26,7 @@ from . import voronoi as vr
 from .betti import assemble, lambda_series, std_identity_check
 from .invariants import koszul_check, molien
 from .series import product_free
-from .stabilizers import StabilizerGroupError, invariant_dim_degree1, stabilizer_action
+from .stabilizers import invariant_dim_degree1, stabilizer_action
 
 PASS, FAIL, FLAG = "PASS", "FAIL", "FLAG"
 
@@ -97,416 +104,237 @@ def _even(values, upto):
     return tuple(values[k] for k in range(0, upto + 1, 2))
 
 
-def check_perf_table() -> list[CheckResult]:
-    out = []
-    report = assemble("perf", 13)
-    ok = _even(report.totals, 10) == (1, 2, 4, 9, 18, 38)
-    odd_ok = all(report.totals[k] == 0 for k in range(1, 14, 2))
-    out.append(
-        CheckResult(
-            1,
-            "perfect-cone stable Betti totals, even degrees 0-10",
-            PASS if ok else FAIL,
-            f"computed {_even(report.totals, 10)}",
-        )
-    )
-    out.append(
-        CheckResult(
-            1,
-            "perfect-cone odd-degree vanishing through degree 13",
-            PASS if odd_ok else FAIL,
-        )
-    )
+class Row(NamedTuple):
+    """One acceptance check: `check()` returns (status, detail)."""
+
+    criterion: int
+    label: str
+    check: Callable[[], tuple[str, str]]
+
+
+def _verdict(ok: bool, detail: str = "") -> tuple[str, str]:
+    return PASS if ok else FAIL, detail
+
+
+def _computed(got, want) -> tuple[str, str]:
+    return _verdict(got == want, f"computed {got}")
+
+
+def _beta2_cell() -> tuple[str, str]:
     mismatches = table_mismatches()
     beta2_degree8 = assemble("beta2", 8).totals[8]
-    if mismatches == (("beta2", 12, 19, 18),) and (
-        beta2_degree8 == PUBLISHED_BETA2_LOW_DEGREES[-1] == 19
-    ):
-        out.append(
-            CheckResult(
-                1,
-                "degree-12 table cell beta2: computed 19 vs published 18",
-                FLAG,
-                "expected discrepancy; the published beta2 series gives 19 at "
-                "stratum degree 8, the published table says 18",
-            )
+    if mismatches == (("beta2", 12, 19, 18),) and beta2_degree8 == PUBLISHED_BETA2_LOW_DEGREES[-1]:
+        return FLAG, (
+            "expected discrepancy; the published beta2 series gives 19 at "
+            "stratum degree 8, the published table says 18"
         )
-    else:
-        out.append(
-            CheckResult(
-                1,
-                "degree-12 table breakdown",
-                FAIL,
-                f"unexpected mismatches: {mismatches}",
-            )
-        )
-    return out
+    return FAIL, f"unexpected mismatches: {mismatches}; beta2 stratum degree 8: {beta2_degree8}"
 
 
-def check_matroidal_table() -> list[CheckResult]:
-    report = assemble("matr", 12)
-    ok = _even(report.totals, 10) == (1, 2, 4, 9, 18, 37)
-    out = [
-        CheckResult(
-            2,
-            "matroidal stable Betti totals, even degrees 0-10",
-            PASS if ok else FAIL,
-            f"computed {_even(report.totals, 10)}",
-        )
-    ]
-    if report.totals[12] == 79:
-        out.append(
-            CheckResult(
-                2,
-                "matroidal degree 12: computed 79 vs published 78",
-                FLAG,
-                "difference is exactly the flagged beta2 cell",
-            )
-        )
-    else:
-        out.append(
-            CheckResult(2, "matroidal degree 12", FAIL, f"computed {report.totals[12]}")
-        )
-    return out
+def _matroidal_degree12() -> tuple[str, str]:
+    total = assemble("matr", 12).totals[12]
+    if total == 79:
+        return FLAG, "difference is exactly the flagged beta2 cell"
+    return FAIL, f"computed {total}"
 
 
-def check_beta2() -> list[CheckResult]:
-    report = assemble("beta2", 8)
-    ok = _even(report.totals, 8) == (1, 3, 6, 11, 19)
-    return [
-        CheckResult(
-            3,
-            "beta2 Betti numbers, degrees 0-8 equal 1,3,6,11,19",
-            PASS if ok else FAIL,
-            f"computed {_even(report.totals, 8)}",
-        )
-    ]
+def _published_list(d: int) -> tuple[str, str]:
+    names = PUBLISHED_BRACKET_LISTS[d]
+    published = {br.parse_bracket(s) for s in names}
+    return _verdict(set(br.enumerate_brackets(d)) == published and len(published) == len(names))
 
 
-def check_bracket_enumeration() -> list[CheckResult]:
-    count_name = "bracket-class counts for degrees 1-6 equal 1,2,4,8,16,36"
-    list_names = {
-        d: f"degree-{d} class set matches the published list item-for-item"
-        for d in PUBLISHED_BRACKET_LISTS
-    }
-    try:
-        classes = {d: br.enumerate_brackets(d) for d in range(1, 7)}
-    except br.BracketCountError as exc:
-        return [CheckResult(4, name, FAIL, str(exc)) for name in [count_name, *list_names.values()]]
-    counts = [len(classes[d]) for d in range(1, 7)]
-    out = [
-        CheckResult(
-            4,
-            count_name,
-            PASS if counts == [1, 2, 4, 8, 16, 36] else FAIL,
-            f"computed {counts}",
-        )
-    ]
-    for d, names in PUBLISHED_BRACKET_LISTS.items():
-        published = {br.parse_bracket(s) for s in names}
-        ok = set(classes[d]) == published and len(published) == len(names)
-        out.append(CheckResult(4, list_names[d], PASS if ok else FAIL))
-    return out
+def _expands_to(expression: str, terms: dict[str, int]) -> tuple[str, str]:
+    want = br.ClassSum.from_dict({br.parse_bracket(s): c for s, c in terms.items()})
+    return _verdict(br.parse_expression(expression) == want)
 
 
-def check_products(full_oracle: bool = False) -> list[CheckResult]:
-    out = []
-    cube = br.parse_expression("{1}^3")
-    want_cube = br.parse_expression("{1^3}") + br.parse_expression("{1^22}").scale(3) \
-        + br.parse_expression("{123}").scale(6) + br.parse_expression("{123(123)}").scale(6)
-    out.append(
-        CheckResult(
-            5,
-            "{1}^3 = {1^3} + 3{1^22} + 6{123} + 6{123(123)}",
-            PASS if cube == want_cube else FAIL,
-        )
-    )
-    mixed = br.parse_expression("{1}*{12}")
-    want_mixed = br.parse_expression("{1^22}") + br.parse_expression("{123}").scale(3) \
-        + br.parse_expression("{123(123)}").scale(3)
-    out.append(
-        CheckResult(
-            5,
-            "{1}*{12} = {1^22} + 3{123} + 3{123(123)}",
-            PASS if mixed == want_mixed else FAIL,
-        )
-    )
-    g = 5 if full_oracle else 4
-    max_total = 5 if full_oracle else 4
-    classes = [bc for d in range(1, max_total) for bc in br.enumerate_brackets(d)]
-    bad = []
+def _products_vs_oracle(g: int) -> tuple[str, str]:
+    """Every product of total degree <= g against the oracle at genus g."""
+    classes = [bc for d in range(1, g) for bc in br.enumerate_brackets(d)]
     pairs = [
         (a, b)
         for a, b in itertools.combinations_with_replacement(classes, 2)
-        if a.degree + b.degree <= max_total
+        if a.degree + b.degree <= g
     ]
-    for a, b in pairs:
-        product = br.ClassSum.of(a) * br.ClassSum.of(b)
-        oracle = br.oracle_expand(g, [a, b])
-        if oracle != product.restricted(g):
-            bad.append((str(a), str(b)))
-    label = (
-        f"multiply vs oracle_expand, all products of total degree <= {max_total} at g = {g}"
-    )
-    out.append(
-        CheckResult(5, label, PASS if not bad else FAIL, f"{len(pairs)} products checked" if not bad else f"disagreements: {bad}")
-    )
-    return out
+    bad = [
+        (str(a), str(b))
+        for a, b in pairs
+        if br.oracle_expand(g, [a, b]) != (br.ClassSum.of(a) * br.ClassSum.of(b)).restricted(g)
+    ]
+    return _verdict(not bad, f"disagreements: {bad}" if bad else f"{len(pairs)} products checked")
 
 
-def check_strata_counts() -> list[CheckResult]:
-    counts = [br.count_pure_strata(d) for d in (2, 4, 6, 8, 10, 12)]
-    out = [
-        CheckResult(
-            6,
-            "strata-monomial counts for degrees 2-12 equal 1,2,4,8,16,37",
-            PASS if counts == [1, 2, 4, 8, 16, 37] else FAIL,
-            f"computed {counts}",
-        )
-    ]
+def _dimension_bounds() -> tuple[str, str]:
     bounds = br.algebra_dimension_bounds(12)
-    ok = bounds.boundary == (43, 36, 79) and bounds.strata == (43, 37, 80)
-    out.append(
-        CheckResult(
-            6,
-            "degree-12 dimension bounds: boundary (43,36,79), strata (43,37,80)",
-            PASS if ok else FAIL,
-            f"computed boundary {bounds.boundary}, strata {bounds.strata}",
-        )
+    return _verdict(
+        bounds.boundary == (43, 36, 79) and bounds.strata == (43, 37, 80),
+        f"computed boundary {bounds.boundary}, strata {bounds.strata}",
     )
-    return out
 
 
-def check_stabilizers() -> list[CheckResult]:
-    out = []
-    orders = {"K3": 6, "C4": 24, "NS": 120}
-    got = {name: stabilizer_action(cn.catalog_cone(name)).order for name in orders}
-    out.append(
-        CheckResult(
-            7,
-            "stabilizer image orders: K3 -> 6, C4 -> 24, NS -> 120",
-            PASS if got == orders else FAIL,
-            f"computed {got}",
-        )
-    )
-    std_ok = all(
-        stabilizer_action(cn.Cone(i, cn.identity(i))).order == math.factorial(i)
-        for i in range(1, 6)
-    )
-    out.append(
-        CheckResult(
-            7,
-            "standard rank-i stabilizer image has order i! for i <= 5",
-            PASS if std_ok else FAIL,
-        )
-    )
+def _codim5_invariants() -> tuple[str, str]:
     names = [e.name for e in cn.catalog(6) if e.dim == 5]
     dims = [invariant_dim_degree1(cn.catalog_cone(n)) for n in names]
-    out.append(
-        CheckResult(
-            7,
-            "codimension-5 invariant dimensions equal 2,2,2,1,1,1",
-            PASS if dims == [2, 2, 2, 1, 1, 1] else FAIL,
-            f"{dict(zip(names, dims))}",
-        )
-    )
-    return out
+    return _verdict(dims == [2, 2, 2, 1, 1, 1], f"{dict(zip(names, dims))}")
 
 
-def check_molien_suite() -> list[CheckResult]:
-    out = []
-    full_sym = {"1+1": 2, "K3": 3, "C4": 4, "1+1+1": 3, "1+1+1+1": 4, "NS": 5, "1+1+1+1+1": 5}
-    ok = True
-    detail = ""
-    for name, k in full_sym.items():
+FULL_SYMMETRIC = {
+    "1+1": 2, "K3": 3, "C4": 4, "1+1+1": 3, "1+1+1+1": 4, "NS": 5,
+    "1+1+1+1+1": 5, "1+1+1+1+1+1": 6,
+}
+
+
+def _full_symmetric_molien(series) -> tuple[str, str]:
+    for name, k in FULL_SYMMETRIC.items():
+        cone = cn.catalog_cone(name)
+        want = product_free(range(1, k + 1), 8).coeffs
         try:
-            action = stabilizer_action(cn.catalog_cone(name))
-        except StabilizerGroupError as exc:
-            ok, detail = False, str(exc)
-            break
-        if action.order != math.factorial(k):
+            ok = stabilizer_action(cone).order == math.factorial(k) and series(cone) == want
+        except ValueError:  # a Molien sum not divisible by the group order
             ok = False
-            break
-        try:
-            series = molien(action, 8)
-        except ValueError:
-            ok = False
-            break
-        if series.coeffs != product_free(range(1, k + 1), 8).coeffs:
-            ok = False
-            break
-    out.append(
-        CheckResult(
-            8,
-            "molien equals hilbert_free for the full-symmetric catalog actions",
-            PASS if ok else FAIL,
-            detail,
-        )
-    )
+        if not ok:
+            return FAIL, f"fails on {name}"
+    return PASS, ""
+
+
+def _molien_integral(series) -> tuple[str, str]:
     # Coefficients are nonnegative by construction; integrality is what can
     # fail, as a Molien sum not divisible by the group order.
     not_integral = []
     for e in cn.catalog(6):
         try:
-            molien(stabilizer_action(e.cone), 8)
-        except (ValueError, StabilizerGroupError) as exc:
+            series(e.cone)
+        except ValueError as exc:
             not_integral.append(f"{e.name}: {exc}")
-    out.append(
-        CheckResult(
-            8,
-            "molien coefficients are nonnegative integers (catalog, depth 8)",
-            PASS if not not_integral else FAIL,
-            "; ".join(not_integral),
-        )
-    )
-    koszul_ok = True
-    failing = []
-    for e in cn.catalog(5):
-        rep = koszul_check(e.cone, 8)
-        if not rep.passed:
-            koszul_ok = False
-            failing.append(e.name)
-    out.append(
-        CheckResult(
-            8,
-            "koszul strands exact for q >= 1 with Sym(M/W) bottom rows, "
-            "all catalog cones of dim <= 5, total degree <= 8",
-            PASS if koszul_ok else FAIL,
-            "" if koszul_ok else f"failing: {failing}",
-        )
-    )
-    return out
+    return _verdict(not not_integral, "; ".join(not_integral))
 
 
-def check_series_identities() -> list[CheckResult]:
-    out = [
-        CheckResult(
-            9,
-            "standard-cones Euler identity to degree 20",
-            PASS if std_identity_check(20) else FAIL,
-        )
-    ]
-    same = assemble("universal:1", 20).totals == assemble("partial", 20).totals
-    out.append(
-        CheckResult(
-            9,
-            "universal(1) equals the Mumford partial compactification to degree 20",
-            PASS if same else FAIL,
-        )
-    )
-    sat = assemble("satake", 30).totals == lambda_series(30).coeffs
-    out.append(
-        CheckResult(9, "satake equals the lambda series to degree 30", PASS if sat else FAIL)
-    )
-    return out
+def _koszul_all() -> tuple[str, str]:
+    failing = [e.name for e in cn.catalog(6) if not koszul_check(e.cone, 8).passed]
+    return _verdict(not failing, f"failing: {failing}" if failing else "")
 
 
-def check_voronoi() -> list[CheckResult]:
-    out = []
-    counts = {g: len(vr.enumerate_perfect(g)) for g in (2, 3, 4)}
-    ok = counts == {2: 1, 3: 1, 4: 2}
-    out.append(
-        CheckResult(
-            10,
-            "perfect-form classes: 1 for g = 2 and 3, 2 for g = 4",
-            PASS if ok else FAIL,
-            f"computed {counts}",
-        )
-    )
-    g3 = vr.classify_faces(3, 6)
-    g4 = vr.classify_faces(4, 6)
-    n3 = sum(1 for c in g3 if cn.cone_dim(c) == 6 and cn.cone_rank(c) == 3)
-    n4 = sum(1 for c in g4 if cn.cone_dim(c) == 6 and cn.cone_rank(c) == 4)
-    out.append(
-        CheckResult(
-            10,
-            "dimension-6 face classes: 1 of rank 3 at g = 3, 4 of rank 4 at g = 4",
-            PASS if (n3, n4) == (1, 4) else FAIL,
-            f"computed ({n3}, {n4})",
-        )
-    )
-    catalog_small = cn.catalog(5)
-    matched = True
-    for faces in (vr.classify_faces(2, 6), g3, g4):
-        for c in faces:
-            if cn.cone_dim(c) > 5:
-                continue
-            hits = [e for e in catalog_small if cn.cones_equivalent(c, e.cone) is not None]
-            if len(hits) != 1:
-                matched = False
-    out.append(
-        CheckResult(
-            10,
-            "every g <= 4 face of dim <= 5 matches exactly one catalog entry",
-            PASS if matched else FAIL,
-        )
-    )
-    return out
+def _dim6_faces(faces) -> tuple[str, str]:
+    n3 = sum(1 for c in faces(3) if cn.cone_dim(c) == 6 and cn.cone_rank(c) == 3)
+    n4 = sum(1 for c in faces(4) if cn.cone_dim(c) == 6 and cn.cone_rank(c) == 4)
+    return _verdict((n3, n4) == (1, 4), f"computed ({n3}, {n4})")
 
 
-def check_cone_to_bracket() -> list[CheckResult]:
-    want = {
-        "K3": "{123(123)}",
-        "C4": "{1234(1234)}",
-        "K3+1": "{1234(123)}",
-        "K4-1": "{12345(123,145)}",
-        "C5": "{12345(12345)}",
-        "NS": "{12345(12345)}",
-    }
-    ok = all(
-        br.cone_to_bracket(cn.catalog_cone(name)) == br.parse_bracket(s)
-        for name, s in want.items()
+def _faces_in_catalog(faces) -> tuple[str, str]:
+    small = cn.catalog(5)
+    return _verdict(
+        all(
+            sum(1 for e in small if cn.cones_equivalent(c, e.cone) is not None) == 1
+            for g in (2, 3, 4)
+            for c in faces(g)
+            if cn.cone_dim(c) <= 5
+        )
     )
+
+
+CONE_BRACKETS = {
+    "K3": "{123(123)}",
+    "C4": "{1234(1234)}",
+    "K3+1": "{1234(123)}",
+    "K4-1": "{12345(123,145)}",
+    "C5": "{12345(12345)}",
+    "NS": "{12345(12345)}",
+}
+
+
+def _matroidal_flags() -> tuple[str, str]:
+    wrong = [e.name for e in cn.catalog(6) if cn.is_matroidal(e.cone) != e.matroidal]
+    return _verdict(not wrong, f"disagrees on {wrong}" if wrong else "")
+
+
+def rows(full_oracle: bool = False) -> list[Row]:
+    """The acceptance table in criterion order; `full_oracle` widens the
+    criterion-5 oracle comparison to total degree 5 at g = 5."""
+    n = 5 if full_oracle else 4
+    # each shared by two rows of one run
+    series = functools.cache(lambda cone: molien(stabilizer_action(cone), 8).coeffs)
+    faces = functools.cache(lambda g: vr.classify_faces(g, 6))
     return [
-        CheckResult(
-            11,
-            "cone-to-bracket dictionary on the named cones",
-            PASS if ok else FAIL,
-        )
+        Row(1, "perfect-cone stable Betti totals, even degrees 0-10",
+            lambda: _computed(_even(assemble("perf", 13).totals, 10), (1, 2, 4, 9, 18, 38))),
+        Row(1, "perfect-cone odd-degree vanishing through degree 13",
+            lambda: _verdict(not any(assemble("perf", 13).totals[1::2]))),
+        Row(1, "degree-12 table cell beta2: computed 19 vs published 18", _beta2_cell),
+        Row(2, "matroidal stable Betti totals, even degrees 0-10",
+            lambda: _computed(_even(assemble("matr", 12).totals, 10), (1, 2, 4, 9, 18, 37))),
+        Row(2, "matroidal degree 12: computed 79 vs published 78", _matroidal_degree12),
+        Row(3, "beta2 Betti numbers, degrees 0-8 equal 1,3,6,11,19",
+            lambda: _computed(_even(assemble("beta2", 8).totals, 8), PUBLISHED_BETA2_LOW_DEGREES)),
+        Row(4, "bracket-class counts for degrees 1-6 equal 1,2,4,8,16,36",
+            lambda: _computed([len(br.enumerate_brackets(d)) for d in range(1, 7)],
+                              [1, 2, 4, 8, 16, 36])),
+        *(
+            Row(4, f"degree-{d} class set matches the published list item-for-item",
+                functools.partial(_published_list, d))
+            for d in PUBLISHED_BRACKET_LISTS
+        ),
+        Row(5, "{1}^3 = {1^3} + 3{1^22} + 6{123} + 6{123(123)}",
+            functools.partial(_expands_to, "{1}^3",
+                              {"{1^3}": 1, "{1^22}": 3, "{123}": 6, "{123(123)}": 6})),
+        Row(5, "{1}*{12} = {1^22} + 3{123} + 3{123(123)}",
+            functools.partial(_expands_to, "{1}*{12}", {"{1^22}": 1, "{123}": 3, "{123(123)}": 3})),
+        Row(5, f"multiply vs oracle_expand, all products of total degree <= {n} at g = {n}",
+            functools.partial(_products_vs_oracle, n)),
+        Row(6, "strata-monomial counts for degrees 2-12 equal 1,2,4,8,16,37",
+            lambda: _computed([br.count_pure_strata(d) for d in range(2, 13, 2)],
+                              [1, 2, 4, 8, 16, 37])),
+        Row(6, "degree-12 dimension bounds: boundary (43,36,79), strata (43,37,80)",
+            _dimension_bounds),
+        Row(7, "stabilizer image orders: K3 -> 6, C4 -> 24, NS -> 120",
+            lambda: _computed({name: stabilizer_action(cn.catalog_cone(name)).order
+                               for name in ("K3", "C4", "NS")}, {"K3": 6, "C4": 24, "NS": 120})),
+        Row(7, "standard rank-i stabilizer image has order i! for i <= 6",
+            lambda: _verdict(all(stabilizer_action(cn.Cone(i, cn.identity(i))).order
+                                 == math.factorial(i) for i in range(1, 7)))),
+        Row(7, "codimension-5 invariant dimensions equal 2,2,2,1,1,1", _codim5_invariants),
+        Row(8, "molien equals hilbert_free for the full-symmetric catalog actions",
+            functools.partial(_full_symmetric_molien, series)),
+        Row(8, "molien coefficients are nonnegative integers (catalog, depth 8)",
+            functools.partial(_molien_integral, series)),
+        Row(8, "koszul strands exact for q >= 1 with Sym(M/W) bottom rows, "
+               "all 26 catalog cones, total degree <= 8", _koszul_all),
+        Row(9, "standard-cones Euler identity to degree 20",
+            lambda: _verdict(std_identity_check(20))),
+        Row(9, "universal(1) equals the Mumford partial compactification to degree 20",
+            lambda: _verdict(assemble("universal:1", 20).totals == assemble("partial", 20).totals)),
+        Row(9, "satake equals the lambda series to degree 30",
+            lambda: _verdict(assemble("satake", 30).totals == lambda_series(30).coeffs)),
+        Row(10, "perfect-form classes: 1 for g = 2 and 3, 2 for g = 4",
+            lambda: _computed({g: len(vr.enumerate_perfect(g)) for g in (2, 3, 4)},
+                              {2: 1, 3: 1, 4: 2})),
+        Row(10, "dimension-6 face classes: 1 of rank 3 at g = 3, 4 of rank 4 at g = 4",
+            functools.partial(_dim6_faces, faces)),
+        Row(10, "every g <= 4 face of dim <= 5 matches exactly one catalog entry",
+            functools.partial(_faces_in_catalog, faces)),
+        Row(11, "cone-to-bracket dictionary on the named cones",
+            lambda: _verdict(all(br.cone_to_bracket(cn.catalog_cone(name)) == br.parse_bracket(s)
+                                 for name, s in CONE_BRACKETS.items()))),
+        Row(12, "matroidal predicate matches the published flag of all 26 catalog cones",
+            _matroidal_flags),
     ]
 
 
-def check_matroidal_flags() -> list[CheckResult]:
-    entries = cn.catalog(6)
-    wrong = [e.name for e in entries if cn.is_matroidal(e.cone) != e.matroidal]
-    return [
-        CheckResult(
-            12,
-            f"matroidal predicate matches the published flag of all {len(entries)} catalog cones",
-            FAIL if wrong else PASS,
-            f"disagrees on {wrong}" if wrong else "",
-        )
-    ]
+def run_row(row: Row) -> CheckResult:
+    """The row's result.  A broken internal invariant becomes a FAIL of the
+    row naming the error: the package has no assert statements, so each
+    `AssertionError` it raises is a named one (`StabilizerGroupError`,
+    `BracketCountError`, `OracleCoefficientError`, `NeighborSearchError`)."""
+    try:
+        status, detail = row.check()
+    except AssertionError as exc:
+        status, detail = FAIL, f"{type(exc).__name__}: {exc}"
+    return CheckResult(row.criterion, row.label, status, detail)
 
 
 def run_checks(full_oracle: bool = False) -> list[CheckResult]:
-    """Every check in criterion order.  A broken internal invariant raised by a
-    check becomes a FAIL row naming the check and the error: the package has
-    no assert statements, so each `AssertionError` it raises is a named one
-    (`StabilizerGroupError`, `BracketCountError`, `OracleCoefficientError`,
-    `NeighborSearchError`)."""
-    checks = [
-        (1, check_perf_table, {}),
-        (2, check_matroidal_table, {}),
-        (3, check_beta2, {}),
-        (4, check_bracket_enumeration, {}),
-        (5, check_products, {"full_oracle": full_oracle}),
-        (6, check_strata_counts, {}),
-        (7, check_stabilizers, {}),
-        (8, check_molien_suite, {}),
-        (9, check_series_identities, {}),
-        (10, check_voronoi, {}),
-        (11, check_cone_to_bracket, {}),
-        (12, check_matroidal_flags, {}),
-    ]
-    results: list[CheckResult] = []
-    for criterion, check, kwargs in checks:
-        try:
-            results += check(**kwargs)
-        except AssertionError as exc:
-            detail = f"{type(exc).__name__}: {exc}"
-            results.append(CheckResult(criterion, f"{check.__name__} raised", FAIL, detail))
-    return results
+    """Every row of the acceptance table, in criterion order."""
+    return [run_row(row) for row in rows(full_oracle)]
 
 
 def render_results(results: list[CheckResult]) -> str:

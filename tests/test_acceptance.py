@@ -9,14 +9,18 @@ The one long-running job (the full g = 5 oracle comparison for criterion 5)
 carries the `oracle` marker and runs in its own test.
 """
 
+import dataclasses
+
 import pytest
 
+from perfcone import verify
 from perfcone.verify import (
     FAIL,
     FLAG,
     PASS,
-    check_products,
+    rows,
     run_checks,
+    run_row,
 )
 
 
@@ -29,6 +33,16 @@ def _report(subset):
     for r in subset:
         detail = f"  -- {r.detail}" if r.detail else ""
         print(f"criterion {r.criterion:>2} [{r.status}] {r.name}{detail}")
+
+
+def test_table_labels_are_unique_and_criteria_run_in_order(results):
+    table = rows()
+    labels = [r.label for r in table]
+    assert len(set(labels)) == len(labels)
+    criteria = [r.criterion for r in table]
+    assert criteria == sorted(criteria)
+    assert set(criteria) == set(range(1, 13))
+    assert [r.name for r in results] == labels
 
 
 @pytest.mark.parametrize("criterion", range(1, 13))
@@ -52,6 +66,25 @@ def test_criterion_2_flags_the_expected_total(results):
     assert "computed 79 vs published 78" in flags[0].name
 
 
+def test_flag_rows_fail_under_their_fixed_labels(monkeypatch):
+    table = {r.label: r for r in rows() if r.criterion in (1, 2)}
+    monkeypatch.setitem(verify.PUBLISHED_TABLE, "beta2", (0, 0, 1, 3, 6, 11, 19))
+    real = verify.assemble
+
+    def matr_78(space, max_deg):
+        report = real(space, max_deg)
+        if space != "matr":
+            return report
+        return dataclasses.replace(report, totals=report.totals[:12] + (78,))
+
+    monkeypatch.setattr(verify, "assemble", matr_78)
+    beta2 = run_row(table["degree-12 table cell beta2: computed 19 vs published 18"])
+    assert beta2.status == FAIL
+    assert beta2.detail == "unexpected mismatches: (); beta2 stratum degree 8: 19"
+    matr = run_row(table["matroidal degree 12: computed 79 vs published 78"])
+    assert (matr.status, matr.detail) == (FAIL, "computed 78")
+
+
 def test_no_unexpected_flags(results):
     assert sum(1 for r in results if r.status == FLAG) == 2
     assert all(r.status in (PASS, FLAG) for r in results)
@@ -59,7 +92,7 @@ def test_no_unexpected_flags(results):
 
 @pytest.mark.oracle
 def test_criterion_5_full_oracle_job():
-    subset = check_products(full_oracle=True)
+    subset = [run_row(r) for r in rows(full_oracle=True) if r.criterion == 5]
     _report(subset)
     assert all(r.status == PASS for r in subset)
     full = [r for r in subset if "total degree <= 5 at g = 5" in r.name]

@@ -352,9 +352,11 @@ def test_verify_reports_unequal_oracle_coefficients_as_fail(monkeypatch):
         return monomials[1:] if bc == boundary else monomials
 
     monkeypatch.setattr(br, "realize_class", drop_one)
-    results = verify.run_checks()
+    results = [verify.run_row(r) for r in verify.rows() if r.criterion == 5]
     failed = [r for r in results if r.status == verify.FAIL]
-    assert [(r.criterion, r.name) for r in failed] == [(5, "check_products raised")]
+    assert [r.name for r in failed] == [
+        "multiply vs oracle_expand, all products of total degree <= 4 at g = 4"
+    ]
     assert failed[0].detail.startswith("OracleCoefficientError: monomials of class {")
     assert "different coefficients" in failed[0].detail
     assert verify.render_results(results).endswith("result: 1 check(s) FAILED")
@@ -563,10 +565,14 @@ def test_orbit_walk_missing_a_transposition_fails_the_count(monkeypatch, fresh_b
 
 def test_verify_reports_count_error_as_fail(monkeypatch, fresh_bracket_caches):
     _drop_last_swap(monkeypatch)
-    results = verify.check_bracket_enumeration()
+    results = [verify.run_row(r) for r in verify.rows() if r.criterion == 4]
     assert len(results) == 5
-    assert all(r.criterion == 4 and r.status == verify.FAIL for r in results)
-    assert "Burnside counts 3" in results[0].detail
+    # the degree-3 codes, none and (123), are fixed by every swap: that list still matches
+    assert [r.status for r in results] == [verify.FAIL, verify.PASS] + [verify.FAIL] * 3
+    assert results[0].detail == (
+        "BracketCountError: pattern (1, 1, 1, 1): the orbit walk finds 4 classes, Burnside counts 3"
+    )
     text = verify.render_results(results)
     assert "criterion  4  [FAIL]  bracket-class counts for degrees 1-6" in text
-    assert text.endswith("result: 5 check(s) FAILED")
+    assert "criterion  4  [FAIL]  degree-6 class set matches the published list" in text
+    assert text.endswith("result: 4 check(s) FAILED")

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -128,12 +129,24 @@ def test_molien_rejects_non_group():
 
 def test_verify_molien_check_fails_on_non_group(monkeypatch):
     monkeypatch.setattr(verify, "stabilizer_action", lambda c: NON_GROUP)
-    results = {r.name: r for r in verify.check_molien_suite()}
+    results = {r.label: verify.run_row(r) for r in verify.rows() if r.criterion == 8}
     integral = results["molien coefficients are nonnegative integers (catalog, depth 8)"]
     assert integral.status == verify.FAIL
     assert "K3:" in integral.detail
     full_sym = results["molien equals hilbert_free for the full-symmetric catalog actions"]
-    assert full_sym.status == verify.FAIL
+    assert full_sym.status == verify.FAIL and full_sym.detail == "fails on 1+1"
+
+
+def test_koszul_row_reaches_every_dim_6_cone(monkeypatch):
+    real = verify.koszul_check
+
+    def fail_on_one(c, max_total):
+        return SimpleNamespace(passed=False) if c.name == "6d-g6-y" else real(c, max_total)
+
+    monkeypatch.setattr(verify, "koszul_check", fail_on_one)
+    [row] = [r for r in verify.rows() if r.label.startswith("koszul")]
+    failed = verify.CheckResult(8, row.label, verify.FAIL, "failing: ['6d-g6-y']")
+    assert verify.run_row(row) == failed
 
 
 def test_molien_s3_brute_force_oracle():
@@ -302,5 +315,5 @@ def test_koszul_check_fails_on_a_broken_w(monkeypatch, capsys, kind):
     assert rep.w_rank == 1 and not rep.passed
     assert main(["koszul", "1+1", "--max-total", "4"]) == 1
     assert capsys.readouterr().out.endswith("FAILED\n")
-    rows = [r for r in verify.check_molien_suite() if r.name.startswith("koszul")]
+    rows = [verify.run_row(r) for r in verify.rows() if r.label.startswith("koszul")]
     assert [r.status for r in rows] == [verify.FAIL]

@@ -124,15 +124,29 @@ def test_invariant_dim_cross_checks_orbits_by_burnside(monkeypatch):
         invariant_dim_degree1(cn.catalog_cone("K3"))
 
 
+def _only_criteria(monkeypatch, criteria):
+    """Cut the acceptance table down to the given criteria, so that
+    `perfcone verify` runs only their rows."""
+    table = verify.rows
+
+    def only(full_oracle=False):
+        return [r for r in table(full_oracle) if r.criterion in criteria]
+
+    monkeypatch.setattr(verify, "rows", only)
+
+
 def test_verify_reports_a_burnside_mismatch_as_fail(monkeypatch, capsys):
     wrong = GroupAction(perms=((0, 1, 2),), orbits=((0, 1, 2),))
     monkeypatch.setattr(stabilizers, "stabilizer_action", lambda c: wrong)
+    _only_criteria(monkeypatch, {7})
     assert main(["verify"]) == 1
     captured = capsys.readouterr()
-    failed = {int(line.split()[1]) for line in captured.out.splitlines() if "[FAIL]" in line}
-    assert failed == {7}
-    assert "criterion  7  [FAIL]  check_stabilizers raised  -- StabilizerGroupError: " in captured.out
-    assert "disagree" in captured.out
+    [failed] = [line for line in captured.out.splitlines() if "[FAIL]" in line]
+    assert failed.startswith(
+        "criterion  7  [FAIL]  codimension-5 invariant dimensions equal 2,2,2,1,1,1"
+        "  -- StabilizerGroupError: "
+    )
+    assert "disagree" in failed
     assert "Traceback" not in captured.out + captured.err
 
 
@@ -264,11 +278,15 @@ def test_closure_check_rejects_a_broken_transversal(
         stabilizer_action(cn.catalog_cone(name))
 
 
+# the FAIL detail of a row that reaches K3's stabilizer after `_drop_last`
+BROKEN_K3 = "StabilizerGroupError: stabilizer image of K3: the transversals generate 6"
+
+
 def test_verify_reports_stabilizer_group_error_as_fail(monkeypatch, fresh_stabilizer_cache):
     _break_first_transversal(monkeypatch, "K3", _drop_last)
-    results = verify.check_molien_suite()
+    results = [verify.run_row(r) for r in verify.rows() if r.criterion == 8]
     assert [r.status for r in results] == [verify.FAIL, verify.FAIL, verify.PASS]
-    assert all("K3: the transversals generate 6" in r.detail for r in results[:2])
+    assert all(r.detail.startswith(BROKEN_K3) for r in results[:2])
     text = verify.render_results(results)
     assert "criterion  8  [FAIL]  molien equals hilbert_free" in text
     assert "Traceback" not in text
@@ -279,11 +297,42 @@ def test_run_checks_reports_a_broken_chain_as_fail(monkeypatch, fresh_stabilizer
     # criteria 1-3 reach K3's stabilizer through the cached Molien prefixes
     betti._molien_prefix.cache_clear()
     _break_first_transversal(monkeypatch, "K3", _drop_last)
+    _only_criteria(monkeypatch, {1, 2, 3})
     text = verify.render_results(verify.run_checks())
-    failed = {int(line.split()[1]) for line in text.splitlines() if "[FAIL]" in line}
-    assert failed == {1, 2, 3, 7, 8}
-    assert "criterion  7  [FAIL]  check_stabilizers raised  -- StabilizerGroupError: " in text
-    assert text.count("K3: the transversals generate 6") == 6
+    assert text.count("[FAIL]") == 6
+    assert text.count(f"  -- {BROKEN_K3}") == 6
     assert "Traceback" not in text
     assert main(["verify"]) == 1
     assert capsys.readouterr().out == text + "\n"
+
+
+def test_a_broken_chain_fails_only_its_own_row(monkeypatch, fresh_stabilizer_cache):
+    _break_first_transversal(monkeypatch, "K3", _drop_last)
+    results = [verify.run_row(r) for r in verify.rows() if r.criterion == 7]
+    assert [(r.name, r.status) for r in results] == [
+        ("stabilizer image orders: K3 -> 6, C4 -> 24, NS -> 120", verify.FAIL),
+        ("standard rank-i stabilizer image has order i! for i <= 6", verify.PASS),
+        ("codimension-5 invariant dimensions equal 2,2,2,1,1,1", verify.PASS),
+    ]
+    assert results[0].detail.startswith(BROKEN_K3)
+
+
+@pytest.mark.parametrize(
+    "label,detail",
+    [
+        ("standard rank-i stabilizer image has order i! for i <= 6", ""),
+        (
+            "molien equals hilbert_free for the full-symmetric catalog actions",
+            "fails on 1+1+1+1+1+1",
+        ),
+    ],
+)
+def test_rank_6_rows_fail_on_a_wrong_rank_6_group(monkeypatch, label, detail):
+    # every rank-6 stabilizer made trivial: a row that stops at rank 5 still passes
+    real = verify.stabilizer_action
+    trivial = GroupAction(perms=(tuple(range(6)),), orbits=tuple((j,) for j in range(6)))
+    monkeypatch.setattr(
+        verify, "stabilizer_action", lambda c: trivial if c.ambient == 6 else real(c)
+    )
+    [row] = [r for r in verify.rows() if r.label == label]
+    assert verify.run_row(row) == verify.CheckResult(row.criterion, label, verify.FAIL, detail)

@@ -892,8 +892,9 @@ def test_verify_reports_a_neighbor_search_error_as_fail(monkeypatch):
 
     monkeypatch.setattr(vr, "neighbor", broken)
     vr.enumerate_perfect.cache_clear()
-    text = verify.render_results(verify.run_checks())
-    failed = {int(line.split()[1]) for line in text.splitlines() if "[FAIL]" in line}
-    assert failed == {10}
-    assert "check_voronoi raised  -- NeighborSearchError: " in text
-    assert "Traceback" not in text
+    results = [verify.run_row(r) for r in verify.rows() if r.criterion == 10]
+    assert [r.status for r in results] == [verify.FAIL] * 3
+    assert all(
+        r.detail == "NeighborSearchError: neighbor line search did not terminate" for r in results
+    )
+    assert "Traceback" not in verify.render_results(results)
