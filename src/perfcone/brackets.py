@@ -640,7 +640,8 @@ def algebra_dimension_bounds(d: int) -> DimensionBounds:
 # Explicit expansion oracle over a fixed Lagrangian
 #
 # A monomial prod D_v^{e_v} is packed as the integer sum of e_v << (3 v), so
-# multiplying two monomials is adding their keys.
+# multiplying two monomials is adding their keys.  A monomial is a packed key
+# from its listing to its classification, and no pattern's monomials are kept.
 # ---------------------------------------------------------------------------
 
 _FIELD_BITS = 3
@@ -658,14 +659,6 @@ def _classify_monomial(exponents: str, code: frozenset[int]) -> BracketClass:
     """Class of a monomial from its exponent digits and its relation code,
     both over the positions of its vectors in increasing order."""
     return canonical_bracket(tuple(map(int, exponents)), code)
-
-
-def _pack(monomial: Iterable[tuple[int, int]]) -> int:
-    """Packed key of an explicit monomial ((vector, exponent), ...)."""
-    key = 0
-    for v, e in monomial:
-        key += e << (_FIELD_BITS * v)
-    return key
 
 
 # one stored frozenset per distinct code: far fewer codes than supports
@@ -707,7 +700,7 @@ def _packed_class(key: int) -> BracketClass:
 
 
 class _ClassIds(dict):
-    """Packed key -> small class id, classified on a miss.
+    """Packed key -> small class id, classified on a miss; `classes[id]` is the class.
 
     The oracle's one key-level cache: a hit is a C-level `__getitem__`, and
     the ids hash and compare as plain integers.
@@ -715,11 +708,18 @@ class _ClassIds(dict):
 
     def __init__(self) -> None:
         super().__init__()
+        self.classes: list[BracketClass] = []
         self.by_class: dict[BracketClass, int] = {}
 
     def __missing__(self, key: int) -> int:
-        cid = self[key] = self.by_class.setdefault(_packed_class(key), len(self.by_class))
+        cid = self[key] = self.id_of(_packed_class(key))
         return cid
+
+    def id_of(self, bc: BracketClass) -> int:
+        if bc not in self.by_class:
+            self.by_class[bc] = len(self.classes)
+            self.classes.append(bc)
+        return self.by_class[bc]
 
 
 _class_ids = _ClassIds()
@@ -743,56 +743,34 @@ def _pattern_count(pattern: tuple[int, ...], g: int) -> int:
     return count
 
 
-@lru_cache(maxsize=None)
-def _pattern_monomials(
-    pattern: tuple[int, ...], g: int
-) -> tuple[tuple[BracketClass, tuple[tuple[tuple[int, int], ...], ...]], ...]:
-    """Monomials with the given exponent pattern over F2^g, grouped by class.
+def realize_class(bc: BracketClass, g: int) -> list[int]:
+    """Packed keys of the class's monomials over distinct nonzero vectors of F2^g.
 
-    Each unordered monomial is produced once: positions with equal exponents
-    receive increasing vectors.
-    """
-    pool = list(range(1, 1 << g))
-    blocks: list[tuple[int, int]] = []  # (exponent, block size)
-    for e in pattern:
-        if blocks and blocks[-1][0] == e:
-            blocks[-1] = (e, blocks[-1][1] + 1)
-        else:
-            blocks.append((e, 1))
-    grouped: dict[BracketClass, list] = {}
-
-    def rec(bidx: int, used: tuple[int, ...], assignment: list[int]):
-        if bidx == len(blocks):
-            monomial = tuple(sorted(zip(assignment, pattern), key=lambda t: (-t[1], t[0])))
-            grouped.setdefault(_packed_class(_pack(monomial)), []).append(monomial)
-            return
-        _, size = blocks[bidx]
-        for combo in itertools.combinations([v for v in pool if v not in used], size):
-            rec(bidx + 1, used + combo, assignment + list(combo))
-
-    rec(0, (), [])
-    return tuple((bc, tuple(ms)) for bc, ms in grouped.items())
-
-
-def realize_class(bc: BracketClass, g: int) -> list[tuple[tuple[int, int], ...]]:
-    """All monomials of the class over distinct nonzero vectors of F2^g.
-
-    The result is empty exactly when the class needs more than g independent
+    Each block of equal exponent e takes a combination of the vectors that
+    earlier blocks left unused and adds e << 3 v for each vector v, so every
+    key of the pattern is listed once; the keys whose `_class_ids` id is the
+    class's are kept, and no pattern's monomials are kept between calls.  The
+    result is empty exactly when the class needs more than g independent
     indices.  A pattern with more than MAX_PATTERN_MONOMIALS monomials is
     rejected with a ValueError before any is listed.
     """
-    if bc is UNIT or not bc.exponents:
-        return [()]
     count = _pattern_count(bc.exponents, g)
     if count > MAX_PATTERN_MONOMIALS:
         raise ValueError(
             f"the pattern of {bc} has {count} monomials at g = {g}, "
             f"over MAX_PATTERN_MONOMIALS = {MAX_PATTERN_MONOMIALS}"
         )
-    for cls, monomials in _pattern_monomials(bc.exponents, g):
-        if cls == bc:
-            return list(monomials)
-    return []
+    keys = [0]
+    for e, size in Counter(bc.exponents).items():
+        keys = [
+            key + sum(e << _FIELD_BITS * v for v in combo)
+            for key in keys
+            for combo in itertools.combinations(
+                [v for v in range(1, 1 << g) if not key >> _FIELD_BITS * v & 7], size
+            )
+        ]
+    cid = _class_ids.id_of(bc)
+    return [key for key in keys if _class_ids[key] == cid]
 
 
 def oracle_expand(g: int, factors: Sequence[BracketClass]) -> ClassSum:
@@ -803,10 +781,12 @@ def oracle_expand(g: int, factors: Sequence[BracketClass]) -> ClassSum:
     coefficient (else `OracleCoefficientError`), and the result is the class
     sum restricted to classes representable inside F2^g.
 
-    Monomials are packed keys: the exponent of D_v sits in the 3-bit field
-    at bit 3 v, for v <= 63 since g <= 6.  The total degree is capped at 6,
-    so every exponent is below 8 and adding two keys never carries from one
-    field into the next.
+    Monomials are packed keys from listing to classification: the exponent
+    of D_v sits in the 3-bit field at bit 3 v, for v <= 63 since g <= 6.
+    The total degree is capped at 6, so every exponent is below 8 and adding
+    two keys never carries from one field into the next.  Each factor's keys
+    come from `realize_class` as they are, listed afresh on every call: no
+    pattern's monomials are kept.
 
     The product is convolved one factor at a time.  Each stage is counted by
     `Counter` over the sums of the running keys with the factor's keys, one
@@ -826,7 +806,7 @@ def oracle_expand(g: int, factors: Sequence[BracketClass]) -> ClassSum:
     total = sum(bc.degree for bc in factors)
     if total > 6:
         raise ValueError("oracle expansion capped at total degree 6")
-    facts = [[_pack(m) for m in realize_class(bc, g)] for bc in factors]
+    facts = [realize_class(bc, g) for bc in factors]
     size = math.prod(map(len, facts))
     if size > MAX_PRODUCT_MONOMIALS:
         raise ValueError(
@@ -850,17 +830,16 @@ def oracle_expand(g: int, factors: Sequence[BracketClass]) -> ClassSum:
                 poly = counts
     found = set(zip(map(_class_ids.__getitem__, poly), poly.values()))
     data = dict(found)
-    classes = {cid: bc for bc, cid in _class_ids.by_class.items()}
     if len(data) != len(found):
         coeffs: dict[int, set[int]] = {}
         for cid, coeff in found:
             coeffs.setdefault(cid, set()).add(coeff)
         cid = min(cid for cid, cs in coeffs.items() if len(cs) > 1)
         raise OracleCoefficientError(
-            f"monomials of class {classes[cid]} appear with different "
+            f"monomials of class {_class_ids.classes[cid]} appear with different "
             f"coefficients {sorted(coeffs[cid])}"
         )
-    return ClassSum.from_dict({classes[cid]: coeff for cid, coeff in data.items()})
+    return ClassSum.from_dict({_class_ids.classes[cid]: coeff for cid, coeff in data.items()})
 
 
 def representable(bc: BracketClass, g: int) -> bool:

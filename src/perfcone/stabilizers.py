@@ -72,8 +72,12 @@ def stabilizer_action(c: Cone) -> GroupAction:
     if cone_rank(c) != c.ambient:
         raise ValueError("stabilizer computation needs a rank-i cone in Z^i")
     # keyed on the ordered generators: cone equality ignores their order,
-    # which the permutations depend on
-    return _stabilizer_action_cached(c.generators, c.ambient, c.name or str(c.generators))
+    # which the permutations depend on; the name only labels an error, which
+    # is never cached
+    try:
+        return _stabilizer_action_cached(c.generators, c.ambient)
+    except StabilizerGroupError as e:
+        raise StabilizerGroupError(f"stabilizer image of {c.name or c.generators}: {e}") from None
 
 
 class StabilizerGroupError(AssertionError):
@@ -81,13 +85,13 @@ class StabilizerGroupError(AssertionError):
 
 
 @lru_cache(maxsize=None)
-def _stabilizer_action_cached(rays: tuple[IntVector, ...], ambient: int, label: str) -> GroupAction:
+def _stabilizer_action_cached(rays: tuple[IntVector, ...], ambient: int) -> GroupAction:
     if rank([sym2_coordinates(v) for v in rays]) != len(rays):
         raise ValueError(
             f"stabilizer action needs a simplicial cone: {len(rays)} generators "
             "with dependent rank-1 forms"
         )
-    perms = permutation_group(rays, ambient, label)
+    perms = permutation_group(rays, ambient)
     return GroupAction(
         perms=perms,
         # the orbit of ray j is its image under every group element
@@ -95,15 +99,13 @@ def _stabilizer_action_cached(rays: tuple[IntVector, ...], ambient: int, label: 
     )
 
 
-def permutation_group(
-    vectors: Sequence[IntVector], ambient: int, label: str
-) -> tuple[tuple[int, ...], ...]:
+def permutation_group(vectors: Sequence[IntVector], ambient: int) -> tuple[tuple[int, ...], ...]:
     """The permutations of the vectors induced by every U in GL(ambient, Z)
     that maps them onto themselves up to sign, sorted.
 
     The vectors must span Q^ambient.  The group is the closure of the
     chain's transversals, which must have prod |U_i| elements, or
-    `StabilizerGroupError` names `label`.
+    `StabilizerGroupError`, which the caller prefixes with what it built.
     """
     transversals = _transversals(vectors, ambient)
     group = {tuple(range(len(vectors)))}
@@ -123,8 +125,8 @@ def permutation_group(
     expected = math.prod(len(level) for level in transversals)
     if len(group) != expected:
         raise StabilizerGroupError(
-            f"stabilizer image of {label}: the transversals generate {len(group)} "
-            f"permutations, their lengths multiply to {expected}"
+            f"the transversals generate {len(group)} permutations, "
+            f"their lengths multiply to {expected}"
         )
     return tuple(sorted(group))
 

@@ -36,7 +36,7 @@ from .cones import (
     sym2_pairs,
 )
 from .matrices import IntMatrix, IntVector, matmul, rank, sign_canonical, transpose, vec_content
-from .stabilizers import permutation_group
+from .stabilizers import StabilizerGroupError, permutation_group
 
 
 @dataclass(frozen=True)
@@ -363,7 +363,11 @@ def domain_automorphism_perms(p: PerfectForm) -> tuple[tuple[int, ...], ...]:
     `stabilizers.permutation_group`.  Keyed on the form, like `facets`.
     """
     domain(p)
-    return permutation_group(p.min_vectors, p.form.g, f"the perfect form {p.form.matrix}")
+    try:
+        return permutation_group(p.min_vectors, p.form.g)
+    except StabilizerGroupError as e:
+        label = f"the perfect form {p.form.matrix}"
+        raise StabilizerGroupError(f"stabilizer image of {label}: {e}") from None
 
 
 def classify_faces(g: int, max_dim: int = 6) -> tuple[Cone, ...]:

@@ -237,11 +237,34 @@ def _tuple_monomial_class(monomial):
     return br.canonical_bracket(pattern, f2_kernel(vectors))
 
 
+@functools.lru_cache(maxsize=None)
+def _tuple_pattern_monomials(pattern, g):
+    """Oracle: the monomials with the exponent pattern over distinct nonzero
+    vectors of F2^g, one per unordered choice, as (vector, exponent) tuples
+    sorted by (-exponent, vector), grouped by `_tuple_monomial_class`."""
+    grouped = {}
+    for vectors in itertools.combinations(range(1, 1 << g), len(pattern)):
+        for exponents in set(itertools.permutations(pattern)):
+            monomial = tuple(sorted(zip(vectors, exponents), key=lambda t: (-t[1], t[0])))
+            grouped.setdefault(_tuple_monomial_class(monomial), []).append(monomial)
+    return grouped
+
+
+def tuple_monomials(bc, g):
+    """Oracle: the class's monomials over F2^g as (vector, exponent) tuples."""
+    return _tuple_pattern_monomials(bc.exponents, g).get(bc, [])
+
+
+def _pack(monomial):
+    """Packed key of an explicit monomial ((vector, exponent), ...)."""
+    return sum(e << (3 * v) for v, e in monomial)
+
+
 def tuple_oracle_expand(g, factors):
     """Oracle: the expansion with monomials as sorted (vector, exponent) tuples."""
     poly = {(): 1}
     for bc in factors:
-        fact = {m: 1 for m in br.realize_class(bc, g)}
+        fact = {m: 1 for m in tuple_monomials(bc, g)}
         new = {}
         for m1, c1 in poly.items():
             d1 = dict(m1)
@@ -297,17 +320,28 @@ def test_oracle_rejects_total_degree_above_6():
 
 @pytest.mark.parametrize("g", [2, 3, 4])
 def test_pattern_count_matches_listed_monomials(g):
-    patterns = {bc.exponents for d in range(1, 5) for bc in br.enumerate_brackets(d)}
-    for pattern in patterns:
-        listed = sum(len(ms) for _, ms in br._pattern_monomials(pattern, g))
+    by_pattern = {}
+    for d in range(1, 5):
+        for bc in br.enumerate_brackets(d):
+            by_pattern.setdefault(bc.exponents, []).append(bc)
+    for pattern, classes in by_pattern.items():
+        listed = sum(len(br.realize_class(bc, g)) for bc in classes)
         assert br._pattern_count(pattern, g) == listed, pattern
+
+
+@pytest.mark.parametrize("g", [2, 3, 4])
+def test_realize_class_lists_the_packed_tuple_monomials(g):
+    for d in range(1, 6):
+        for bc in br.enumerate_brackets(d):
+            expected = sorted(_pack(m) for m in tuple_monomials(bc, g))
+            assert sorted(br.realize_class(bc, g)) == expected, (g, bc)
 
 
 def test_packed_class_reads_whole_fields():
     # exponent 6 in the highest field at g = 6
-    assert br._packed_class(br._pack([(63, 6)])) == br.parse_bracket("{1^6}")
+    assert br._packed_class(_pack([(63, 6)])) == br.parse_bracket("{1^6}")
     # D1 D2^2 times D3 D1^2 is D1^3 D2^2 D3, and 1 + 2 = 3 in F2^2
-    key = br._pack([(1, 1), (2, 2)]) + br._pack([(3, 1), (1, 2)])
+    key = _pack([(1, 1), (2, 2)]) + _pack([(3, 1), (1, 2)])
     assert br._packed_class(key) == br.parse_bracket("{1^32^23(123)}")
 
 

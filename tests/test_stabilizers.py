@@ -227,6 +227,29 @@ def test_stabilizer_of_reordered_cone_is_indexed_by_its_own_order():
     assert stabilizer_action(moved).orbits == ((0,), (1, 2, 3))
 
 
+def test_stabilizer_of_the_same_generators_is_built_once(fresh_stabilizer_cache):
+    # a name only labels errors: the same ordered generators under another
+    # name reuse the group
+    named = cn.catalog_cone("1+1+1+1+1+1")
+    unnamed = cn.Cone(6, mx.identity(6))
+    assert (named.name, unnamed.name) == ("1+1+1+1+1+1", None)
+    assert stabilizer_action(named).order == stabilizer_action(unnamed).order == 720
+    info = stabilizers._stabilizer_action_cached.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+
+
+def test_stabilizer_group_error_names_the_cone_it_was_asked_for(
+    monkeypatch, fresh_stabilizer_cache
+):
+    _break_first_transversal(monkeypatch, "K3", _drop_last)
+    k3 = cn.catalog_cone("K3")
+    unnamed = cn.Cone(k3.ambient, k3.generators)
+    for c, label in [(k3, "K3"), (unnamed, str(k3.generators)), (k3, "K3")]:
+        with pytest.raises(stabilizers.StabilizerGroupError) as raised:
+            stabilizer_action(c)
+        assert str(raised.value).startswith(f"stabilizer image of {label}: the transversals")
+
+
 @pytest.fixture
 def fresh_stabilizer_cache():
     stabilizers._stabilizer_action_cached.cache_clear()
