@@ -15,7 +15,7 @@ import io
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Optional
 
 from .cones import CatalogEntry, Cone, catalog, catalog_entry
 from .invariants import molien
@@ -202,16 +202,13 @@ def assemble(space: str, max_deg: int) -> BettiReport:
     )
 
 
-def std_identity_check(max_deg: int, boundary_degrees: Optional[Sequence[int]] = None) -> bool:
+def std_identity_check(max_deg: int) -> bool:
     """Freeness consistency check for the standard-cone union.
 
     The assembled series, summed over ranks with their shifts, must equal the
     series of a polynomial algebra on the odd lambda classes and one boundary
-    class in each even degree.  Passing a corrupted degree list makes the
-    check fail, which tests the negative direction.
+    class in each even degree.
     """
     lhs = assemble("std", max_deg).totals
-    if boundary_degrees is None:
-        boundary_degrees = range(2, max_deg + 1, 2)
-    rhs = lambda_series(max_deg) * product_free(boundary_degrees, max_deg)
+    rhs = lambda_series(max_deg) * product_free(range(2, max_deg + 1, 2), max_deg)
     return lhs == rhs.coeffs

@@ -396,15 +396,6 @@ class ClassSum:
     def as_dict(self) -> dict:
         return dict(self.terms)
 
-    def __add__(self, other: "ClassSum") -> "ClassSum":
-        data = self.as_dict()
-        for bc, c in other.terms:
-            data[bc] = data.get(bc, 0) + c
-        return ClassSum.from_dict(data)
-
-    def scale(self, c: int) -> "ClassSum":
-        return ClassSum.from_dict({bc: c * v for bc, v in self.terms})
-
     def restricted(self, g: int) -> "ClassSum":
         """The terms whose classes have monomials over F2^g (`representable`)."""
         return ClassSum(tuple((bc, c) for bc, c in self.terms if representable(bc, g)))

@@ -258,15 +258,14 @@ class _Family:
     """The set-up of `_assignment_search` for one spanning vector family.
 
     `order` puts a maximal independent subset (the basis) first; `adj` and
-    `d` are the adjugate and determinant of the basis as columns, and
-    `coeffs[j]` is adj*v_j for every vector after the basis.  `lookup` finds
-    a vector's index from its sign-canonical form.
+    `d` are the adjugate and determinant of the basis as columns, so that a
+    map R is fixed by the images W of the basis as R = W*adj / d.  `lookup`
+    finds a vector's index from its sign-canonical form.
     """
 
     order: tuple[int, ...]
     adj: IntMatrix
     d: int
-    coeffs: dict[int, IntVector]
     lookup: dict[IntVector, int]
     pairings: tuple[tuple[int, ...], ...]
 
@@ -287,7 +286,6 @@ def _family(vectors: tuple[IntVector, ...], ambient: int) -> _Family:
         order=tuple(order),
         adj=adj,
         d=d,
-        coeffs={j: mat_vec(adj, vectors[j]) for j in order[ambient:]},
         lookup={sign_canonical(w): k for k, w in enumerate(vectors)},
         pairings=_pairings(vectors, ambient),
     )
@@ -303,27 +301,31 @@ def _assignment_search(
 
     The one integral-symmetry search: GL-equivalence of cones, stabilizers
     and the equivalence and automorphisms of perfect forms all use it.  Both
-    vector families must span the ambient space.  A maximal independent
-    subset of the source is assigned first, by branching over signed targets;
-    the image of every other source vector is then forced.  The basis is
-    inverted once, as an integer adjugate adj with determinant d: a dependent
-    vector v has coefficients adj*v / d, so its forced image is
-    sum_i (adj*v)_i * w_i / d, and R = W*adj / d for the assigned images W.
-    Every image, branched or forced, must match the `_pairings` fingerprint
-    against the images before it; this only cuts branches with no leaf.  The
-    set-up of each family (`_family`) is computed once and cached.
+    vector families must span the ambient space.  The search branches only
+    over a maximal independent subset of the source (the basis), giving
+    each basis vector a signed target that must match the `_pairings`
+    fingerprint against the targets before it; this only cuts branches with
+    no leaf.  The basis is inverted once, as an integer adjugate adj with
+    determinant d, so the basis images W fix the one candidate map
+    R = W*adj / d.  Each leaf computes R once: it must be integral, map
+    every dependent source vector to an unused target, and have determinant
+    +-1.  The dependent vectors need no fingerprint check, because an R in
+    GL(ambient, Z) that maps one family onto the other up to sign keeps the
+    fingerprint.  The set-up of each family (`_family`) is computed once
+    and cached.
 
     `prescribed` maps some source indices j to the destination index k that
-    perm[j] must equal (the sign stays free): a branch position tries only
-    that k, and a forced image anywhere else is rejected.  Without it the
-    search yields every leaf; `next(search, None)` is a first-leaf search.
+    perm[j] must equal (the sign stays free): a basis position tries only
+    that k, and a leaf that maps a dependent vector elsewhere is rejected.
+    Without it the search yields every leaf; `next(search, None)` is a
+    first-leaf search.
     """
     n = len(src)
     if len(dst) != n:
         return
     source = _family(tuple(map(tuple, src)), ambient)
     target = _family(tuple(map(tuple, dst)), ambient)
-    order, adj, d, coeffs = source.order, source.adj, source.d, source.coeffs
+    basis, dependent = source.order[:ambient], source.order[ambient:]
     dst_lookup = target.lookup
     p_src, p_dst = source.pairings, target.pairings
     prescribed = prescribed or {}
@@ -336,37 +338,24 @@ def _assignment_search(
     def fits(pos: int, j: int, k: int, s: int) -> bool:
         row, col = p_src[j], p_dst[k]
         return col[k] == row[j] and all(
-            s * sign[i] * col[perm[i]] == row[i] for i in order[:pos]
+            s * sign[i] * col[perm[i]] == row[i] for i in basis[:pos]
         )
 
     def extend(pos: int) -> Iterator[tuple[IntMatrix, tuple[int, ...]]]:
-        if pos == n:
-            r_matrix = integral_map(adj, d, images)
-            if r_matrix is None or det(r_matrix) not in (1, -1):
+        if pos == ambient:
+            r_matrix = integral_map(source.adj, source.d, images)
+            if r_matrix is None:
                 return
-            yield r_matrix, tuple(perm)
-            return
-        j = order[pos]
-        if pos >= ambient:
-            c = coeffs[j]
-            forced = []
-            for t in range(ambient):
-                q, rem = divmod(sum(a * w[t] for a, w in zip(c, images)), d)
-                if rem:
+            leaf = perm[:]
+            for j in dependent:
+                k = dst_lookup.get(sign_canonical(mat_vec(r_matrix, src[j])))
+                if k is None or k in leaf or prescribed.get(j, k) != k:
                     return
-                forced.append(q)
-            k = dst_lookup.get(sign_canonical(forced))
-            if k is None or used[k] or prescribed.get(j, k) != k:
-                return
-            s = 1 if tuple(forced) == tuple(dst[k]) else -1
-            if not fits(pos, j, k, s):
-                return
-            perm[j], sign[j] = k, s
-            used[k] = True
-            yield from extend(pos + 1)
-            used[k] = False
-            perm[j] = -1
+                leaf[j] = k
+            if det(r_matrix) in (1, -1):
+                yield r_matrix, tuple(leaf)
             return
+        j = basis[pos]
         signs = (1,) if pos == 0 else (1, -1)
         for k in (prescribed[j],) if j in prescribed else range(n):
             if used[k]:

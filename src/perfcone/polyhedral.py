@@ -74,25 +74,6 @@ def facets(rays: Sequence[IntVector], ambient: int) -> tuple[tuple[IntVector, fr
     return tuple(sorted(found, key=lambda f: sorted(f[1])))
 
 
-def _orbit_tables(perms: Sequence[Sequence[int]], n: int) -> list[list[list[int]]]:
-    """tables[c][x][k]: the image under perms[k] of the rays whose bits are
-    the nibble x at bits 4c..4c+3, in the mask layout of `face_ray_sets`."""
-    tables = []
-    for base in range(0, n, 4):
-        chunk = [[0] * len(perms)]
-        for x in range(1, 16):
-            low = x & -x
-            j = n - 1 - (base + low.bit_length() - 1)  # the ray of the lowest bit
-            if j < 0:
-                chunk.append(chunk[x - low])
-                continue
-            chunk.append(
-                [rest | 1 << (n - 1 - p[j]) for rest, p in zip(chunk[x - low], perms)]
-            )
-        tables.append(chunk)
-    return tables
-
-
 def face_ray_sets(
     facet_sets: Collection[frozenset], n: int, perms: Sequence[Sequence[int]], max_dim: int
 ) -> tuple[frozenset, ...]:
@@ -109,13 +90,14 @@ def face_ray_sets(
     inclusion-minimal closures of F and one more ray.  The covers of an
     image of a face are the images of its covers, so only one
     representative per orbit is lifted.  Each new face's whole orbit goes
-    into `seen` at once, through image tables over 4-bit chunks of the mask.
+    into `seen` at once: row i holds the mask bit of the image of ray i
+    under each perm, and the images of a face are the ORs of its rays' rows.
     The representative is the orbit's least set by (size, sorted indices),
     and the result is sorted by that key.
     """
     # ray i is bit n-1-i: among sets of one size, the least by sorted
     # indices is the largest mask
-    tables = _orbit_tables(perms, n)
+    rows = [[1 << (n - 1 - p[i]) for p in perms] for i in range(n)]
     facet_masks = [sum(1 << (n - 1 - i) for i in s) for s in facet_sets]
     top = (1 << n) - 1
     seen = {0}
@@ -138,10 +120,9 @@ def face_ray_sets(
                 if cover in seen or any(o != cover and o & cover == o for o in closures):
                     continue
                 images = [0] * len(perms)
-                for c, chunk in enumerate(tables):
-                    x = cover >> 4 * c & 15
-                    if x:
-                        images = map(or_, images, chunk[x])
+                for i, row in enumerate(rows):
+                    if cover >> (n - 1 - i) & 1:
+                        images = map(or_, images, row)
                 orbit = set(images)
                 seen |= orbit
                 lifted.append(max(orbit))

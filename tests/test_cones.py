@@ -527,6 +527,24 @@ def _equivalence_pairs():
     return equivalent, list(itertools.combinations(explicit, 2))
 
 
+def test_assignment_search_between_two_families_matches_fraction_oracle():
+    # leaves that map the dependent generators of one family onto another,
+    # against the oracle that solves over Q at every node
+    forced = [c for c in TABLES_CONES if c.n_generators > c.ambient]
+    assert [c.name for c in forced] == ["K3", "K3+1", "C4", "K4-1", "K3+1+1", "C4+1", "C5", "K4"]
+    pairs = []
+    for c in forced:
+        # the generators in reversed order, moved by a map of determinant 1
+        u = [[int(j >= i) for j in range(c.ambient)] for i in range(c.ambient)]
+        pairs.append((c.generators, [mx.mat_vec(u, g) for g in reversed(c.generators)]))
+    equivalent, _ = _equivalence_pairs()
+    pairs += [(a.generators, b.generators) for a, b in equivalent if a is not b]
+    for src, dst in pairs:
+        ambient = len(src[0])
+        expected = list(fraction_assignment_search(src, dst, ambient))
+        assert list(cn._assignment_search(src, dst, ambient)) == expected
+
+
 def test_cones_equivalent_matrices_match_fraction_oracle(monkeypatch):
     equivalent, inequivalent = _equivalence_pairs()
     pairs = equivalent + inequivalent

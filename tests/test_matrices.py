@@ -376,13 +376,33 @@ def test_assignment_search_rejects_non_unimodular_map():
 
 def test_assignment_search_rejects_non_integral_forced_image(monkeypatch):
     # (1, 0) is half of (1, 1) + (1, -1), and every signed sum of two of the
-    # targets below is odd somewhere, so each forced image fails to divide
+    # targets below is odd somewhere, so no map is integral; the fingerprints
+    # differ already on the diagonal, so no branch reaches a leaf
     leaves = []
     monkeypatch.setattr(cn, "integral_map", lambda *args: leaves.append(args))
     src = [(1, 1), (1, -1), (1, 0)]
     dst = [(1, 0), (0, 1), (1, 1)]
     assert list(cn._assignment_search(src, dst, 2)) == []
     assert leaves == []
+
+
+def test_assignment_search_rejects_non_integral_map_at_the_leaf(monkeypatch):
+    # (1, 1) -> (1, 0), (1, -1) -> (0, 2) is the rational map ((1, 1), (2, -2)) / 2
+    # of determinant -1, and it sends (1, 3) to (2, -2): the leaves pass the
+    # fingerprint, and only the integrality of the map rejects them
+    maps = []
+    integral_map = cn.integral_map
+
+    def record(*args):
+        maps.append(integral_map(*args))
+        return maps[-1]
+
+    monkeypatch.setattr(cn, "integral_map", record)
+    src = [(1, 1), (1, -1), (1, 3)]
+    dst = [(1, 0), (0, 2), (2, -2)]
+    assert cn._pairings(src, 2) == cn._pairings(dst, 2)
+    assert list(cn._assignment_search(src, dst, 2)) == []
+    assert maps and maps == [None] * len(maps)
 
 
 def test_f2_kernel_matches_every_zero_sum_column_subset():

@@ -23,6 +23,9 @@ def test_no_assert_statements(path):
 UNREFERENCED = {
     # the public reader of `render_catalog` text, which round-trips it
     "parse_catalog": "cones.py",
+    # `ClassSum.as_dict`: the benchmark's bracket workload reads a product's
+    # terms through it (`bench/workloads.py`)
+    "as_dict": "brackets.py",
     # test oracles that stay in the package only because the benchmark
     # harness traces them by name (`bench/tracing.py` TRACED); ROADMAP item 1
     # moves them into the tests
@@ -62,3 +65,22 @@ def test_every_definition_is_referenced():
         if name not in referenced
     }
     assert unreferenced == UNREFERENCED
+
+
+# Names defined more than once, each referenced under every definition.
+SHARED_NAMES = {
+    # `polyhedral.facets` of a ray cone and `voronoi.facets` of a perfect
+    # form, which calls it
+    "facets": ["polyhedral.py", "voronoi.py"],
+}
+
+
+def test_no_two_definitions_share_a_name():
+    # `test_every_definition_is_referenced` sees names, not definitions: a
+    # dead method hides behind a live one of the same name
+    where: dict[str, list[str]] = {}
+    for path in SRC:
+        for name in _definitions(ast.parse(path.read_text(), filename=str(path))):
+            where.setdefault(name, []).append(path.name)
+    shared = {name: files for name, files in where.items() if len(files) > 1}
+    assert shared == SHARED_NAMES
