@@ -125,8 +125,28 @@ def _least(orbit: Iterable[frozenset[int]]) -> frozenset[int]:
 
 
 @lru_cache(maxsize=None)
+def _orbit_table(exponents: tuple[int, ...]) -> dict[frozenset[int], tuple[BracketClass, int]]:
+    """One pattern's orbit table: every code of every orbit walked so far ->
+    (its class, its orbit's size); an `lru_cache`, so that clearing the
+    module's caches clears it too."""
+    return {}
+
+
+def _orbit_class(exponents: tuple[int, ...], code: frozenset[int]) -> tuple[BracketClass, int]:
+    """(class, orbit size) of a code over nonincreasing exponents, from the
+    orbit table, or from one walk of its orbit whose members all go into it.
+    The class is built before anything is stored, so a code it rejects (a
+    relation of weight < 3) raises its ValueError on every call."""
+    table = _orbit_table(exponents)
+    if code not in table:
+        orbit = _orbit(exponents, code)
+        table.update(dict.fromkeys(orbit, (BracketClass(exponents, _least(orbit)), len(orbit))))
+    return table[code]
+
+
+@lru_cache(maxsize=None)
 def _canonical_cached(exponents: tuple[int, ...], code: frozenset) -> BracketClass:
-    return BracketClass(exponents, _least(_orbit(exponents, code)))
+    return _orbit_class(exponents, code)[0]
 
 
 def canonical_bracket(exponents: Sequence[int], code: Iterable[int]) -> BracketClass:
@@ -138,6 +158,12 @@ def canonical_bracket(exponents: Sequence[int], code: Iterable[int]) -> BracketC
     vectors; its span is taken, excluding zero.  The notation writes each
     index as one digit, so more than nine positions are rejected before the
     orbit walk, whose cost grows like the factorial of their number.
+
+    The sorted (exponents, code) pair is memoized by `_canonical_cached`; a
+    pair it has not seen is read from the pattern's orbit table
+    (`_orbit_class`), which holds every code of every orbit that
+    `enumerate_brackets` or an earlier miss has walked, so each orbit is
+    walked at most once per process.
     """
     exponents = tuple(exponents)
     if len(exponents) > 9:
@@ -331,7 +357,9 @@ def enumerate_brackets(d: int) -> tuple[BracketClass, ...]:
     """All bracket classes of degree d, canonicalized, each exactly once.
 
     Degrees above MAX_DEGREE (7) are rejected with a ValueError before any
-    work is done, and degree 7 itself warns that it is unvalidated.
+    work is done, and degree 7 itself warns that it is unvalidated.  The
+    classes of each pattern's weight-3 codes (`_orbit_class`) must number
+    what Burnside's lemma counts.
     """
     if d < 1:
         raise ValueError("degree must be >= 1")
@@ -346,22 +374,14 @@ def enumerate_brackets(d: int) -> tuple[BracketClass, ...]:
         )
     out = []
     for pattern in _partitions(d):
-        seen: set[frozenset[int]] = set()
-        found = []
-        for code in _weight3_subspaces(len(pattern)):
-            if code in seen:
-                continue
-            orbit = _orbit(pattern, code)
-            seen |= orbit
-            found.append(BracketClass(pattern, _least(orbit)))
+        found = {_orbit_class(pattern, code)[0] for code in _weight3_subspaces(len(pattern))}
         expected = _burnside_class_count(pattern)
         if len(found) != expected:
             raise BracketCountError(
                 f"pattern {pattern}: the orbit walk finds {len(found)} classes, "
                 f"Burnside counts {expected}"
             )
-        found.sort(key=BracketClass.sort_key)
-        out.extend(found)
+        out.extend(sorted(found, key=BracketClass.sort_key))
     return tuple(out)
 
 
@@ -633,6 +653,12 @@ def algebra_dimension_bounds(d: int) -> DimensionBounds:
 # A monomial prod D_v^{e_v} is packed as the integer sum of e_v << (3 v), so
 # multiplying two monomials is adding their keys.  A monomial is a packed key
 # from its listing to its classification, and no pattern's monomials are kept.
+# What is cached, for the life of the process:
+# - `_class_ids`: packed key -> small class id, one entry per key classified;
+# - `_support_code`: support bits -> relation code, bounded, codes interned;
+# - `_classify_monomial`: (exponent digits, code) -> class id, so a key that
+#   misses `_class_ids` costs no `BracketClass` hash;
+# - behind `canonical_bracket`: the orbit tables, one walk per code orbit.
 # ---------------------------------------------------------------------------
 
 _FIELD_BITS = 3
@@ -645,11 +671,17 @@ class OracleCoefficientError(AssertionError):
     coefficients, so the product is not a combination of orbit sums."""
 
 
+class OracleCompletenessError(AssertionError):
+    """The expansion's distinct monomials do not number all the monomials
+    of the classes they reach, so some class is only partly present."""
+
+
 @lru_cache(maxsize=None)
-def _classify_monomial(exponents: str, code: frozenset[int]) -> BracketClass:
-    """Class of a monomial from its exponent digits and its relation code,
-    both over the positions of its vectors in increasing order."""
-    return canonical_bracket(tuple(map(int, exponents)), code)
+def _classify_monomial(exponents: str, code: frozenset[int]) -> int:
+    """`_class_ids` id of a monomial from its exponent digits and its
+    relation code, both over the positions of its vectors in increasing
+    order."""
+    return _class_ids.id_of(canonical_bracket(tuple(map(int, exponents)), code))
 
 
 # one stored frozenset per distinct code: far fewer codes than supports
@@ -675,26 +707,16 @@ def _support_code(support: int) -> frozenset[int]:
     return _codes.setdefault(code, code)
 
 
-def _packed_class(key: int) -> BracketClass:
-    """Class of a packed monomial, from its exponents and its support.
-
-    `oct(key)` lists the fields from the top down, so reversed and without
-    its zeros it is the exponents in increasing vector order, the order in
-    which `_support_code` numbers the positions.  The class depends only on
-    the vectors and their exponents, not on the genus.
-    """
-    if not key:
-        return UNIT
-    exponents = oct(key)[:1:-1].replace("0", "")
-    support = (key | key >> 1 | key >> 2) & _FIELD_ONES
-    return _classify_monomial(exponents, _support_code(support))
-
-
 class _ClassIds(dict):
     """Packed key -> small class id, classified on a miss; `classes[id]` is the class.
 
     The oracle's one key-level cache: a hit is a C-level `__getitem__`, and
-    the ids hash and compare as plain integers.
+    the ids hash and compare as plain integers.  A miss reads the key's
+    exponents in increasing vector order (`oct(key)` lists the fields from
+    the top down, so reversed and without zeros) and its support (a bit per
+    nonzero field), and asks `_classify_monomial` for the id of those
+    exponents over `_support_code(support)`.  The class depends only on the
+    vectors and their exponents, not on the genus.
     """
 
     def __init__(self) -> None:
@@ -703,7 +725,9 @@ class _ClassIds(dict):
         self.by_class: dict[BracketClass, int] = {}
 
     def __missing__(self, key: int) -> int:
-        cid = self[key] = self.id_of(_packed_class(key))
+        exponents = oct(key)[:1:-1].replace("0", "")
+        support = (key | key >> 1 | key >> 2) & _FIELD_ONES
+        cid = self[key] = _classify_monomial(exponents, _support_code(support))
         return cid
 
     def id_of(self, bc: BracketClass) -> int:
@@ -734,16 +758,33 @@ def _pattern_count(pattern: tuple[int, ...], g: int) -> int:
     return count
 
 
+def _class_monomial_count(bc: BracketClass, g: int) -> int:
+    """Number of monomials of the class over F2^g, without listing them.
+
+    Ordering a monomial's vectors along the positions gives the images of
+    the unit vectors under a linear map F2^l -> F2^g whose kernel is a code
+    of the class's orbit.  The maps with kernel exactly K are the injective
+    maps F2^l / K -> F2^g, prod_{i<r} (2^g - 2^i) of them for r = l - dim K,
+    and each monomial gives |Stab(K)| of them, the stabilizer of K in the
+    pattern group: prod m_j! (the block sizes) over the size of K's orbit.
+    """
+    maps = math.prod((1 << g) - (1 << i) for i in range(bc.length - bc.code_dim))
+    group = math.prod(map(math.factorial, Counter(bc.exponents).values()))
+    return maps // (group // _orbit_class(bc.exponents, bc.code)[1])
+
+
 def realize_class(bc: BracketClass, g: int) -> list[int]:
     """Packed keys of the class's monomials over distinct nonzero vectors of F2^g.
 
     Each block of equal exponent e takes a combination of the vectors that
-    earlier blocks left unused and adds e << 3 v for each vector v, so every
-    key of the pattern is listed once; the keys whose `_class_ids` id is the
-    class's are kept, and no pattern's monomials are kept between calls.  The
-    result is empty exactly when the class needs more than g independent
-    indices.  A pattern with more than MAX_PATTERN_MONOMIALS monomials is
-    rejected with a ValueError before any is listed.
+    earlier blocks left unused and adds their shifted exponents e << 3 v,
+    summed in C by `map(sum, combinations(...))`, so every key of the
+    pattern is listed once.  The keys whose `_class_ids` id is the class's
+    are kept; the listing is not, so no pattern's monomials outlive the
+    call, while every key's id stays in `_class_ids`.  The result is empty
+    exactly when the class needs more than g independent indices.  A pattern
+    with more than MAX_PATTERN_MONOMIALS monomials is rejected with a
+    ValueError before any is listed.
     """
     count = _pattern_count(bc.exponents, g)
     if count > MAX_PATTERN_MONOMIALS:
@@ -754,11 +795,12 @@ def realize_class(bc: BracketClass, g: int) -> list[int]:
     keys = [0]
     for e, size in Counter(bc.exponents).items():
         keys = [
-            key + sum(e << _FIELD_BITS * v for v in combo)
+            key + shifted
             for key in keys
-            for combo in itertools.combinations(
-                [v for v in range(1, 1 << g) if not key >> _FIELD_BITS * v & 7], size
-            )
+            for shifted in map(sum, itertools.combinations(
+                [e << _FIELD_BITS * v for v in range(1, 1 << g) if not key >> _FIELD_BITS * v & 7],
+                size,
+            ))
         ]
     cid = _class_ids.id_of(bc)
     return [key for key in keys if _class_ids[key] == cid]
@@ -768,35 +810,39 @@ def oracle_expand(g: int, factors: Sequence[BracketClass]) -> ClassSum:
     """Expand a product of orbit sums over explicit vectors and re-classify.
 
     Every monomial of the expanded product is classified by its exact
-    relation code; monomials of the same class must come out with the same
-    coefficient (else `OracleCoefficientError`), and the result is the class
-    sum restricted to classes representable inside F2^g.
+    relation code.  The product of orbit sums is a combination of orbit
+    sums, which is checked from both sides: monomials of the same class
+    must come out with the same coefficient (else `OracleCoefficientError`),
+    and the distinct monomials must number the monomials of the classes
+    they reach, each counted by `_class_monomial_count` (else
+    `OracleCompletenessError`).  The result is the class sum restricted to
+    classes representable inside F2^g; a factor that is not representable
+    has no monomials, so nothing is listed and the result is 0.
 
     Monomials are packed keys from listing to classification: the exponent
     of D_v sits in the 3-bit field at bit 3 v, for v <= 63 since g <= 6.
     The total degree is capped at 6, so every exponent is below 8 and adding
     two keys never carries from one field into the next.  Each factor's keys
-    come from `realize_class` as they are, listed afresh on every call: no
-    pattern's monomials are kept.
+    come from `realize_class`, listed afresh on every call.
 
     The product is convolved one factor at a time.  Each stage is counted by
     `Counter` over the sums of the running keys with the factor's keys, one
     pass per distinct running coefficient, so the additions and the counting
-    run in C.  A key is classified once per process (`_class_ids`), from
-    its exponents and the cached relation code of its support: many keys
-    share a support, and far fewer pairs of exponents and code occur.  Only
-    the monomials the product touches are classified; the monomials of the
-    product's own patterns are never listed, since at g = 6 the pattern
-    (1,1,1,1,1,1) alone has C(63, 6), about 67 million, where {123(123)}^2
-    forms 651^2, about 424 k, sums.  A product with more than
-    MAX_PRODUCT_MONOMIALS tuples of factor monomials is rejected with a
-    ValueError before the convolution starts.
+    run in C.  Each key of the product is then looked up in `_class_ids`
+    (see the caches above).  Only the monomials the product touches are
+    classified; the monomials of the product's own patterns are never
+    listed, since at g = 6 the pattern (1,1,1,1,1,1) alone has C(63, 6),
+    about 67 million, where {123(123)}^2 forms 651^2, about 424 k, sums.  A
+    product with more than MAX_PRODUCT_MONOMIALS tuples of factor monomials
+    is rejected with a ValueError before the convolution starts.
     """
     if not 0 <= g <= 6:
         raise ValueError(f"oracle supports 0 <= g <= 6, got g = {g}")
     total = sum(bc.degree for bc in factors)
     if total > 6:
         raise ValueError("oracle expansion capped at total degree 6")
+    if not all(representable(bc, g) for bc in factors):
+        return ClassSum(())
     facts = [realize_class(bc, g) for bc in factors]
     size = math.prod(map(len, facts))
     if size > MAX_PRODUCT_MONOMIALS:
@@ -830,7 +876,14 @@ def oracle_expand(g: int, factors: Sequence[BracketClass]) -> ClassSum:
             f"monomials of class {_class_ids.classes[cid]} appear with different "
             f"coefficients {sorted(coeffs[cid])}"
         )
-    return ClassSum.from_dict({_class_ids.classes[cid]: coeff for cid, coeff in data.items()})
+    result = ClassSum.from_dict({_class_ids.classes[cid]: coeff for cid, coeff in data.items()})
+    expected = sum(_class_monomial_count(bc, g) for bc, _ in result.terms)
+    if len(poly) != expected:
+        raise OracleCompletenessError(
+            f"the product has {len(poly)} distinct monomials at g = {g}, "
+            f"but its classes {', '.join(str(bc) for bc, _ in result.terms)} have {expected}"
+        )
+    return result
 
 
 def representable(bc: BracketClass, g: int) -> bool:

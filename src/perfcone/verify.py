@@ -324,7 +324,8 @@ def run_row(row: Row) -> CheckResult:
     """The row's result.  A broken internal invariant becomes a FAIL of the
     row naming the error: the package has no assert statements, so each
     `AssertionError` it raises is a named one (`StabilizerGroupError`,
-    `BracketCountError`, `OracleCoefficientError`, `NeighborSearchError`)."""
+    `BracketCountError`, `OracleCoefficientError`, `OracleCompletenessError`,
+    `NeighborSearchError`)."""
     try:
         status, detail = row.check()
     except AssertionError as exc:

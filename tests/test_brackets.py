@@ -313,6 +313,48 @@ def test_oracle_detects_unequal_coefficients(monkeypatch):
         br.oracle_expand(3, [boundary, br.parse_bracket("{12}")])
 
 
+@pytest.mark.parametrize("g", [2, 3, 4])
+def test_class_monomial_count_matches_listed_monomials(g):
+    for d in range(1, 7):
+        for bc in br.enumerate_brackets(d):
+            assert br._class_monomial_count(bc, g) == len(br.realize_class(bc, g)), (g, bc)
+    assert br._class_monomial_count(br.UNIT, g) == 1
+
+
+def _drop_vector_1(monkeypatch):
+    # every key with a nonzero field for vector 1 goes: the remaining
+    # monomials of each class still share one coefficient
+    realize = br.realize_class
+    monkeypatch.setattr(
+        br, "realize_class", lambda bc, g: [k for k in realize(bc, g) if not k >> 3 & 7]
+    )
+
+
+@pytest.mark.parametrize(
+    "g,left,right", [(3, "{1}", "{12}"), (4, "{1}", "{12}"), (4, "{12}", "{123}"), (3, "{1}", "{1}")]
+)
+def test_oracle_detects_missing_monomials(monkeypatch, g, left, right):
+    _drop_vector_1(monkeypatch)
+    with pytest.raises(br.OracleCompletenessError, match="distinct monomials"):
+        br.oracle_expand(g, [br.parse_bracket(left), br.parse_bracket(right)])
+
+
+def test_verify_reports_missing_oracle_monomials_as_fail(monkeypatch):
+    _drop_vector_1(monkeypatch)
+    results = [verify.run_row(r) for r in verify.rows() if r.criterion == 5]
+    failed = [r for r in results if r.status == verify.FAIL]
+    assert [r.name for r in failed] == [
+        "multiply vs oracle_expand, all products of total degree <= 4 at g = 4"
+    ]
+    assert failed[0].detail.startswith("OracleCompletenessError: the product has ")
+
+
+def test_oracle_lists_nothing_for_a_factor_without_monomials(monkeypatch):
+    monkeypatch.setattr(br, "realize_class", lambda *a: pytest.fail("listed"))
+    # {123} needs three independent indices
+    assert br.oracle_expand(2, [br.parse_bracket("{1}"), br.parse_bracket("{123}")]) == br.ClassSum(())
+
+
 def test_oracle_rejects_total_degree_above_6():
     # the cap keeps every packed exponent below 8, so keys add without carries
     with pytest.raises(ValueError, match="total degree 6"):
@@ -338,12 +380,18 @@ def test_realize_class_lists_the_packed_tuple_monomials(g):
             assert sorted(br.realize_class(bc, g)) == expected, (g, bc)
 
 
+def packed_class(key):
+    """Class of a packed key through the oracle's key -> class id table."""
+    return br._class_ids.classes[br._class_ids[key]]
+
+
 def test_packed_class_reads_whole_fields():
     # exponent 6 in the highest field at g = 6
-    assert br._packed_class(_pack([(63, 6)])) == br.parse_bracket("{1^6}")
+    assert packed_class(_pack([(63, 6)])) == br.parse_bracket("{1^6}")
     # D1 D2^2 times D3 D1^2 is D1^3 D2^2 D3, and 1 + 2 = 3 in F2^2
     key = _pack([(1, 1), (2, 2)]) + _pack([(3, 1), (1, 2)])
-    assert br._packed_class(key) == br.parse_bracket("{1^32^23(123)}")
+    assert packed_class(key) == br.parse_bracket("{1^32^23(123)}")
+    assert packed_class(0) == br.UNIT
 
 
 def decoded_class(key):
@@ -375,18 +423,21 @@ def test_packed_class_matches_decoding_oracle_on_every_small_monomial():
     keys += [(e << 189) + k for e in range(1, 7) for k in _monomial_keys(pool, 6 - e)]
     assert len(keys) == 54264 + 4368
     for key in keys:
-        assert br._packed_class(key) == decoded_class(key), oct(key)
+        assert packed_class(key) == decoded_class(key), oct(key)
 
 
 def test_verify_reports_unequal_oracle_coefficients_as_fail(monkeypatch):
     boundary = br.parse_bracket("{1}")
     realize = br.realize_class
 
-    def drop_one(bc, g):
+    # one monomial twice: every monomial of the product is still there, so
+    # only the coefficients can tell (a dropped one fails the completeness
+    # check first, at {1}*{1})
+    def repeat_one(bc, g):
         monomials = realize(bc, g)
-        return monomials[1:] if bc == boundary else monomials
+        return monomials + monomials[:1] if bc == boundary else monomials
 
-    monkeypatch.setattr(br, "realize_class", drop_one)
+    monkeypatch.setattr(br, "realize_class", repeat_one)
     results = [verify.run_row(r) for r in verify.rows() if r.criterion == 5]
     failed = [r for r in results if r.status == verify.FAIL]
     assert [r.name for r in failed] == [
@@ -611,3 +662,29 @@ def test_verify_reports_count_error_as_fail(monkeypatch, fresh_bracket_caches):
     assert "criterion  4  [FAIL]  bracket-class counts for degrees 1-6" in text
     assert "criterion  4  [FAIL]  degree-6 class set matches the published list" in text
     assert text.endswith("result: 4 check(s) FAILED")
+
+
+def test_each_orbit_is_walked_once(monkeypatch, fresh_bracket_caches):
+    for d in range(1, 7):
+        br.enumerate_brackets(d)
+    patterns = [p for d in range(1, 7) for p in br._partitions(d)]
+    expected = {
+        (p, code): br.BracketClass(p, br._least(br._orbit(p, code)))
+        for p in patterns
+        for code in br._weight3_subspaces(len(p))
+    }
+    walks = []
+    orbit = br._orbit
+    monkeypatch.setattr(br, "_orbit", lambda *a: walks.append(a) or orbit(*a))
+    for (p, code), want in expected.items():
+        assert br.canonical_bracket(p, code) == want, (p, sorted(code))
+    assert walks == []
+    # every class, sub-monomial and product monomial of the benchmark's 68
+    # products at g = 4, classified afresh, meets only orbits already walked
+    monkeypatch.setattr(br, "_class_ids", br._ClassIds())
+    classes = [bc for d in range(1, 6) for bc in br.enumerate_brackets(d)]
+    for a, b in itertools.combinations_with_replacement(classes, 2):
+        if a.degree + b.degree <= 6:
+            product = br.ClassSum.of(a) * br.ClassSum.of(b)
+            assert br.oracle_expand(4, [a, b]) == product.restricted(4)
+    assert walks == []
