@@ -51,7 +51,7 @@ def parse_space(label: str) -> tuple[str, Optional[int]]:
         )
     n = int(match.group(1))
     if not 0 <= n <= 8:
-        raise ValueError("universal(n) is supported for n <= 8")
+        raise ValueError("universal(n) is supported for 0 <= n <= 8")
     return "universal", n
 
 
@@ -184,12 +184,11 @@ def assemble(space: str, max_deg: int) -> BettiReport:
             # degree 13 is still exact: dimension-7 strata would first contribute
             # in degree 14, and the degree-13 coefficient vanishes by parity
             if max_deg > 13:
-                raise CatalogDepthError("catalog incomplete beyond degree 12")
+                raise CatalogDepthError("catalog incomplete beyond degree 13")
             keep = _CATALOG_SPACES[kind]
             for e in catalog(6):
                 if keep(e) and 2 * e.dim <= max_deg:
-                    series = _shifted_stratum(e, 2 * e.dim, max_deg)
-                    rows.append((e.name, series.scale(e.multiplicity)))
+                    rows.append((e.name, _shifted_stratum(e, 2 * e.dim, max_deg)))
 
     totals = tuple(
         sum(series.coeffs[d] for _, series in rows) for d in range(max_deg + 1)

@@ -595,9 +595,7 @@ def count_pure_strata(d: int) -> int:
         raise ValueError("degree must be even and >= 2")
     if d > 12:
         raise ValueError("stratum counts are only available through degree 12")
-    counts = {}
-    for e in catalog(6):
-        counts[e.dim] = counts.get(e.dim, 0) + e.multiplicity
+    counts = Counter(e.dim for e in catalog(6))
     total = 0
     for pattern in _partitions(d // 2):
         if max(pattern) > 6:
@@ -641,7 +639,7 @@ def algebra_dimension_bounds(d: int) -> DimensionBounds:
     lam = lambda_series(d)
     out = []
     for pure in (_pure_boundary_count, _pure_strata_count):
-        lam_part = sum(lam[d - j] * pure(j) for j in range(0, d - 1, 2))
+        lam_part = sum(lam.coeffs[d - j] * pure(j) for j in range(0, d - 1, 2))
         pure_part = pure(d)
         out.append((lam_part, pure_part, lam_part + pure_part))
     return DimensionBounds(degree=d, boundary=out[0], strata=out[1])
@@ -742,8 +740,10 @@ _class_ids = _ClassIds()
 # The largest jobs the oracle takes on, so that an expensive input fails at
 # once instead of running for hours.  The jobs in use stay far below: at
 # g = 5 the largest product is {12}*{123} (2 018 100 monomial tuples) and the
-# largest pattern that of {1234} (31 465 monomials); at g = 6, {1}^4 (63^4,
-# about 1.6e7 tuples) takes about 10 s and {1234} (595 665) about 13 s.
+# largest pattern that of {1234} (31 465 monomials); at g = 6, a cold
+# `brackets oracle -g 6` of {1}^4 (63^4, about 1.6e7 tuples) takes about
+# 3.5 s and 230 MB, and of {1234} (595 665) about 2.2 s and 150 MB
+# (Python 3.11, 2 CPUs).
 MAX_PATTERN_MONOMIALS = 10**6
 MAX_PRODUCT_MONOMIALS = 10**8
 

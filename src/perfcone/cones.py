@@ -170,22 +170,6 @@ class Graph:
                 raise ValueError(f"duplicate edge ({a}, {b})")
             seen.add(key)
 
-    def is_connected(self) -> bool:
-        if self.vertices == 0:
-            return False
-        adj = {v: set() for v in range(1, self.vertices + 1)}
-        for a, b in self.edges:
-            adj[a].add(b)
-            adj[b].add(a)
-        seen = {1}
-        stack = [1]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.vertices
-
 
 def cycle_graph(n: int) -> Graph:
     return Graph(n, tuple((k, k % n + 1) for k in range(1, n + 1)))
@@ -200,13 +184,13 @@ def graphical_cone(g: Graph, plus_ones: int = 0, name: Optional[str] = None) -> 
 
     `plus_ones` appends that many standard generators x^2 in fresh
     coordinates; the result has rank (vertices - 1) + plus_ones.
+
+    Connectivity is a rank fact: with the last vertex set to 0, the edge
+    vectors have rank vertices - components, so the graph is connected
+    exactly when they have rank vertices - 1.
     """
-    if not g.is_connected():
-        raise ValueError("graphical cones require a connected graph")
     k = g.vertices - 1
     ambient = k + plus_ones
-    if ambient < 1:
-        raise ValueError("empty ambient space")
     gens = []
     for a, b in g.edges:
         v = [0] * ambient
@@ -215,6 +199,10 @@ def graphical_cone(g: Graph, plus_ones: int = 0, name: Optional[str] = None) -> 
         if b <= k:
             v[b - 1] -= 1
         gens.append(tuple(v))
+    if rank(gens) != k:
+        raise ValueError("graphical cones require a connected graph")
+    if ambient < 1:
+        raise ValueError("empty ambient space")
     for j in range(plus_ones):
         v = [0] * ambient
         v[k + j] = 1
@@ -440,7 +428,8 @@ def cones_equivalent(c1: Cone, c2: Cone) -> Optional[IntMatrix]:
 @dataclass(frozen=True)
 class CatalogEntry:
     """One GL-orbit of cones: an explicit representative with its dimension,
-    rank and flags.
+    rank and flags.  Each orbit is one stratum, so an entry carries no
+    multiplicity.
 
     The entries of rank <= 5 are certified by the g <= 5 face walk, the
     matroidal ones also by the faces of the A6 domain, and the
@@ -455,7 +444,6 @@ class CatalogEntry:
     matroidal: bool
     simplicial: bool
     basic: bool
-    multiplicity: int = 1
 
     def __post_init__(self):
         if self.dim < self.rank:
@@ -570,13 +558,22 @@ def _flag_parse(s: str) -> bool:
     return {"yes": True, "no": False}[s]
 
 
+def _multiplicity_parse(s: str) -> int:
+    return {"1": 1}[s]
+
+
 def render_catalog(entries: Sequence[CatalogEntry]) -> str:
+    """The catalog text format, one `[cone]` block per entry.
+
+    Each block keeps a `multiplicity = 1` line: every entry is one orbit,
+    and each orbit is one stratum of the tables, so the value is always 1.
+    """
     blocks = []
     for e in entries:
         lines = ["[cone]", f"name = {e.name}", f"ambient = {e.cone.ambient}"]
         lines.append(f"dim = {e.dim}")
         lines.append(f"rank = {e.rank}")
-        lines.append(f"multiplicity = {e.multiplicity}")
+        lines.append("multiplicity = 1")
         lines.append(f"matroidal = {_flag_str(e.matroidal)}")
         lines.append(f"simplicial = {_flag_str(e.simplicial)}")
         lines.append(f"basic = {_flag_str(e.basic)}")
@@ -590,7 +587,7 @@ def render_catalog(entries: Sequence[CatalogEntry]) -> str:
 # The `key = value` lines of a block, in the order `render_catalog` writes
 # them, and the reader of each value.
 _CATALOG_KEYS = "name ambient dim rank multiplicity matroidal simplicial basic".split()
-_CATALOG_READERS = (str,) + (int,) * 4 + (_flag_parse,) * 3
+_CATALOG_READERS = (str,) + (int,) * 3 + (_multiplicity_parse,) + (_flag_parse,) * 3
 
 
 def parse_catalog(text: str) -> tuple[CatalogEntry, ...]:
@@ -598,7 +595,9 @@ def parse_catalog(text: str) -> tuple[CatalogEntry, ...]:
 
     Blocks are separated by blank lines.  Each is a `[cone]` line, the eight
     `key = value` lines, `generators:`, then one `  (x, y, ...)` line per
-    generator.  Every rejection is a ValueError that names the block.
+    generator.  The multiplicity line must read 1, since each orbit is one
+    stratum (`render_catalog`).  Every rejection is a ValueError that names
+    the block.
     """
     entries = []
     for block in filter(None, re.split(r"\n\s*\n", text.strip())):
@@ -631,4 +630,5 @@ def _cone_block(lines: list[str]) -> CatalogEntry:
         if not re.fullmatch(r"  \(-?[0-9]+(, -?[0-9]+)*\)", line):
             raise ValueError(f"bad generator line {line!r}")
     generators = [tuple(map(int, line[3:-1].split(", "))) for line in lines[9:]]
+    del fields["multiplicity"]
     return CatalogEntry(cone=Cone(fields.pop("ambient"), generators, fields["name"]), **fields)

@@ -12,6 +12,11 @@ from .series import TruncatedSeries, product_free
 from .stabilizers import GroupAction
 
 
+class MolienSumError(AssertionError):
+    """A Molien sum not divisible by the group order: for a group it always
+    divides, so the permutations given were not a group."""
+
+
 def check_molien_degree(max_deg: int) -> None:
     """Reject a negative truncation degree, before any group is built."""
     if max_deg < 0:
@@ -24,19 +29,19 @@ def molien(action: GroupAction, max_deg: int) -> TruncatedSeries:
     The group permutes a basis of the span, so det(1 - t rho(g)) is the
     product of (1 - t^len) over the cycles of g, and the series is the average
     of `product_free` over the cycle types (Polya's cycle index), summed in
-    integers.  Each coefficient of the sum must be divisible by |G|.
+    integers.  Each coefficient of the sum must be divisible by |G|, or a
+    `MolienSumError` names the degree.
     """
     check_molien_degree(max_deg)
     total = [0] * (max_deg + 1)
     for perm in action.perms:
-        free = product_free(_cycle_lengths(perm), max_deg)
-        for k in range(max_deg + 1):
-            total[k] += free[k]
+        for k, c in enumerate(product_free(_cycle_lengths(perm), max_deg).coeffs):
+            total[k] += c
     out = []
     for k, x in enumerate(total):
         val, rem = divmod(x, action.order)
         if rem:
-            raise ValueError(
+            raise MolienSumError(
                 f"Molien sum {x} at degree {k} is not divisible by |G| = {action.order}"
             )
         out.append(val)
@@ -67,10 +72,10 @@ def _cycle_lengths(perm: Sequence[int]) -> list[int]:
 class KoszulReport:
     """Cohomology of the Koszul strands for W inside M = Sym^2 dual.
 
-    `strand_cohomology[n][q]` is the dimension of the cohomology of the total
-    degree n strand at exterior degree q; exactness means zeros for q >= 1.
-    `bottom_row[n]` is the q = 0 value, which must equal dim Sym^n(M/W) for
-    dim M/W the cone dimension.  `annihilates` says whether every element of
+    The strands are exact for q >= 1 (see `koszul_check`), so the report
+    keeps only `bottom_row[n]`, the q = 0 cohomology of the total degree n
+    strand, which must equal dim Sym^n(M/W) for dim M/W the cone dimension
+    (`expected_bottom[n]`).  `annihilates` says whether every element of
     the W basis vanishes on every generator's rank-1 form, and `w_index` is
     the index of the span of that basis in its saturation (1 for W = 0).
     """
@@ -80,7 +85,6 @@ class KoszulReport:
     cone_dim: int
     annihilates: bool
     w_index: int
-    strand_cohomology: tuple[tuple[int, ...], ...]
     bottom_row: tuple[int, ...]
     expected_bottom: tuple[int, ...]
 
@@ -123,14 +127,12 @@ def koszul_check(c: Cone, max_total: int = 8) -> KoszulReport:
     m = len(sym2_pairs(c.ambient))
     forms = c.sym2_matrix()
     cdim = rank(forms)
-    strands = tuple((_symdim(m - w, n),) + (0,) * n for n in range(max_total + 1))
     return KoszulReport(
         w_rank=w,
         m_rank=m,
         cone_dim=cdim,
         annihilates=all(vec_dot(f, x) == 0 for f in w_basis for x in forms),
         w_index=lattice_index(w_basis) if w_basis else 1,
-        strand_cohomology=strands,
-        bottom_row=tuple(row[0] for row in strands),
+        bottom_row=tuple(_symdim(m - w, n) for n in range(max_total + 1)),
         expected_bottom=tuple(_symdim(cdim, n) for n in range(max_total + 1)),
     )

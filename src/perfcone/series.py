@@ -1,7 +1,7 @@
 """Truncated one-variable power series with exact integer coefficients: the
-product and scaling that table assembly needs, the Hilbert series of a free
-algebra (`product_free`), and the rational inverse behind the matrix-form
-Molien oracle."""
+product that table assembly needs, the Hilbert series of a free algebra
+(`product_free`), and the rational inverse behind the matrix-form Molien
+oracle."""
 
 from __future__ import annotations
 
@@ -15,7 +15,8 @@ class TruncatedSeries:
     """Integer-coefficient power series truncated at a fixed degree.
 
     `coeffs[k]` is the coefficient of t^k; the truncation degree is
-    len(coeffs) - 1.  Multiplying two series requires equal truncation.
+    len(coeffs) - 1.  The one operation is the product, which requires
+    equal truncation; callers read `coeffs` directly.
     """
 
     coeffs: tuple[int, ...]
@@ -26,36 +27,19 @@ class TruncatedSeries:
         if any(not isinstance(c, int) for c in self.coeffs):
             raise ValueError("series coefficients must be integers")
 
-    @property
-    def truncation(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __getitem__(self, k: int) -> int:
-        if k < 0:
-            return 0
-        if k > self.truncation:
-            raise IndexError(f"degree {k} beyond truncation {self.truncation}")
-        return self.coeffs[k]
-
-    def _check(self, other: "TruncatedSeries") -> None:
-        if self.truncation != other.truncation:
-            raise ValueError("mismatched truncation degrees")
-
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check(other)
-        n = self.truncation
-        out = [0] * (n + 1)
+        n = len(self.coeffs)
+        if len(other.coeffs) != n:
+            raise ValueError("mismatched truncation degrees")
+        out = [0] * n
         for i, a in enumerate(self.coeffs):
             if a == 0:
                 continue
-            for j in range(n + 1 - i):
+            for j in range(n - i):
                 b = other.coeffs[j]
                 if b:
                     out[i + j] += a * b
         return TruncatedSeries(tuple(out))
-
-    def scale(self, c: int) -> "TruncatedSeries":
-        return TruncatedSeries(tuple(c * a for a in self.coeffs))
 
 
 def product_free(degrees: Sequence[int], n: int) -> TruncatedSeries:

@@ -24,7 +24,7 @@ from . import brackets as br
 from . import cones as cn
 from . import voronoi as vr
 from .betti import assemble, lambda_series, std_identity_check
-from .invariants import koszul_check, molien
+from .invariants import MolienSumError, koszul_check, molien
 from .series import product_free
 from .stabilizers import invariant_dim_degree1, stabilizer_action
 
@@ -191,7 +191,7 @@ def _full_symmetric_molien(series) -> tuple[str, str]:
         want = product_free(range(1, k + 1), 8).coeffs
         try:
             ok = stabilizer_action(cone).order == math.factorial(k) and series(cone) == want
-        except ValueError:  # a Molien sum not divisible by the group order
+        except MolienSumError:
             ok = False
         if not ok:
             return FAIL, f"fails on {name}"
@@ -205,7 +205,7 @@ def _molien_integral(series) -> tuple[str, str]:
     for e in cn.catalog(6):
         try:
             series(e.cone)
-        except ValueError as exc:
+        except MolienSumError as exc:
             not_integral.append(f"{e.name}: {exc}")
     return _verdict(not not_integral, "; ".join(not_integral))
 
@@ -324,8 +324,8 @@ def run_row(row: Row) -> CheckResult:
     """The row's result.  A broken internal invariant becomes a FAIL of the
     row naming the error: the package has no assert statements, so each
     `AssertionError` it raises is a named one (`StabilizerGroupError`,
-    `BracketCountError`, `OracleCoefficientError`, `OracleCompletenessError`,
-    `NeighborSearchError`)."""
+    `MolienSumError`, `BracketCountError`, `OracleCoefficientError`,
+    `OracleCompletenessError`, `NeighborSearchError`)."""
     try:
         status, detail = row.check()
     except AssertionError as exc:

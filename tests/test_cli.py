@@ -80,7 +80,7 @@ def test_unknown_cone_fails(capsys):
 
 def test_depth_beyond_catalog_fails(capsys):
     assert main(["betti", "--space", "perf", "--max-degree", "14"]) == 1
-    assert "catalog incomplete beyond degree 12" in capsys.readouterr().err
+    assert "catalog incomplete beyond degree 13" in capsys.readouterr().err
 
 
 def test_stabilizer_of_dim6_entry(capsys):
@@ -162,8 +162,8 @@ def test_negative_count_fails(capsys, argv, named):
         (["voronoi", "faces", "-g", "0"], "g >= 1, got g = 0"),
         (["molien", "K3", "--max-degree", "-1"], "max_deg >= 0, got max_deg = -1"),
         (["brackets", "oracle", "-g", "-1", "{1}"], "0 <= g <= 6, got g = -1"),
-        (["betti", "--space", "universal:9", "--max-degree", "4"], "supported for n <= 8"),
-        (["betti", "--space", "universal:-1", "--max-degree", "4"], "supported for n <= 8"),
+        (["betti", "--space", "universal:9", "--max-degree", "4"], "supported for 0 <= n <= 8"),
+        (["betti", "--space", "universal:-1", "--max-degree", "4"], "supported for 0 <= n <= 8"),
         (["voronoi", "enumerate", "-g", "6"], "g <= 5, got g = 6"),
         (["voronoi", "faces", "-g", "3", "--max-dim", "-1"], "got max_dim = -1"),
         (["voronoi", "faces", "-g", "3", "--max-dim", "7"], "got max_dim = 7"),

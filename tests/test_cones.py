@@ -236,6 +236,49 @@ def test_graphical_cone_rejects_disconnected():
         cn.graphical_cone(cn.Graph(4, ((1, 2), (3, 4))))
 
 
+def is_connected(g):
+    """Oracle for the rank rule of `graphical_cone`: a depth-first search
+    from vertex 1."""
+    if g.vertices == 0:
+        return False
+    adj = {v: set() for v in range(1, g.vertices + 1)}
+    for a, b in g.edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    seen = {1}
+    stack = [1]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == g.vertices
+
+
+def test_graphical_cone_connectivity_matches_search_oracle():
+    # every simple graph on 1-5 vertices, with 0-2 extra standard generators;
+    # this includes graphs whose grounded last vertex is isolated
+    cases = isolated_ground = 0
+    for n in range(1, 6):
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        for mask in range(1 << len(pairs)):
+            g = cn.Graph(n, tuple(e for t, e in enumerate(pairs) if mask >> t & 1))
+            isolated_ground += n > 1 and all(n not in e for e in g.edges)
+            for plus_ones in range(3):
+                cases += 1
+                if not is_connected(g):
+                    with pytest.raises(ValueError, match="require a connected graph"):
+                        cn.graphical_cone(g, plus_ones)
+                elif n - 1 + plus_ones < 1:
+                    with pytest.raises(ValueError, match="empty ambient space"):
+                        cn.graphical_cone(g, plus_ones)
+                else:
+                    c = cn.graphical_cone(g, plus_ones)
+                    assert cn.cone_rank(c) == c.ambient == n - 1 + plus_ones
+    assert cases == 3 * (1 + 2 + 8 + 64 + 1024)
+    assert isolated_ground > 0
+
+
 def test_tree_graphical_cones_are_standard():
     for k in (2, 3, 4):
         c = cn.graphical_cone(path_graph(k + 1))
@@ -363,8 +406,10 @@ def test_parse_catalog_rejects_placeholder_block():
         ("generators:", "gens:", "'K3': expected 'generators:', got 'gens:'"),
         ("  (1, -1)", "  (1 -1)", "'K3': bad generator line '  (1 -1)'"),
         ("  (1, -1)", "  (2, -2)", "'K3': generator (2, -2) is not primitive"),
+        ("multiplicity = 1", "multiplicity = 2", "'K3': bad value in 'multiplicity = 2'"),
     ],
-    ids=["no-dim", "bad-flag", "bad-int", "no-generators", "bad-generator", "not-primitive"],
+    ids=["no-dim", "bad-flag", "bad-int", "no-generators", "bad-generator", "not-primitive",
+         "bad-multiplicity"],
 )
 def test_parse_catalog_names_the_block_and_the_bad_line(old, new, named):
     text = cn.render_catalog([cn.catalog_entry("K3")])

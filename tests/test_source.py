@@ -84,3 +84,37 @@ def test_no_two_definitions_share_a_name():
             where.setdefault(name, []).append(path.name)
     shared = {name: files for name, files in where.items() if len(files) > 1}
     assert shared == SHARED_NAMES
+
+
+def _record_fields(tree):
+    """(class, field) for each annotated field of a dataclass or `NamedTuple`
+    defined at the top level."""
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+        is_record = any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators) or any(
+            isinstance(b, ast.Name) and b.id == "NamedTuple" for b in node.bases
+        )
+        if is_record:
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield node.name, item.target.id
+
+
+def test_every_dataclass_field_is_read():
+    # a field that nothing reads is data kept for no caller: delete it
+    trees = [ast.parse(path.read_text(), filename=str(path)) for path in SRC]
+    read = {
+        node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = [
+        f"{cls}.{field}"
+        for tree in trees
+        for cls, field in _record_fields(tree)
+        if field not in read
+    ]
+    assert unread == []
