@@ -1,8 +1,9 @@
 """Assembly of stable Betti tables from per-stratum series.
 
 A space is named by its label, read once by `parse_space`; `assemble` builds
-its rows from the strata that make it up.  Every stratum contributes its
-series shifted by twice the cone dimension (the complex codimension); the
+its rows from the strata that make it up.  Every stratum contributes the
+lambda series times its stabilizer's invariant series in t^2, placed at
+twice its complex codimension in one step (`stratum_series`).  The
 assembled total in each degree is a plain sum, the spectral bookkeeping
 having no surviving differentials in the stable range by parity.  Hodge
 weights are not tracked, only degree placement.
@@ -128,29 +129,26 @@ def _molien_prefix(cone: Cone, depth: int) -> tuple[int, ...]:
     return molien(stabilizer_action(cone), depth).coeffs
 
 
-def stratum_series(entry: CatalogEntry, max_deg: int) -> TruncatedSeries:
-    """Stable series of one stratum: lambda series times the invariant series
-    of the stabilizer action evaluated in t^2."""
-    inv = _molien_prefix(entry.cone, max_deg // 2)
-    inv_t2 = TruncatedSeries(
-        tuple(inv[k // 2] if k % 2 == 0 else 0 for k in range(max_deg + 1))
-    )
-    return lambda_series(max_deg) * inv_t2
+def _placed(coeffs: tuple[int, ...], shift: int, max_deg: int) -> TruncatedSeries:
+    """Lambda series times the series with these coefficients in t^2, moved
+    up to degree `shift`: coefficient k sits in degree shift + 2k, and the
+    caller passes the (max_deg - shift) // 2 + 1 that fit."""
+    placed = [0] * (max_deg + 1)
+    placed[shift::2] = coeffs
+    return lambda_series(max_deg) * TruncatedSeries(tuple(placed))
+
+
+def stratum_series(entry: CatalogEntry, max_deg: int, shift: int) -> TruncatedSeries:
+    """Stable series of one stratum placed at degree `shift`: lambda series
+    times the invariant series of the stabilizer action evaluated in t^2,
+    times t^shift."""
+    return _placed(_molien_prefix(entry.cone, (max_deg - shift) // 2), shift, max_deg)
 
 
 def _standard_series(i: int, max_deg: int) -> TruncatedSeries:
-    """Series of the standard rank-i stratum: free on classes of degrees
-    2, 4, ..., 2i over the lambda classes."""
-    return lambda_series(max_deg) * product_free(range(2, 2 * i + 1, 2), max_deg)
-
-
-def _shifted_stratum(entry: CatalogEntry, shift: int, max_deg: int) -> TruncatedSeries:
-    return _shift(stratum_series(entry, max_deg - shift), shift)
-
-
-def _shift(series: TruncatedSeries, k: int) -> TruncatedSeries:
-    """Multiply by t^k; the caller passes a series truncated k degrees early."""
-    return TruncatedSeries((0,) * k + series.coeffs)
+    """Series of the standard rank-i stratum, placed at its codimension 2i:
+    free on classes of degrees 2, 4, ..., 2i over the lambda classes."""
+    return _placed(product_free(range(1, i + 1), max_deg // 2 - i).coeffs, 2 * i, max_deg)
 
 
 def assemble(space: str, max_deg: int) -> BettiReport:
@@ -167,7 +165,7 @@ def assemble(space: str, max_deg: int) -> BettiReport:
     elif kind == "beta":
         # the open stratum of rank-n cones, each shifted by its codimension there
         rows = [
-            (e.name, _shifted_stratum(e, 2 * (e.dim - n), max_deg))
+            (e.name, stratum_series(e, max_deg, 2 * (e.dim - n)))
             for e in catalog(6)
             if e.rank == n and 2 * (e.dim - n) <= max_deg
         ]
@@ -176,10 +174,10 @@ def assemble(space: str, max_deg: int) -> BettiReport:
         if kind == "std":
             for i in range(1, max_deg // 2 + 1):
                 name = "+".join(["1"] * i)
-                rows.append((name, _shift(_standard_series(i, max_deg - 2 * i), 2 * i)))
+                rows.append((name, _standard_series(i, max_deg)))
         elif kind == "partial":
             if max_deg >= 2:
-                rows.append(("1", _shifted_stratum(catalog_entry("1"), 2, max_deg)))
+                rows.append(("1", stratum_series(catalog_entry("1"), max_deg, 2)))
         elif kind in _CATALOG_SPACES:
             # degree 13 is still exact: dimension-7 strata would first contribute
             # in degree 14, and the degree-13 coefficient vanishes by parity
@@ -188,7 +186,7 @@ def assemble(space: str, max_deg: int) -> BettiReport:
             keep = _CATALOG_SPACES[kind]
             for e in catalog(6):
                 if keep(e) and 2 * e.dim <= max_deg:
-                    rows.append((e.name, _shifted_stratum(e, 2 * e.dim, max_deg)))
+                    rows.append((e.name, stratum_series(e, max_deg, 2 * e.dim)))
 
     totals = tuple(
         sum(series.coeffs[d] for _, series in rows) for d in range(max_deg + 1)

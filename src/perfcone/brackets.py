@@ -78,6 +78,8 @@ class BracketClass:
         return render_bracket(self)
 
 
+# The unit, the one class with no exponents; it is recognized by
+# `not bc.exponents`, never by identity.
 UNIT = BracketClass((), frozenset())
 
 
@@ -196,7 +198,7 @@ def _span(vectors: Iterable[int]) -> frozenset[int]:
 
 def render_bracket(bc: BracketClass) -> str:
     """One digit per index and exponent: a class needing 10 would not parse back."""
-    if bc is UNIT or not bc.exponents:
+    if not bc.exponents:
         return "{}"
     if bc.length > 9 or bc.exponents[0] > 9:  # exponents are nonincreasing
         raise ValueError(f"bracket indices and exponents are one digit (at most 9): {bc.exponents}")
@@ -445,21 +447,11 @@ def _subtype(c: BracketClass, split: Sequence[int]) -> BracketClass:
     chosen positions, re-indexed along the support.
     """
     support = [j for j, a in enumerate(split) if a > 0]
-    if not support:
-        return UNIT
-    mask = 0
-    for j in support:
-        mask |= 1 << j
-    pos = {j: t for t, j in enumerate(support)}
-    vectors = []
-    for v in c.code:
-        if v & ~mask:
-            continue
-        out = 0
-        for j in support:
-            if v >> j & 1:
-                out |= 1 << pos[j]
-        vectors.append(out)
+    mask = sum(1 << j for j in support)
+    rank = [0] * len(split)  # position j goes to its rank in the support
+    for t, j in enumerate(support):
+        rank[j] = t
+    vectors = [_remap(v, rank) for v in c.code if not v & ~mask]
     return canonical_bracket([split[j] for j in support], vectors)
 
 
@@ -508,9 +500,9 @@ def _structure_constants(
     class has the half's sorted nonzero exponents, so only the splits
     matching those of A and B are enumerated (`_splits`).
     """
-    if a is UNIT or not a.exponents:
+    if not a.exponents:
         return ((b, 1),)
-    if b is UNIT or not b.exponents:
+    if not b.exponents:
         return ((a, 1),)
     out = []
     for c in enumerate_brackets(a.degree + b.degree):
@@ -598,25 +590,11 @@ def count_pure_strata(d: int) -> int:
     counts = Counter(e.dim for e in catalog(6))
     total = 0
     for pattern in _partitions(d // 2):
-        if max(pattern) > 6:
-            continue
         prod = 1
         for p in pattern:
             prod *= counts[p]
         total += prod
     return total
-
-
-def _pure_boundary_count(degree: int) -> int:
-    if degree == 0:
-        return 1
-    return len(enumerate_brackets(degree // 2))
-
-
-def _pure_strata_count(degree: int) -> int:
-    if degree == 0:
-        return 1
-    return count_pure_strata(degree)
 
 
 @dataclass(frozen=True)
@@ -638,8 +616,9 @@ def algebra_dimension_bounds(d: int) -> DimensionBounds:
         raise ValueError("bounds are computed for even degrees 2..12")
     lam = lambda_series(d)
     out = []
-    for pure in (_pure_boundary_count, _pure_strata_count):
-        lam_part = sum(lam.coeffs[d - j] * pure(j) for j in range(0, d - 1, 2))
+    for pure in (lambda j: len(enumerate_brackets(j // 2)), count_pure_strata):
+        # the one pure class of degree 0 is the unit
+        lam_part = lam.coeffs[d] + sum(lam.coeffs[d - j] * pure(j) for j in range(2, d - 1, 2))
         pure_part = pure(d)
         out.append((lam_part, pure_part, lam_part + pure_part))
     return DimensionBounds(degree=d, boundary=out[0], strata=out[1])
@@ -888,6 +867,4 @@ def oracle_expand(g: int, factors: Sequence[BracketClass]) -> ClassSum:
 
 def representable(bc: BracketClass, g: int) -> bool:
     """Whether the class has monomials over F2^g: needs length - dim(code) <= g."""
-    if bc is UNIT or not bc.exponents:
-        return True
     return bc.length - bc.code_dim <= g

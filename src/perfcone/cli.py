@@ -15,21 +15,6 @@ from .stabilizers import invariant_dim_degree1, stabilizer_action
 from .verify import FAIL, render_results, run_checks
 
 
-class CommandError(Exception):
-    pass
-
-
-def _catalog_entry(name: str) -> cn.CatalogEntry:
-    try:
-        return cn.catalog_entry(name)
-    except KeyError as exc:
-        raise CommandError(str(exc.args[0])) from None
-
-
-def _catalog_cone(name: str) -> cn.Cone:
-    return _catalog_entry(name).cone
-
-
 def cmd_betti(args) -> int:
     report = assemble(args.space, args.max_degree)
     if args.format == "csv":
@@ -53,7 +38,7 @@ def cmd_catalog(args) -> int:
                 f"{flags[0]:>9}  {flags[1]:>10}  {flags[2]:>5}  {e.cone.n_generators:>10}"
             )
         return 0
-    entry = _catalog_entry(args.name)
+    entry = cn.catalog_entry(args.name)
     print(cn.render_catalog([entry]), end="")
     if args.check_flags:
         fresh = cn.describe(entry.cone)
@@ -68,7 +53,7 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_stabilizer(args) -> int:
-    cone = _catalog_cone(args.name)
+    cone = cn.catalog_cone(args.name)
     action = stabilizer_action(cone)
     print(f"cone {args.name}: stabilizer image on the span of the generators")
     print(f"order: {action.order}")
@@ -80,14 +65,14 @@ def cmd_stabilizer(args) -> int:
 
 def cmd_molien(args) -> int:
     check_molien_degree(args.max_degree)
-    cone = _catalog_cone(args.name)
+    cone = cn.catalog_cone(args.name)
     series = molien(stabilizer_action(cone), args.max_degree)
     print(" ".join(str(c) for c in series.coeffs))
     return 0
 
 
 def cmd_koszul(args) -> int:
-    cone = _catalog_cone(args.name)
+    cone = cn.catalog_cone(args.name)
     report = koszul_check(cone, args.max_total)
     print(f"W rank {report.w_rank}, M rank {report.m_rank}")
     for n, (bottom, expected) in enumerate(zip(report.bottom_row, report.expected_bottom)):
@@ -111,7 +96,7 @@ def cmd_brackets(args) -> int:
         print(br.parse_expression(args.expr))
         return 0
     if args.action == "of-cone":
-        print(br.cone_to_bracket(_catalog_cone(args.name)))
+        print(br.cone_to_bracket(cn.catalog_cone(args.name)))
         return 0
     if args.action == "bounds":
         bounds = br.algebra_dimension_bounds(args.degree)
@@ -240,7 +225,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CommandError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

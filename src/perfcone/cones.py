@@ -535,10 +535,11 @@ def catalog(max_dim: int = 6) -> tuple[CatalogEntry, ...]:
 
 
 def catalog_entry(name: str) -> CatalogEntry:
+    """The catalog entry of that name; an unknown name is a ValueError."""
     for e in catalog(6):
         if e.name == name:
             return e
-    raise KeyError(f"unknown catalog cone {name!r}")
+    raise ValueError(f"unknown catalog cone {name!r}")
 
 
 def catalog_cone(name: str) -> Cone:

@@ -13,7 +13,10 @@ import dataclasses
 
 import pytest
 
+from perfcone import betti
+from perfcone import brackets as br
 from perfcone import verify
+from perfcone.series import product_free
 from perfcone.verify import (
     FAIL,
     FLAG,
@@ -83,6 +86,38 @@ def test_flag_rows_fail_under_their_fixed_labels(monkeypatch):
     assert beta2.detail == "unexpected mismatches: (); beta2 stratum degree 8: 19"
     matr = run_row(table["matroidal degree 12: computed 79 vs published 78"])
     assert (matr.status, matr.detail) == (FAIL, "computed 78")
+
+
+# each row's input made wrong through one module attribute, given the real one
+@pytest.mark.parametrize(
+    "label,module,name,wrong,detail",
+    [
+        ("strata-monomial counts for degrees 2-12 equal 1,2,4,8,16,37",
+         br, "catalog", lambda real: lambda depth: real(depth)[:-1],  # one dim-6 cone lost
+         "computed [1, 2, 4, 8, 16, 36]"),
+        ("degree-12 dimension bounds: boundary (43,36,79), strata (43,37,80)",
+         br, "enumerate_brackets", lambda real: lambda d: real(d)[: -1 if d == 6 else None],
+         "computed boundary (43, 35, 78), strata (43, 37, 80)"),
+        ("standard-cones Euler identity to degree 20",
+         betti, "_standard_series", lambda real: lambda i, max_deg: real(i - 1, max_deg), ""),
+        ("universal(1) equals the Mumford partial compactification to degree 20",
+         betti, "stratum_series",
+         lambda real: lambda entry, max_deg, shift: real(entry, max_deg, shift + 2), ""),
+        ("satake equals the lambda series to degree 30",
+         betti, "lambda_series",  # a generator in every even degree
+         lambda real: lambda max_deg: product_free(range(2, max_deg + 1, 2), max_deg), ""),
+        ("cone-to-bracket dictionary on the named cones",
+         br, "f2_kernel", lambda real: lambda vectors: [], ""),  # no relation found
+    ],
+    ids=["strata-counts", "dimension-bounds", "std-identity", "universal1-partial", "satake",
+         "cone-to-bracket"],
+)
+def test_rows_of_criteria_6_9_11_fail_on_a_wrong_value(monkeypatch, label, module, name, wrong,
+                                                       detail):
+    [row] = [r for r in rows() if r.label == label]
+    assert run_row(row).status == PASS
+    monkeypatch.setattr(module, name, wrong(getattr(module, name)))
+    assert run_row(row) == verify.CheckResult(row.criterion, label, FAIL, detail)
 
 
 def test_no_unexpected_flags(results):

@@ -11,6 +11,7 @@ from perfcone.betti import (
     std_identity_check,
     stratum_series,
 )
+from perfcone.series import product_free
 
 
 def even(values, upto):
@@ -27,24 +28,42 @@ def test_lambda_series_values():
 
 def test_stratum_series_sigma1():
     e = cn.catalog_entry("1")
-    s = stratum_series(e, 10)
+    s = stratum_series(e, 10, 0)
     assert even(s.coeffs, 10) == (1, 2, 3, 5, 7, 10)
 
 
 def test_stratum_series_k3():
-    s = stratum_series(cn.catalog_entry("K3"), 6)
+    s = stratum_series(cn.catalog_entry("K3"), 6, 0)
     assert even(s.coeffs, 6) == (1, 2, 4, 8)
 
 
 def test_stratum_series_standard3():
-    s = stratum_series(cn.catalog_entry("1+1+1"), 6)
+    s = stratum_series(cn.catalog_entry("1+1+1"), 6, 0)
     assert even(s.coeffs, 6) == (1, 2, 4, 8)
 
 
 def test_stratum_series_codim4_row():
-    values = [even(stratum_series(cn.catalog_entry(n), 4).coeffs, 4) for n in ("1+1+1+1", "K3+1", "C4")]
+    values = [even(stratum_series(cn.catalog_entry(n), 4, 0).coeffs, 4) for n in ("1+1+1+1", "K3+1", "C4")]
     assert values == [(1, 2, 4), (1, 3, 7), (1, 2, 4)]
     assert [sum(v) for v in zip(*values)] == [3, 7, 15]
+
+
+def test_stratum_series_placement_matches_truncate_then_pad():
+    # oracle: the series truncated shift degrees early, then padded with
+    # shift zeros
+    for e in cn.catalog(5):
+        for max_deg in range(14):
+            for shift in range(0, max_deg + 1, 2):
+                padded = (0,) * shift + stratum_series(e, max_deg - shift, 0).coeffs
+                assert stratum_series(e, max_deg, shift).coeffs == padded, (e.name, max_deg, shift)
+
+
+def test_standard_series_matches_truncate_then_pad():
+    for max_deg in range(21):
+        for i in range(1, max_deg // 2 + 1):
+            rest = max_deg - 2 * i
+            free = lambda_series(rest) * product_free(range(2, 2 * i + 1, 2), rest)
+            assert betti._standard_series(i, max_deg).coeffs == (0,) * (2 * i) + free.coeffs
 
 
 def test_perf_totals():

@@ -201,6 +201,11 @@ def test_algebra_dimension_bounds():
     b10 = br.algebra_dimension_bounds(10)
     assert b10.boundary == (21, 16, 37)
     assert b10.strata == (21, 16, 37)
+    # below degree 10 the two algebras agree; the degree-0 unit term is the
+    # lambda coefficient alone
+    for d, both in ((2, (1, 1, 2)), (4, (2, 2, 4)), (6, (5, 4, 9)), (8, (10, 8, 18))):
+        bounds = br.algebra_dimension_bounds(d)
+        assert (bounds.boundary, bounds.strata) == (both, both), d
 
 
 def test_oracle_square_at_g3():

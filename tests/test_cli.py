@@ -74,8 +74,12 @@ def test_negative_molien_degree_fails_before_the_stabilizer_search(capsys, monke
 
 
 def test_unknown_cone_fails(capsys):
-    assert main(["stabilizer", "Zeta"]) == 1
-    assert "unknown catalog cone" in capsys.readouterr().err
+    for argv in (["catalog", "show", "Zeta"], ["stabilizer", "Zeta"],
+                 ["molien", "Zeta", "--max-degree", "4"], ["koszul", "Zeta"],
+                 ["brackets", "of-cone", "Zeta"]):
+        assert main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: unknown catalog cone 'Zeta'\n"), argv
 
 
 def test_depth_beyond_catalog_fails(capsys):

@@ -49,6 +49,13 @@ def test_cone_rank_examples():
     assert cn.cone_rank(cn.Cone(1, [(1,)])) == 1
 
 
+def test_unknown_catalog_name_is_a_value_error():
+    with pytest.raises(ValueError, match="unknown catalog cone 'Zeta'"):
+        cn.catalog_entry("Zeta")
+    with pytest.raises(ValueError, match="unknown catalog cone 'Zeta'"):
+        cn.catalog_cone("Zeta")
+
+
 def test_all_catalog_cones_dim_le_5_simplicial():
     for e in CAT:
         if e.dim <= 5:
