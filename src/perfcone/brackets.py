@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
 import warnings
 from collections import Counter
@@ -489,6 +490,23 @@ def _splits(
 
 
 @lru_cache(maxsize=None)
+def _split_table(
+    c: BracketClass, left: tuple[int, ...], right: tuple[int, ...]
+) -> Counter[tuple[BracketClass, BracketClass]]:
+    """(class of the left half, class of the right half) -> number of the
+    splits of c whose halves have the exponent patterns `left` and `right`.
+
+    Every class pair with those two patterns reads its coefficient at c from
+    this one table, so each split is enumerated (`_splits`) and its two
+    halves classified (`_subtype`) once per process.
+    """
+    return Counter(
+        (_subtype(c, split), _subtype(c, tuple(map(operator.sub, c.exponents, split))))
+        for split in _splits(c.exponents, left, right)
+    )
+
+
+@lru_cache(maxsize=None)
 def _structure_constants(
     a: BracketClass, b: BracketClass
 ) -> tuple[tuple[BracketClass, int], ...]:
@@ -497,8 +515,9 @@ def _structure_constants(
     The coefficient of C counts the ways a fixed monomial of type C factors
     into a type-A and a type-B monomial: exponent splits whose two halves,
     with their induced codes, canonicalize to A and B respectively.  A half's
-    class has the half's sorted nonzero exponents, so only the splits
-    matching those of A and B are enumerated (`_splits`).
+    class has the half's sorted nonzero exponents, so the count is read, for
+    each C of the product's degree in enumeration order, from C's split table
+    for the patterns of A and B (`_split_table`).
     """
     if not a.exponents:
         return ((b, 1),)
@@ -506,11 +525,7 @@ def _structure_constants(
         return ((a, 1),)
     out = []
     for c in enumerate_brackets(a.degree + b.degree):
-        count = 0
-        for split in _splits(c.exponents, a.exponents, b.exponents):
-            rest = tuple(e - s for e, s in zip(c.exponents, split))
-            if _subtype(c, split) == a and _subtype(c, rest) == b:
-                count += 1
+        count = _split_table(c, a.exponents, b.exponents)[a, b]
         if count:
             out.append((c, count))
     return tuple(out)
@@ -628,7 +643,8 @@ def algebra_dimension_bounds(d: int) -> DimensionBounds:
 # Explicit expansion oracle over a fixed Lagrangian
 #
 # A monomial prod D_v^{e_v} is packed as the integer sum of e_v << (3 v), so
-# multiplying two monomials is adding their keys.  A monomial is a packed key
+# multiplying two monomials is adding their keys, which the convolution does
+# in C with `starmap(operator.add, product(...))`.  A monomial is a packed key
 # from its listing to its classification, and no pattern's monomials are kept.
 # What is cached, for the life of the process:
 # - `_class_ids`: packed key -> small class id, one entry per key classified;
@@ -636,6 +652,9 @@ def algebra_dimension_bounds(d: int) -> DimensionBounds:
 # - `_classify_monomial`: (exponent digits, code) -> class id, so a key that
 #   misses `_class_ids` costs no `BracketClass` hash;
 # - behind `canonical_bracket`: the orbit tables, one walk per code orbit.
+# On the structure-constant side, which the oracle checks, `_split_table`
+# holds one count of half-class pairs per (class, left pattern, right
+# pattern), and `_structure_constants` one expansion per class pair.
 # ---------------------------------------------------------------------------
 
 _FIELD_BITS = 3
@@ -805,15 +824,17 @@ def oracle_expand(g: int, factors: Sequence[BracketClass]) -> ClassSum:
     come from `realize_class`, listed afresh on every call.
 
     The product is convolved one factor at a time.  Each stage is counted by
-    `Counter` over the sums of the running keys with the factor's keys, one
-    pass per distinct running coefficient, so the additions and the counting
-    run in C.  Each key of the product is then looked up in `_class_ids`
-    (see the caches above).  Only the monomials the product touches are
-    classified; the monomials of the product's own patterns are never
-    listed, since at g = 6 the pattern (1,1,1,1,1,1) alone has C(63, 6),
-    about 67 million, where {123(123)}^2 forms 651^2, about 424 k, sums.  A
-    product with more than MAX_PRODUCT_MONOMIALS tuples of factor monomials
-    is rejected with a ValueError before the convolution starts.
+    `Counter` over `starmap(operator.add, product(keys, fact))`, the sums of
+    the running keys with the factor's keys, one pass per distinct running
+    coefficient, so the additions and the counting run in C; a pass whose
+    coefficient is not 1 then scales its counts.  Each key of the product is
+    then looked up in `_class_ids` (see the caches above).  Only the
+    monomials the product touches are classified; the monomials of the
+    product's own patterns are never listed, since at g = 6 the pattern
+    (1,1,1,1,1,1) alone has C(63, 6), about 67 million, where {123(123)}^2
+    forms 651^2, about 424 k, sums.  A product with more than
+    MAX_PRODUCT_MONOMIALS tuples of factor monomials is rejected with a
+    ValueError before the convolution starts.
     """
     if not 0 <= g <= 6:
         raise ValueError(f"oracle supports 0 <= g <= 6, got g = {g}")
@@ -836,7 +857,7 @@ def oracle_expand(g: int, factors: Sequence[BracketClass]) -> ClassSum:
             by_coeff.setdefault(coeff, []).append(key)
         poly = Counter()
         for coeff, keys in by_coeff.items():
-            counts = Counter(map(sum, itertools.product(keys, fact)))
+            counts = Counter(itertools.starmap(operator.add, itertools.product(keys, fact)))
             if coeff != 1:
                 for key in counts:
                     counts[key] *= coeff

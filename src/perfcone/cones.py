@@ -556,11 +556,15 @@ def _flag_str(v: bool) -> str:
 
 
 def _flag_parse(s: str) -> bool:
-    return {"yes": True, "no": False}[s]
+    if s not in ("yes", "no"):
+        raise ValueError(s)
+    return s == "yes"
 
 
 def _multiplicity_parse(s: str) -> int:
-    return {"1": 1}[s]
+    if s != "1":
+        raise ValueError(s)
+    return 1
 
 
 def render_catalog(entries: Sequence[CatalogEntry]) -> str:
@@ -623,7 +627,7 @@ def _cone_block(lines: list[str]) -> CatalogEntry:
             raise ValueError(f"expected '{key} = ...', got {line!r}")
         try:
             fields[key] = read(value)
-        except (KeyError, ValueError):
+        except ValueError:
             raise ValueError(f"bad value in {line!r}") from None
     if padded[8] != "generators:":
         raise ValueError(f"expected 'generators:', got {padded[8]!r}")

@@ -305,6 +305,21 @@ def test_packed_oracle_matches_tuple_oracle(g):
         assert br.oracle_expand(g, [a, b]) == tuple_oracle_expand(g, [a, b]), (g, a, b)
 
 
+@pytest.mark.parametrize("g", [2, 3])
+def test_packed_oracle_matches_tuple_oracle_on_three_factors(g):
+    # {1}*{1} holds each D_v D_w twice, so a third factor takes the
+    # convolution's pass for a running coefficient other than 1
+    classes = [bc for d in (1, 2) for bc in br.enumerate_brackets(d)]
+    products = [
+        factors
+        for factors in itertools.product(classes, repeat=3)
+        if sum(bc.degree for bc in factors) <= 4
+    ]
+    assert len(products) == 7
+    for factors in products:
+        assert br.oracle_expand(g, factors) == tuple_oracle_expand(g, factors), (g, factors)
+
+
 def test_oracle_detects_unequal_coefficients(monkeypatch):
     boundary = br.parse_bracket("{1}")
     realize = br.realize_class
@@ -505,6 +520,36 @@ def test_structure_constants_match_all_splits_oracle():
         assert br._structure_constants(a, b) == all_splits_constants(a, b)
 
 
+def test_each_split_is_enumerated_and_typed_once(monkeypatch, fresh_bracket_caches):
+    classes = [bc for d in range(1, 6) for bc in br.enumerate_brackets(d)]
+    pairs = [
+        (a, b)
+        for a, b in itertools.combinations_with_replacement(classes, 2)
+        if a.degree + b.degree <= 6
+    ]
+    assert len(pairs) == 68
+    calls, enumerated, typed = [], [], []
+    splits, subtype = br._splits, br._subtype
+
+    def counted_splits(*args):
+        calls.append(args)
+        got = list(splits(*args))
+        enumerated.extend(got)
+        return got
+
+    monkeypatch.setattr(br, "_splits", counted_splits)
+    monkeypatch.setattr(br, "_subtype", lambda c, split: typed.append(split) or subtype(c, split))
+    for a, b in pairs:
+        br.ClassSum.of(a) * br.ClassSum.of(b)
+    distinct = {
+        (c, a.exponents, b.exponents)
+        for a, b in pairs
+        for c in br.enumerate_brackets(a.degree + b.degree)
+    }
+    assert sorted(calls) == sorted((c.exponents, l, r) for c, l, r in distinct)
+    assert len(typed) == 2 * len(enumerated)
+
+
 def test_enumeration_rejects_degree_above_bound():
     with pytest.raises(ValueError, match="through degree 7"):
         br.enumerate_brackets(8)
@@ -578,18 +623,6 @@ def bfs_weight3_subspaces(l):
                 seen.add(fs)
                 frontier.append(fs)
     return seen
-
-
-@pytest.fixture
-def fresh_bracket_caches():
-    def clear():
-        for f in vars(br).values():
-            if hasattr(f, "cache_clear"):
-                f.cache_clear()
-
-    clear()
-    yield
-    clear()
 
 
 @pytest.mark.parametrize("l", range(1, 8))

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from perfcone import brackets as br
 from perfcone.cli import main
 from perfcone.cones import catalog
 
@@ -202,6 +203,22 @@ def test_bad_bracket_names_the_expression(capsys, expression):
     (line,) = captured.err.splitlines()
     assert line.startswith("error: ")
     assert repr(expression) in line
+
+
+@pytest.mark.parametrize(
+    "argv", [["brackets", "enum", "-d", "7"], ["brackets", "multiply", "{1}*{1^6}"]]
+)
+def test_degree7_warning_is_one_plain_line(capsys, fresh_bracket_caches, argv):
+    # with cold caches degree 7 is enumerated, and warns, afresh
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "warning: bracket classes of degree 7 are unvalidated beyond degree 6\n"
+    if argv[1] == "enum":
+        expected = [br.render_bracket(bc) for bc in br.enumerate_brackets(7)]
+        assert len(expected) == 80
+    else:
+        expected = ["{1^7} + {1^6 2}"]
+    assert captured.out.splitlines() == expected
 
 
 def test_power_zero_is_the_unit(capsys):

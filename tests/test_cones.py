@@ -426,6 +426,12 @@ def test_parse_catalog_names_the_block_and_the_bad_line(old, new, named):
     assert str(caught.value) == f"catalog block {named}"
 
 
+@pytest.mark.parametrize("read,text", [(cn._flag_parse, "maybe"), (cn._multiplicity_parse, "2")])
+def test_catalog_value_readers_reject_with_value_error(read, text):
+    with pytest.raises(ValueError):
+        read(text)
+
+
 def test_parse_catalog_of_empty_text_is_empty():
     assert cn.parse_catalog("") == cn.parse_catalog("\n\n") == ()
 
