@@ -157,6 +157,10 @@ def assemble(space: str, max_deg: int) -> BettiReport:
     kind, n = parse_space(space)
     if max_deg < 0:
         raise ValueError("max degree must be nonnegative")
+    # degree 13 is still exact: dimension-7 strata would first contribute in
+    # degree 14, and the degree-13 coefficient vanishes by parity
+    if kind in _CATALOG_SPACES and max_deg > 13:
+        raise CatalogDepthError("catalog incomplete beyond degree 13")
 
     lam = lambda_series(max_deg)
     rows: list[tuple[str, TruncatedSeries]]
@@ -179,10 +183,6 @@ def assemble(space: str, max_deg: int) -> BettiReport:
             if max_deg >= 2:
                 rows.append(("1", stratum_series(catalog_entry("1"), max_deg, 2)))
         elif kind in _CATALOG_SPACES:
-            # degree 13 is still exact: dimension-7 strata would first contribute
-            # in degree 14, and the degree-13 coefficient vanishes by parity
-            if max_deg > 13:
-                raise CatalogDepthError("catalog incomplete beyond degree 13")
             keep = _CATALOG_SPACES[kind]
             for e in catalog(6):
                 if keep(e) and 2 * e.dim <= max_deg:

@@ -456,54 +456,27 @@ def _subtype(c: BracketClass, split: Sequence[int]) -> BracketClass:
     return canonical_bracket([split[j] for j in support], vectors)
 
 
-def _splits(
-    exponents: Sequence[int], left: Sequence[int], right: Sequence[int]
-) -> Iterable[tuple[int, ...]]:
-    """Splits s of `exponents` (0 <= s_j <= e_j) whose nonzero s_j are the
-    multiset `left` and whose nonzero e_j - s_j are the multiset `right`.
-
-    Each s_j is taken only where it and e_j - s_j are 0 or still unused on
-    their side.  At the end every part is used: the halves add up to the
-    degree of `left` plus `right`, and neither exceeds its own.
-    """
-    free_left, free_right = Counter(left), Counter(right)
-    split: list[int] = []
-
-    def rec(j: int):
-        if j == len(exponents):
-            yield tuple(split)
-            return
-        e = exponents[j]
-        for s in range(e + 1):
-            if (s and not free_left[s]) or (s < e and not free_right[e - s]):
-                continue
-            # the counts at 0 go negative and are never read
-            free_left[s] -= 1
-            free_right[e - s] -= 1
-            split.append(s)
-            yield from rec(j + 1)
-            split.pop()
-            free_left[s] += 1
-            free_right[e - s] += 1
-
-    return rec(0)
-
-
 @lru_cache(maxsize=None)
-def _split_table(
-    c: BracketClass, left: tuple[int, ...], right: tuple[int, ...]
-) -> Counter[tuple[BracketClass, BracketClass]]:
-    """(class of the left half, class of the right half) -> number of the
-    splits of c whose halves have the exponent patterns `left` and `right`.
+def _split_table(c: BracketClass) -> Counter[tuple[BracketClass, BracketClass]]:
+    """(class of one half, class of the other half) -> number of the ordered
+    splits of c, into two nonempty halves, with those classes.
 
-    Every class pair with those two patterns reads its coefficient at c from
-    this one table, so each split is enumerated (`_splits`) and its two
-    halves classified (`_subtype`) once per process.
+    Every class pair of c's degree reads its coefficient at c from this one
+    table.  The exponent splits s (0 <= s_j <= e_j) are walked once, the two
+    with an empty half skipped; each unordered pair of halves {s, e - s} is
+    classified (`_subtype`) once, from the s lexicographically at most e - s,
+    and counted in both orientations, or once when s = e - s.
     """
-    return Counter(
-        (_subtype(c, split), _subtype(c, tuple(map(operator.sub, c.exponents, split))))
-        for split in _splits(c.exponents, left, right)
-    )
+    table: Counter[tuple[BracketClass, BracketClass]] = Counter()
+    for split in itertools.product(*(range(e + 1) for e in c.exponents)):
+        rest = tuple(map(operator.sub, c.exponents, split))
+        if split > rest or not any(split):
+            continue
+        x, y = _subtype(c, split), _subtype(c, rest)
+        table[x, y] += 1
+        if split != rest:
+            table[y, x] += 1
+    return table
 
 
 @lru_cache(maxsize=None)
@@ -514,10 +487,9 @@ def _structure_constants(
 
     The coefficient of C counts the ways a fixed monomial of type C factors
     into a type-A and a type-B monomial: exponent splits whose two halves,
-    with their induced codes, canonicalize to A and B respectively.  A half's
-    class has the half's sorted nonzero exponents, so the count is read, for
-    each C of the product's degree in enumeration order, from C's split table
-    for the patterns of A and B (`_split_table`).
+    with their induced codes, canonicalize to A and B respectively.  It is
+    read, for each C of the product's degree in enumeration order, from C's
+    split table (`_split_table`), which every product of that degree shares.
     """
     if not a.exponents:
         return ((b, 1),)
@@ -525,7 +497,7 @@ def _structure_constants(
         return ((a, 1),)
     out = []
     for c in enumerate_brackets(a.degree + b.degree):
-        count = _split_table(c, a.exponents, b.exponents)[a, b]
+        count = _split_table(c)[a, b]
         if count:
             out.append((c, count))
     return tuple(out)
@@ -534,7 +506,8 @@ def _structure_constants(
 def parse_factors(text: str) -> list[BracketClass]:
     """Factors of a product expression: bracket classes joined by '*', each
     with an optional '^' power, which repeats it; a power must be
-    nonnegative, and power 0 leaves the unit.
+    nonnegative, and power 0 leaves the unit.  An empty expression is the
+    unit, but an empty factor is rejected.
 
     An expression of total degree above MAX_DEGREE is rejected, since its
     product needs the classes of that degree.
@@ -546,6 +519,8 @@ def parse_factors(text: str) -> list[BracketClass]:
         return factors
     for chunk in s.split("*"):
         chunk = chunk.strip()
+        if not chunk:
+            raise ValueError(f"empty factor in {text!r}")
         power = 1
         if "}^" in chunk:
             chunk, _, p = chunk.rpartition("^")
@@ -581,8 +556,6 @@ def parse_expression(text: str) -> ClassSum:
 def cone_to_bracket(c: Cone) -> BracketClass:
     """Class of the boundary monomial cut out by the cone's generators mod 2."""
     residues = Counter(vector_bitmask(g) for g in c.generators)  # in first-seen order
-    if 0 in residues:
-        raise ValueError("generator vanishes mod 2; cannot classify")
     return canonical_bracket(list(residues.values()), f2_kernel(list(residues)))
 
 
@@ -653,8 +626,9 @@ def algebra_dimension_bounds(d: int) -> DimensionBounds:
 #   misses `_class_ids` costs no `BracketClass` hash;
 # - behind `canonical_bracket`: the orbit tables, one walk per code orbit.
 # On the structure-constant side, which the oracle checks, `_split_table`
-# holds one count of half-class pairs per (class, left pattern, right
-# pattern), and `_structure_constants` one expansion per class pair.
+# holds, per class of the product's degree, the number of its ordered splits
+# into each pair of half classes, shared by every product of that degree, and
+# `_structure_constants` one expansion per class pair.
 # ---------------------------------------------------------------------------
 
 _FIELD_BITS = 3

@@ -8,7 +8,7 @@ from typing import Sequence
 
 from .cones import Cone, orth_lattice, sym2_pairs
 from .matrices import lattice_index, rank, vec_dot
-from .series import TruncatedSeries, product_free
+from .series import TruncatedSeries, check_series_degree, product_free
 from .stabilizers import GroupAction
 
 
@@ -18,9 +18,11 @@ class MolienSumError(AssertionError):
 
 
 def check_molien_degree(max_deg: int) -> None:
-    """Reject a negative truncation degree, before any group is built."""
+    """Reject a negative truncation degree, or one above MAX_SERIES_DEGREE,
+    before any group is built."""
     if max_deg < 0:
         raise ValueError(f"Molien series needs max_deg >= 0, got max_deg = {max_deg}")
+    check_series_degree(max_deg)
 
 
 def molien(action: GroupAction, max_deg: int) -> TruncatedSeries:

@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -511,13 +512,24 @@ def test_structure_constants_match_all_splits_oracle():
     ]
     assert len(pairs) == 68
     for a, b in pairs:
-        for c in br.enumerate_brackets(a.degree + b.degree):
-            got = list(br._splits(c.exponents, a.exponents, b.exponents))
-            assert sorted(got) == all_splits(c, a, b), (c, a, b)
         assert br._structure_constants(a, b) == all_splits_constants(a, b), (a, b)
     one = br.parse_bracket("{1^22}")
     for a, b in ((br.UNIT, one), (one, br.UNIT), (br.UNIT, br.UNIT)):
         assert br._structure_constants(a, b) == all_splits_constants(a, b)
+
+
+def _nontrivial_splits(c):
+    """Every exponent split of c with two nonempty halves."""
+    splits = itertools.product(*(range(e + 1) for e in c.exponents))
+    return [s for s in splits if any(s) and s != c.exponents]
+
+
+@pytest.mark.filterwarnings("ignore:bracket classes of degree 7")
+def test_split_table_counts_every_ordered_split_once():
+    for d in range(2, 8):
+        for c in br.enumerate_brackets(d):
+            table = br._split_table(c)
+            assert sum(table.values()) == math.prod(e + 1 for e in c.exponents) - 2, c
 
 
 def test_each_split_is_enumerated_and_typed_once(monkeypatch, fresh_bracket_caches):
@@ -528,26 +540,20 @@ def test_each_split_is_enumerated_and_typed_once(monkeypatch, fresh_bracket_cach
         if a.degree + b.degree <= 6
     ]
     assert len(pairs) == 68
-    calls, enumerated, typed = [], [], []
-    splits, subtype = br._splits, br._subtype
-
-    def counted_splits(*args):
-        calls.append(args)
-        got = list(splits(*args))
-        enumerated.extend(got)
-        return got
-
-    monkeypatch.setattr(br, "_splits", counted_splits)
-    monkeypatch.setattr(br, "_subtype", lambda c, split: typed.append(split) or subtype(c, split))
+    typed = []
+    subtype = br._subtype
+    monkeypatch.setattr(br, "_subtype", lambda c, split: typed.append((c, split)) or subtype(c, split))
     for a, b in pairs:
         br.ClassSum.of(a) * br.ClassSum.of(b)
-    distinct = {
-        (c, a.exponents, b.exponents)
-        for a, b in pairs
-        for c in br.enumerate_brackets(a.degree + b.degree)
-    }
-    assert sorted(calls) == sorted((c.exponents, l, r) for c, l, r in distinct)
-    assert len(typed) == 2 * len(enumerated)
+    products = [c for d in range(2, 7) for c in br.enumerate_brackets(d)]
+    assert br._split_table.cache_info().misses == len(products) == 66
+    # {s, e - s} is one unordered split, and s = e - s only when every e_j is even
+    unordered = sum(
+        (len(_nontrivial_splits(c)) + all(e % 2 == 0 for e in c.exponents)) // 2
+        for c in products
+    )
+    assert len(typed) == 2 * unordered
+    assert set(typed) == {(c, s) for c in products for s in _nontrivial_splits(c)}
 
 
 def test_enumeration_rejects_degree_above_bound():

@@ -7,8 +7,10 @@ import pytest
 from perfcone import brackets as br
 from perfcone.cli import main
 from perfcone.cones import catalog
+from perfcone.series import MAX_SERIES_DEGREE
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
+ABOVE_SERIES_BOUND = str(MAX_SERIES_DEGREE + 1)
 
 DOCUMENTED = [
     ("betti_perf_12_breakdown.txt", "betti --space perf --max-degree 12 --breakdown"),
@@ -74,6 +76,19 @@ def test_negative_molien_degree_fails_before_the_stabilizer_search(capsys, monke
     assert captured.err == "error: Molien series needs max_deg >= 0, got max_deg = -1\n"
 
 
+def test_molien_degree_above_bound_fails_before_the_stabilizer_search(capsys, monkeypatch):
+    from perfcone import cli
+
+    def refuse(cone):
+        raise AssertionError("stabilizer search ran before the degree check")
+
+    monkeypatch.setattr(cli, "stabilizer_action", refuse)
+    assert main(["molien", "6d-g6-x", "--max-degree", ABOVE_SERIES_BOUND]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"only through degree {MAX_SERIES_DEGREE}, not {ABOVE_SERIES_BOUND}" in captured.err
+
+
 def test_unknown_cone_fails(capsys):
     for argv in (["catalog", "show", "Zeta"], ["stabilizer", "Zeta"],
                  ["molien", "Zeta", "--max-degree", "4"], ["koszul", "Zeta"],
@@ -86,6 +101,9 @@ def test_unknown_cone_fails(capsys):
 def test_depth_beyond_catalog_fails(capsys):
     assert main(["betti", "--space", "perf", "--max-degree", "14"]) == 1
     assert "catalog incomplete beyond degree 13" in capsys.readouterr().err
+    # above the series bound the catalog is still what is named
+    assert main(["betti", "--space", "perf", "--max-degree", ABOVE_SERIES_BOUND]) == 1
+    assert capsys.readouterr().err == "error: catalog incomplete beyond degree 13\n"
 
 
 def test_stabilizer_of_dim6_entry(capsys):
@@ -172,6 +190,10 @@ def test_negative_count_fails(capsys, argv, named):
         (["voronoi", "enumerate", "-g", "6"], "g <= 5, got g = 6"),
         (["voronoi", "faces", "-g", "3", "--max-dim", "-1"], "got max_dim = -1"),
         (["voronoi", "faces", "-g", "3", "--max-dim", "7"], "got max_dim = 7"),
+    ] + [
+        (["betti", "--space", space, "--max-degree", ABOVE_SERIES_BOUND],
+         f"series are computed only through degree {MAX_SERIES_DEGREE}, not {ABOVE_SERIES_BOUND}")
+        for space in ("std", "satake", "partial", "beta1", "beta2", "beta3", "universal:8")
     ],
 )
 def test_out_of_range_genus_or_degree_names_the_bound(capsys, argv, bound):
@@ -219,6 +241,15 @@ def test_degree7_warning_is_one_plain_line(capsys, fresh_bracket_caches, argv):
     else:
         expected = ["{1^7} + {1^6 2}"]
     assert captured.out.splitlines() == expected
+
+
+@pytest.mark.parametrize("expression", ["{1}*", "{1}**{1}"])
+@pytest.mark.parametrize("command", [["multiply"], ["oracle", "-g", "3"]])
+def test_empty_factor_names_the_expression(capsys, command, expression):
+    assert main(["brackets", *command, expression]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: empty factor in {expression!r}\n"
 
 
 def test_power_zero_is_the_unit(capsys):

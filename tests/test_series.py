@@ -9,6 +9,14 @@ def test_product_free_matches_partition_counts():
     assert s.coeffs == (1, 1, 2, 3, 4, 5, 7)
 
 
+def test_product_free_rejects_degree_above_bound():
+    bound = ps.MAX_SERIES_DEGREE
+    assert bound >= 30
+    assert len(ps.product_free([1, 2], bound).coeffs) == bound + 1
+    with pytest.raises(ValueError, match=f"only through degree {bound}, not {bound + 1}"):
+        ps.product_free([1, 2], bound + 1)
+
+
 def test_mul_truncates():
     a = ps.TruncatedSeries((1, 1, 0, 0))
     b = ps.TruncatedSeries((1, 1, 0, 0))
