@@ -11,12 +11,10 @@ weights are not tracked, only degree placement.
 
 from __future__ import annotations
 
-import csv
 import io
 import re
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .cones import CatalogEntry, Cone, catalog, catalog_entry
 from .invariants import molien
@@ -56,8 +54,7 @@ def parse_space(label: str) -> tuple[str, Optional[int]]:
     return "universal", n
 
 
-@dataclass(frozen=True)
-class BettiReport:
+class BettiReport(NamedTuple):
     space: str
     max_degree: int
     rows: tuple[tuple[str, tuple[int, ...]], ...]
@@ -92,6 +89,8 @@ class BettiReport:
         return "\n".join(lines)
 
     def to_csv(self) -> str:
+        import csv
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["degree"] + [name for name, _ in self.rows] + ["total"])

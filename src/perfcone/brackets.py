@@ -17,16 +17,19 @@ import operator
 import re
 import warnings
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .cones import Cone, catalog, vector_bitmask
 from .matrices import f2_kernel
 
 
-@dataclass(frozen=True)
-class BracketClass:
+class _BracketClassFields(NamedTuple):
+    exponents: tuple[int, ...]
+    code: frozenset[int]
+
+
+class BracketClass(_BracketClassFields):
     """Canonical orbit label: nonincreasing exponents plus relation code.
 
     `code` holds every nonzero vector of the relation subspace as a bitmask
@@ -35,24 +38,24 @@ class BracketClass:
     representative under the exponent-preserving permutations.
     """
 
-    exponents: tuple[int, ...]
-    code: frozenset[int]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if any(e < 1 for e in self.exponents):
+    def __new__(cls, exponents, code):
+        if any(e < 1 for e in exponents):
             raise ValueError("exponents must be positive")
-        if tuple(sorted(self.exponents, reverse=True)) != self.exponents:
+        if tuple(sorted(exponents, reverse=True)) != exponents:
             raise ValueError("exponents must be nonincreasing")
-        l = len(self.exponents)
-        for v in self.code:
+        l = len(exponents)
+        for v in code:
             if not 0 < v < (1 << l):
                 raise ValueError("relation vector out of range")
             if bin(v).count("1") < 3:
                 raise ValueError("relation of Hamming weight < 3")
-        for v in self.code:
-            for w in self.code:
-                if v != w and v ^ w not in self.code:
+        for v in code:
+            for w in code:
+                if v != w and v ^ w not in code:
                     raise ValueError("relation code is not a subspace")
+        return _BracketClassFields.__new__(cls, exponents, code)
 
     @property
     def degree(self) -> int:
@@ -393,8 +396,7 @@ def enumerate_brackets(d: int) -> tuple[BracketClass, ...]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClassSum:
+class ClassSum(NamedTuple):
     """Formal integer combination of bracket classes (no zero terms).
 
     Every coefficient is a count: of the ways a monomial factors, or of
@@ -430,6 +432,12 @@ class ClassSum:
                 for c, n in _structure_constants(a, b):
                     data[c] = data.get(c, 0) + ca * cb * n
         return ClassSum.from_dict(data)
+
+    # a class sum is not a sequence: no tuple concatenation or repetition
+    def __add__(self, other):
+        return NotImplemented
+
+    __rmul__ = __add__
 
     def __str__(self) -> str:
         if not self.terms:
@@ -530,7 +538,14 @@ def parse_factors(text: str) -> list[BracketClass]:
                 raise ValueError(f"power {p!r} is not an integer in {text!r}") from None
             if power < 0:
                 raise ValueError(f"negative power {power} in {text!r}")
-        bc = parse_bracket(chunk)
+        try:
+            bc = parse_bracket(chunk)
+        except ValueError as e:
+            # the error quotes the factor; name the expression too, unless
+            # the factor is all of it
+            if chunk == s:
+                raise
+            raise ValueError(f"{e} in {text!r}") from None
         degree += bc.degree * power
         if degree > MAX_DEGREE:
             raise ValueError(
@@ -585,8 +600,7 @@ def count_pure_strata(d: int) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class DimensionBounds:
+class DimensionBounds(NamedTuple):
     """Upper bounds for the boundary and strata algebras in one degree.
 
     Each triple is (classes with a lambda factor, pure classes, total).

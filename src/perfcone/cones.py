@@ -21,9 +21,8 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .matrices import (
     IntMatrix,
@@ -153,22 +152,26 @@ def orth_lattice(c: Cone) -> tuple[IntVector, ...]:
     return kernel_basis(c.sym2_matrix(), cols=len(sym2_pairs(c.ambient)))
 
 
-@dataclass(frozen=True)
-class Graph:
-    """Simple undirected graph on vertices 1..n."""
-
+class _GraphFields(NamedTuple):
     vertices: int
     edges: tuple[tuple[int, int], ...]
 
-    def __post_init__(self):
+
+class Graph(_GraphFields):
+    """Simple undirected graph on vertices 1..n."""
+
+    __slots__ = ()
+
+    def __new__(cls, vertices, edges):
         seen = set()
-        for a, b in self.edges:
-            if not (1 <= a <= self.vertices and 1 <= b <= self.vertices) or a == b:
+        for a, b in edges:
+            if not (1 <= a <= vertices and 1 <= b <= vertices) or a == b:
                 raise ValueError(f"bad edge ({a}, {b})")
             key = (min(a, b), max(a, b))
             if key in seen:
                 raise ValueError(f"duplicate edge ({a}, {b})")
             seen.add(key)
+        return _GraphFields.__new__(cls, vertices, edges)
 
 
 def cycle_graph(n: int) -> Graph:
@@ -241,8 +244,7 @@ def _pairings(vectors: Sequence[IntVector], ambient: int) -> tuple[tuple[int, ..
     return tuple(tuple(vec_dot(a, w) for w in vectors) for a in adj_v)
 
 
-@dataclass(frozen=True)
-class _Family:
+class _Family(NamedTuple):
     """The set-up of `_assignment_search` for one spanning vector family.
 
     `order` puts a maximal independent subset (the basis) first; `adj` and
@@ -425,8 +427,17 @@ def cones_equivalent(c1: Cone, c2: Cone) -> Optional[IntMatrix]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class _CatalogEntryFields(NamedTuple):
+    name: str
+    dim: int
+    rank: int
+    cone: Cone
+    matroidal: bool
+    simplicial: bool
+    basic: bool
+
+
+class CatalogEntry(_CatalogEntryFields):
     """One GL-orbit of cones: an explicit representative with its dimension,
     rank and flags.  Each orbit is one stratum, so an entry carries no
     multiplicity.
@@ -437,17 +448,12 @@ class CatalogEntry:
     are exactly +- the generators.
     """
 
-    name: str
-    dim: int
-    rank: int
-    cone: Cone
-    matroidal: bool
-    simplicial: bool
-    basic: bool
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.dim < self.rank:
+    def __new__(cls, name, dim, rank, cone, matroidal, simplicial, basic):
+        if dim < rank:
             raise ValueError("cone dimension is at least its rank")
+        return _CatalogEntryFields.__new__(cls, name, dim, rank, cone, matroidal, simplicial, basic)
 
 
 def _standard(i: int, name: str) -> Cone:

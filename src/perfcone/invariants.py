@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .cones import Cone, orth_lattice, sym2_pairs
 from .matrices import lattice_index, rank, vec_dot
@@ -70,8 +69,7 @@ def _cycle_lengths(perm: Sequence[int]) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class KoszulReport:
+class KoszulReport(NamedTuple):
     """Cohomology of the Koszul strands for W inside M = Sym^2 dual.
 
     The strands are exact for q >= 1 (see `koszul_check`), so the report

@@ -22,9 +22,11 @@ the rational oracle of the tests.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm, prod
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 IntMatrix = tuple[tuple[int, ...], ...]
 IntVector = tuple[int, ...]
@@ -256,6 +258,8 @@ def lattice_index(vectors: Sequence[IntVector]) -> int:
 
 def solve_rational(a, b) -> Optional[tuple[Fraction, ...]]:
     """One solution x of a*x = b over Q, or None if inconsistent."""
+    from fractions import Fraction
+
     rows, cols = shape(a)
     m = [[Fraction(x) for x in row] + [Fraction(bv)] for row, bv in zip(a, b)]
     pivots = []

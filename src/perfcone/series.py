@@ -5,13 +5,17 @@ oracle."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
+class _TruncatedSeriesFields(NamedTuple):
+    coeffs: tuple[int, ...]
+
+
+class TruncatedSeries(_TruncatedSeriesFields):
     """Integer-coefficient power series truncated at a fixed degree.
 
     `coeffs[k]` is the coefficient of t^k; the truncation degree is
@@ -19,27 +23,35 @@ class TruncatedSeries:
     equal truncation; callers read `coeffs` directly.
     """
 
-    coeffs: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.coeffs:
+    def __new__(cls, coeffs):
+        if not coeffs:
             raise ValueError("series needs at least the degree-0 coefficient")
-        if any(not isinstance(c, int) for c in self.coeffs):
+        if any(not isinstance(c, int) for c in coeffs):
             raise ValueError("series coefficients must be integers")
+        return _TruncatedSeriesFields.__new__(cls, coeffs)
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         n = len(self.coeffs)
-        if len(other.coeffs) != n:
+        right = other.coeffs
+        if len(right) != n:
             raise ValueError("mismatched truncation degrees")
         out = [0] * n
         for i, a in enumerate(self.coeffs):
             if a == 0:
                 continue
             for j in range(n - i):
-                b = other.coeffs[j]
+                b = right[j]
                 if b:
                     out[i + j] += a * b
         return TruncatedSeries(tuple(out))
+
+    # a series is not a sequence: no tuple concatenation or repetition
+    def __add__(self, other):
+        return NotImplemented
+
+    __rmul__ = __add__
 
 
 # The highest truncation degree of any series, so that an expensive table
@@ -75,6 +87,8 @@ def rational_inverse(coeffs: Sequence[Fraction], n: int) -> tuple[Fraction, ...]
     The matrix form of Molien's theorem, kept in the tests as the oracle for
     the cycle-index `invariants.molien`, inverts each det(1 - tE) with it.
     """
+    from fractions import Fraction
+
     c0 = Fraction(coeffs[0])
     if c0 == 0:
         raise ValueError("series is not invertible")

@@ -30,16 +30,14 @@ doubles H (Lagrange): at most log2 |G| are kept, and the closure costs about
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .cones import Cone, _assignment_search, _family, cone_rank, sym2_coordinates
 from .matrices import IntVector, rank
 
 
-@dataclass(frozen=True)
-class GroupAction:
+class GroupAction(NamedTuple):
     """A finite group acting on Span(sigma) by permuting a basis.
 
     The basis is the rank-1 forms of the generators; `perms[k]` is the k-th

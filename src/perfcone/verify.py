@@ -17,7 +17,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from . import brackets as br
@@ -31,8 +30,7 @@ from .stabilizers import invariant_dim_degree1, stabilizer_action
 PASS, FAIL, FLAG = "PASS", "FAIL", "FLAG"
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     criterion: int
     name: str
     status: str

@@ -18,11 +18,9 @@ each.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import isqrt, lcm
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import polyhedral
 from .cones import (
@@ -39,26 +37,29 @@ from .matrices import IntMatrix, IntVector, matmul, rank, sign_canonical, transp
 from .stabilizers import StabilizerGroupError, permutation_group
 
 
-@dataclass(frozen=True)
-class QuadraticForm:
-    """Positive-definite integral quadratic form, as a symmetric matrix."""
-
+class _QuadraticFormFields(NamedTuple):
     g: int
     matrix: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        if len(self.matrix) != self.g or any(len(r) != self.g for r in self.matrix):
+
+class QuadraticForm(_QuadraticFormFields):
+    """Positive-definite integral quadratic form, as a symmetric matrix."""
+
+    __slots__ = ()
+
+    def __new__(cls, g, matrix):
+        if len(matrix) != g or any(len(r) != g for r in matrix):
             raise ValueError("matrix size does not match rank")
-        for i in range(self.g):
-            for j in range(self.g):
-                if self.matrix[i][j] != self.matrix[j][i]:
+        for i in range(g):
+            for j in range(g):
+                if matrix[i][j] != matrix[j][i]:
                     raise ValueError("matrix is not symmetric")
-        if not _is_positive_definite(self.matrix):
+        if not _is_positive_definite(matrix):
             raise ValueError("form is not positive definite")
+        return _QuadraticFormFields.__new__(cls, g, matrix)
 
 
-@dataclass(frozen=True)
-class PerfectForm:
+class PerfectForm(NamedTuple):
     """A perfect form with its cached minimum and minimal vectors (up to sign).
 
     Built only by `perfect_form`, so the matrix is always primitive and
@@ -184,8 +185,7 @@ def domain(p: PerfectForm) -> Cone:
     return c
 
 
-@dataclass(frozen=True)
-class Facet:
+class Facet(NamedTuple):
     """A facet of a perfect domain: inward normal (in the dual coordinates of
     `sym2_pairs`) and the indices of the rays lying on it."""
 
@@ -249,6 +249,8 @@ def neighbor(p: PerfectForm, facet: Facet) -> PerfectForm:
         _form_value(r, v) <= 0 for v in others
     ):
         raise ValueError("normal does not cut out a facet of the domain")
+
+    from fractions import Fraction
 
     mu = p.minimum
     facet_set = set(facet_rays)

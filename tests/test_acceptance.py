@@ -9,8 +9,6 @@ The one long-running job (the full g = 5 oracle comparison for criterion 5)
 carries the `oracle` marker and runs in its own test.
 """
 
-import dataclasses
-
 import pytest
 
 from perfcone import betti
@@ -78,7 +76,7 @@ def test_flag_rows_fail_under_their_fixed_labels(monkeypatch):
         report = real(space, max_deg)
         if space != "matr":
             return report
-        return dataclasses.replace(report, totals=report.totals[:12] + (78,))
+        return report._replace(totals=report.totals[:12] + (78,))
 
     monkeypatch.setattr(verify, "assemble", matr_78)
     beta2 = run_row(table["degree-12 table cell beta2: computed 19 vs published 18"])

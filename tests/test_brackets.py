@@ -112,6 +112,29 @@ def test_render_parse_roundtrip():
             assert br.parse_bracket(br.render_bracket(bc)) == bc
 
 
+def test_classes_round_trip_as_dict_keys():
+    # a parsed class finds its entry in a dict keyed by the enumerated
+    # classes, and hashes as its field tuple, on which the iteration order
+    # of a set of classes depends
+    for d in range(1, 7):
+        classes = br.enumerate_brackets(d)
+        index = {bc: k for k, bc in enumerate(classes)}
+        for k, bc in enumerate(classes):
+            parsed = br.parse_bracket(str(bc))
+            assert type(parsed) is br.BracketClass
+            assert index[parsed] == k
+            assert hash(parsed) == hash((bc.exponents, bc.code))
+
+
+def test_class_sum_is_not_a_sequence():
+    # a record, but `+` and an integer factor are no tuple operations
+    s = cs("{1}")
+    with pytest.raises(TypeError):
+        s + s
+    with pytest.raises(TypeError):
+        2 * s
+
+
 def test_render_rejects_classes_past_one_digit():
     # a cone in Z^4 with ten distinct residues mod 2 would render as
     # "{1 2 ... 10 (...)}", which parses back as a repeated index 1; the class

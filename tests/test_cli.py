@@ -216,7 +216,11 @@ def test_bad_power_names_the_power_and_the_expression(capsys, expression, power)
 
 @pytest.mark.parametrize(
     "expression",
-    ["{123(120)}", "{1^0}", "{12(12)}", "{1^}", "{1 (12}", "{1 1 2}", "{1 3}"],
+    [
+        "{123(120)}", "{1^0}", "{12(12)}", "{1^}", "{1 (12}", "{1 1 2}", "{1 3}",
+        # a bad factor of a longer expression
+        "{1}^2^3", "{1}*1^2", "{12}*{1 3}",
+    ],
 )
 def test_bad_bracket_names_the_expression(capsys, expression):
     assert main(["brackets", "multiply", expression]) == 1
@@ -225,6 +229,22 @@ def test_bad_bracket_names_the_expression(capsys, expression):
     (line,) = captured.err.splitlines()
     assert line.startswith("error: ")
     assert repr(expression) in line
+
+
+@pytest.mark.parametrize(
+    "expression,error",
+    [
+        ("{1}^2^3", "bracket class must be enclosed in braces: '{1}^2'"),
+        ("{1}*1^2", "bracket class must be enclosed in braces: '1^2'"),
+        ("{12}*{1 3}", "indices must be 1..2, each once, in '{1 3}'"),
+    ],
+)
+@pytest.mark.parametrize("command", [["multiply"], ["oracle", "-g", "3"]])
+def test_bad_factor_error_names_the_factor_then_the_expression(capsys, command, expression, error):
+    assert main(["brackets", *command, expression]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {error} in {expression!r}\n"
 
 
 @pytest.mark.parametrize(

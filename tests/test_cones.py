@@ -1,5 +1,4 @@
 import collections
-import dataclasses
 import itertools
 import math
 import random
@@ -99,7 +98,7 @@ def test_criterion_12_fails_on_a_flipped_published_flag(monkeypatch):
     assert verify.run_row(row).status == verify.PASS
     for name in ("NS", "K3"):
         flipped = tuple(
-            dataclasses.replace(e, matroidal=not e.matroidal) if e.name == name else e
+            e._replace(matroidal=not e.matroidal) if e.name == name else e
             for e in CAT
         )
         monkeypatch.setattr(cn, "catalog", lambda max_dim=6: flipped)

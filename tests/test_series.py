@@ -28,6 +28,15 @@ def test_mismatched_truncation_rejected():
         ps.TruncatedSeries((1, 0, 0, 0)) * ps.TruncatedSeries((1, 0, 0, 0, 0))
 
 
+def test_series_is_not_a_sequence():
+    # a record, but `+` and an integer factor are no tuple operations
+    s = ps.TruncatedSeries((1, 1))
+    with pytest.raises(TypeError):
+        s + s
+    with pytest.raises(TypeError):
+        2 * s
+
+
 def test_rational_inverse_agrees_with_integer_inverse():
     from fractions import Fraction
 

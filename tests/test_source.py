@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -86,20 +89,37 @@ def test_no_two_definitions_share_a_name():
     assert shared == SHARED_NAMES
 
 
+# Every record of the package: a `NamedTuple`, or a subclass of a private
+# `NamedTuple` of its fields that checks them in `__new__`.
+RECORDS = {
+    "BettiReport", "BracketClass", "CatalogEntry", "CheckResult", "ClassSum",
+    "DimensionBounds", "Facet", "Graph", "GroupAction", "KoszulReport",
+    "PerfectForm", "QuadraticForm", "Row", "TruncatedSeries", "_Family",
+}
+
+
 def _record_fields(tree):
-    """(class, field) for each annotated field of a dataclass or `NamedTuple`
-    defined at the top level."""
-    for node in tree.body:
-        if not isinstance(node, ast.ClassDef):
-            continue
-        decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
-        is_record = any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators) or any(
-            isinstance(b, ast.Name) and b.id == "NamedTuple" for b in node.bases
-        )
-        if is_record:
-            for item in node.body:
-                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
-                    yield node.name, item.target.id
+    """(record, field) for each annotated field of a `NamedTuple` defined at
+    the top level; the fields of a `NamedTuple` that another top-level class
+    extends are named after that class."""
+    classes = [node for node in tree.body if isinstance(node, ast.ClassDef)]
+    fields = {
+        node.name: [
+            item.target.id
+            for item in node.body
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+        ]
+        for node in classes
+        if any(isinstance(b, ast.Name) and b.id == "NamedTuple" for b in node.bases)
+    }
+    owner = {name: name for name in fields}
+    for node in classes:
+        for base in node.bases:
+            if isinstance(base, ast.Name) and base.id in fields:
+                owner[base.id] = node.name
+    for name, names in fields.items():
+        for field in names:
+            yield owner[name], field
 
 
 def test_every_dataclass_field_is_read():
@@ -111,10 +131,35 @@ def test_every_dataclass_field_is_read():
         for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
     }
-    unread = [
-        f"{cls}.{field}"
-        for tree in trees
-        for cls, field in _record_fields(tree)
-        if field not in read
-    ]
+    fields = [pair for tree in trees for pair in _record_fields(tree)]
+    # the guard sees every record, so it cannot shrink unnoticed
+    assert {cls for cls, _ in fields} == RECORDS
+    unread = [f"{cls}.{field}" for cls, field in fields if field not in read]
     assert unread == []
+
+
+# Modules that no layer needs at import time: `dataclasses` (which imports
+# `inspect`) is not used for records, and `fractions` (with `decimal`) and
+# `csv` are imported by the few functions that use them.
+LAZY_MODULES = {"dataclasses", "inspect", "fractions", "decimal", "csv"}
+
+
+def test_importing_the_package_loads_no_lazy_module():
+    # a fresh interpreter, since pytest has loaded most of the standard
+    # library; the modules it had loaded before the import (`site` differs
+    # between machines) are not counted
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import perfcone.matrices, perfcone.series, perfcone.polyhedral, perfcone.cones\n"
+        "import perfcone.stabilizers, perfcone.invariants, perfcone.betti, perfcone.brackets\n"
+        "import perfcone.voronoi, perfcone.verify, perfcone.cli\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC[0].parent.parent))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    loaded = set(out.split())
+    assert "perfcone.cli" in loaded
+    assert loaded & LAZY_MODULES == set()
