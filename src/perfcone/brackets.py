@@ -426,6 +426,8 @@ class ClassSum(NamedTuple):
         return ClassSum(tuple((bc, c) for bc, c in self.terms if representable(bc, g)))
 
     def __mul__(self, other: "ClassSum") -> "ClassSum":
+        if not isinstance(other, ClassSum):
+            return NotImplemented
         data: dict[BracketClass, int] = {}
         for a, ca in self.terms:
             for b, cb in other.terms:
@@ -438,6 +440,12 @@ class ClassSum(NamedTuple):
         return NotImplemented
 
     __rmul__ = __add__
+
+    def __radd__(self, other):
+        # `NotImplemented` here would let a tuple on the left concatenate
+        raise TypeError(
+            f"unsupported operand type(s) for +: {type(other).__name__!r} and 'ClassSum'"
+        )
 
     def __str__(self) -> str:
         if not self.terms:

@@ -1,26 +1,25 @@
-"""Command-line front end: every computation, plus the verification matrix."""
+"""Command-line front end: every computation, plus the verification matrix.
+
+Each command imports the layers it runs inside its handler, so a `betti` or
+`catalog` process never loads `brackets`, `voronoi` or `verify`.
+"""
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import warnings
 
-from . import brackets as br
-from . import cones as cn
-from . import voronoi as vr
-from .betti import assemble
-from .invariants import check_molien_degree, koszul_check, molien
-from .stabilizers import invariant_dim_degree1, stabilizer_action
-from .verify import FAIL, render_results, run_checks
-
 
 def cmd_betti(args) -> int:
+    from .betti import assemble
+
     report = assemble(args.space, args.max_degree)
     if args.format == "csv":
         print(report.to_csv(), end="")
     elif args.format == "json":
+        import json
+
         print(json.dumps(report.to_document(), indent=2))
     else:
         print(report.to_text(breakdown=args.breakdown))
@@ -28,6 +27,8 @@ def cmd_betti(args) -> int:
 
 
 def cmd_catalog(args) -> int:
+    from . import cones as cn
+
     if args.action == "list":
         entries = cn.catalog(6)
         width = max(len(e.name) for e in entries)
@@ -54,6 +55,9 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_stabilizer(args) -> int:
+    from . import cones as cn
+    from .stabilizers import invariant_dim_degree1, stabilizer_action
+
     cone = cn.catalog_cone(args.name)
     action = stabilizer_action(cone)
     print(f"cone {args.name}: stabilizer image on the span of the generators")
@@ -65,6 +69,10 @@ def cmd_stabilizer(args) -> int:
 
 
 def cmd_molien(args) -> int:
+    from . import cones as cn
+    from .invariants import check_molien_degree, molien
+    from .stabilizers import stabilizer_action
+
     check_molien_degree(args.max_degree)
     cone = cn.catalog_cone(args.name)
     series = molien(stabilizer_action(cone), args.max_degree)
@@ -73,6 +81,9 @@ def cmd_molien(args) -> int:
 
 
 def cmd_koszul(args) -> int:
+    from . import cones as cn
+    from .invariants import koszul_check
+
     cone = cn.catalog_cone(args.name)
     report = koszul_check(cone, args.max_total)
     print(f"W rank {report.w_rank}, M rank {report.m_rank}")
@@ -89,6 +100,9 @@ def cmd_koszul(args) -> int:
 
 
 def cmd_brackets(args) -> int:
+    from . import brackets as br
+    from . import cones as cn
+
     if args.action == "enum":
         for bc in br.enumerate_brackets(args.degree):
             print(br.render_bracket(bc))
@@ -121,11 +135,16 @@ def cmd_brackets(args) -> int:
 
 
 def cmd_strata_count(args) -> int:
+    from . import brackets as br
+
     print(br.count_pure_strata(args.degree))
     return 0
 
 
 def cmd_voronoi(args) -> int:
+    from . import cones as cn
+    from . import voronoi as vr
+
     if args.action == "enumerate":
         forms = vr.enumerate_perfect(args.genus)
         print(f"{len(forms)} perfect form class(es) at g = {args.genus}")
@@ -143,6 +162,8 @@ def cmd_voronoi(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import FAIL, render_results, run_checks
+
     results = run_checks(full_oracle=args.full)
     print(render_results(results))
     return 1 if any(r.status == FAIL for r in results) else 0
@@ -180,7 +201,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-degree", type=int, required=True)
     p.set_defaults(func=cmd_molien)
 
-    p = sub.add_parser("koszul", help="Koszul strand check for a catalog cone")
+    p = sub.add_parser(
+        "koszul",
+        help="Koszul strand check for a catalog cone",
+        description=(
+            "Koszul strand check for a catalog cone.  Each strand's printed "
+            "'bottom row N (expected M)' pair is two closed forms, which agree "
+            "exactly when the W rank line passes.  The check itself is "
+            "KoszulReport.passed: W vanishes on the cone, has rank M rank minus "
+            "the cone dimension and is saturated; it prints 'passed' and exits 0, "
+            "or prints 'FAILED' and exits 1."
+        ),
+    )
     p.add_argument("name")
     p.add_argument("--max-total", type=int, default=8)
     p.set_defaults(func=cmd_koszul)

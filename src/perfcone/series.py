@@ -33,6 +33,8 @@ class TruncatedSeries(_TruncatedSeriesFields):
         return _TruncatedSeriesFields.__new__(cls, coeffs)
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        if not isinstance(other, TruncatedSeries):
+            return NotImplemented
         n = len(self.coeffs)
         right = other.coeffs
         if len(right) != n:
@@ -52,6 +54,12 @@ class TruncatedSeries(_TruncatedSeriesFields):
         return NotImplemented
 
     __rmul__ = __add__
+
+    def __radd__(self, other):
+        # `NotImplemented` here would let a tuple on the left concatenate
+        raise TypeError(
+            f"unsupported operand type(s) for +: {type(other).__name__!r} and 'TruncatedSeries'"
+        )
 
 
 # The highest truncation degree of any series, so that an expensive table

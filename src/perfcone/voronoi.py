@@ -1,11 +1,12 @@
 """Desk-scale Voronoi reduction: shortest vectors, perfect domains, the
 neighbor walk, arithmetic equivalence and face classification for g <= 5.
 
-Everything is exact.  A rational form is scaled to integers once
-(`_integral`); a fraction-free LDL^T (`_ldl`, Bareiss without pivoting) both
-tests positive-definiteness and drives a Fincke-Pohst shortest-vector search
-in integers (`_short_vectors`).  Neighbors come from an exact line search on
-the pencil Q + rho*R.  Equivalence of forms comes from
+Everything is exact, in integers.  A rational form from outside is scaled to
+integers once (`_integral`); a fraction-free LDL^T (`_ldl`, Bareiss without
+pivoting) both tests positive-definiteness and drives a Fincke-Pohst
+shortest-vector search in integers (`_short_vectors`).  Neighbors come from
+an exact line search on the integer pencils d*Q + n*R, for rho = n/d kept as
+a pair of integers.  Equivalence of forms comes from
 `cones._assignment_search`, the one integral-symmetry search, over the
 minimal vectors, with a congruence check on every map it yields; their
 automorphisms come from the stabilizer chain on the same search
@@ -19,7 +20,7 @@ each.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from typing import NamedTuple, Optional, Sequence
 
 from . import polyhedral
@@ -229,17 +230,37 @@ class NeighborSearchError(AssertionError):
     """The exact line search of `neighbor` broke its own invariants."""
 
 
+def _below(a: tuple[int, int], b: tuple[int, int]) -> bool:
+    """a < b for rationals given as (numerator, denominator > 0)."""
+    return a[0] * b[1] < b[0] * a[1]
+
+
+def _lowest(num: int, den: int) -> tuple[int, int]:
+    """num/den in lowest terms, for den > 0."""
+    k = gcd(num, den)
+    return num // k, den // k
+
+
+def _midpoint(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    """(a + b) / 2 in lowest terms."""
+    return _lowest(a[0] * b[1] + b[0] * a[1], 2 * a[1] * b[1])
+
+
 def neighbor(p: PerfectForm, facet: Facet) -> PerfectForm:
     """The contiguous perfect form across the facet.
 
     Exact line search on the pencil Q + rho*R for the inward normal R: rho is
     tightened until a vector outside the facet reaches the minimum exactly.
-    A bisection bracket handles losses of positive definiteness; whenever a
-    vector drops strictly below the minimum, the exact crossing value
+    rho = n/d is kept as an integer pair in lowest terms, so each pencil is
+    the integer form d*Q + n*R, whose minimum is mu*d exactly when that of
+    Q + rho*R is mu; rationals compare by cross-multiplication.  A bisection
+    bracket handles losses of positive definiteness; whenever a vector drops
+    strictly below the minimum, the exact crossing value
     (mu - Q(v)) / R(v) replaces rho, and must lie in the bracket
     (`NeighborSearchError`).  Invalid facet data signals a non-facet input.
     """
     g = p.form.g
+    q = p.form.matrix
     facet_rays = [p.min_vectors[i] for i in sorted(facet.rays)]
     others = [v for i, v in enumerate(p.min_vectors) if i not in facet.rays]
     if rank(facet_rays) != g:
@@ -250,36 +271,36 @@ def neighbor(p: PerfectForm, facet: Facet) -> PerfectForm:
     ):
         raise ValueError("normal does not cut out a facet of the domain")
 
-    from fractions import Fraction
-
     mu = p.minimum
     facet_set = set(facet_rays)
-    rho = Fraction(1)
-    good = Fraction(0)  # largest rho known to keep exactly the facet vectors
+    rho = (1, 1)
+    good = (0, 1)  # largest rho known to keep exactly the facet vectors
     bad = None  # smallest rho known to lie beyond the neighbor
     for _ in range(100000):
-        m, scale = _integral(
-            [[p.form.matrix[i][j] + rho * r[i][j] for j in range(g)] for i in range(g)]
-        )
+        n, d = rho
+        m = [[d * q[i][j] + n * r[i][j] for j in range(g)] for i in range(g)]
         found = _minimum(m)
-        if found is not None:
-            mur, vecs = found
-            if mur == mu * scale:
-                if any(v not in facet_set for v in vecs):
-                    return perfect_form(m)
-                good = rho
-                rho = (good + bad) / 2 if bad is not None else 2 * rho
-                continue
-            candidates = [
-                Fraction(mu - _form_value(p.form.matrix, v), _form_value(r, v))
-                for v in vecs
-                if _form_value(r, v) < 0
-            ]
-            if mur > mu * scale or not candidates or not good < min(candidates) <= rho:
-                raise NeighborSearchError(f"neighbor line search left its bracket at rho = {rho}")
-            bad, rho = rho, min(candidates)
-        else:
-            bad, rho = rho, (good + rho) / 2
+        if found is None:
+            bad, rho = rho, _midpoint(good, rho)
+            continue
+        mur, vecs = found
+        if mur == mu * d:
+            if any(v not in facet_set for v in vecs):
+                return perfect_form(m)
+            good = rho
+            rho = _midpoint(good, bad) if bad is not None else _lowest(2 * n, d)
+            continue
+        # a vector v with R(v) < 0 meets the minimum at rho = (Q(v) - mu) / -R(v)
+        crossing = None
+        for v in vecs:
+            rv = _form_value(r, v)
+            if rv < 0:
+                c = (_form_value(q, v) - mu, -rv)
+                if crossing is None or _below(c, crossing):
+                    crossing = c
+        if mur > mu * d or crossing is None or not _below(good, crossing) or _below(rho, crossing):
+            raise NeighborSearchError(f"neighbor line search left its bracket at rho = {n}/{d}")
+        bad, rho = rho, _lowest(*crossing)
     raise NeighborSearchError("neighbor line search did not terminate")
 
 

@@ -103,6 +103,16 @@ def test_universal1_equals_mumford_partial():
     assert assemble("universal:1", 20).totals == assemble("partial", 20).totals
 
 
+@pytest.mark.parametrize("n", range(9))
+def test_universal_degree2_counts_the_family_generators(n):
+    # lambda_1 and the n(n+1)/2 degree-2 generators of the family
+    assert assemble(f"universal:{n}", 4).totals[2] == 1 + n * (n + 1) // 2
+
+
+def test_universal0_is_the_lambda_series():
+    assert assemble("universal:0", 20).totals == lambda_series(20).coeffs
+
+
 def test_mumford_partial_is_lambda_over_one_minus_t2():
     report = assemble("partial", 10)
     assert even(report.totals, 10) == (1, 2, 3, 5, 7, 10)

@@ -127,12 +127,17 @@ def test_classes_round_trip_as_dict_keys():
 
 
 def test_class_sum_is_not_a_sequence():
-    # a record, but `+` and an integer factor are no tuple operations
+    # a record, but `+` and an integer factor are no tuple operations, and a
+    # tuple on the left must not concatenate the record's fields
     s = cs("{1}")
     with pytest.raises(TypeError):
         s + s
     with pytest.raises(TypeError):
         2 * s
+    with pytest.raises(TypeError):
+        s * 2
+    with pytest.raises(TypeError):
+        (1,) + s
 
 
 def test_render_rejects_classes_past_one_digit():

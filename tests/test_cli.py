@@ -1,3 +1,4 @@
+import json
 import shlex
 import time
 from pathlib import Path
@@ -64,12 +65,12 @@ def test_bad_space_label_fails_cleanly(capsys, label):
 
 
 def test_negative_molien_degree_fails_before_the_stabilizer_search(capsys, monkeypatch):
-    from perfcone import cli
+    from perfcone import stabilizers
 
     def refuse(cone):
         raise AssertionError("stabilizer search ran before the degree check")
 
-    monkeypatch.setattr(cli, "stabilizer_action", refuse)
+    monkeypatch.setattr(stabilizers, "stabilizer_action", refuse)
     assert main(["molien", "6d-g6-x", "--max-degree", "-1"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -77,12 +78,12 @@ def test_negative_molien_degree_fails_before_the_stabilizer_search(capsys, monke
 
 
 def test_molien_degree_above_bound_fails_before_the_stabilizer_search(capsys, monkeypatch):
-    from perfcone import cli
+    from perfcone import stabilizers
 
     def refuse(cone):
         raise AssertionError("stabilizer search ran before the degree check")
 
-    monkeypatch.setattr(cli, "stabilizer_action", refuse)
+    monkeypatch.setattr(stabilizers, "stabilizer_action", refuse)
     assert main(["molien", "6d-g6-x", "--max-degree", ABOVE_SERIES_BOUND]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -118,13 +119,19 @@ def test_catalog_show_check_flags(capsys, name):
 
 
 def test_json_format(capsys):
-    import json
-
     assert main(["betti", "--space", "satake", "--max-degree", "4", "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["space"] == "satake"
     assert doc["entries"][0]["degree"] == 0
     assert {"space", "degree", "stratum", "value"} <= set(doc["entries"][0])
+
+
+def test_json_format_lists_every_degree_through_the_last(capsys):
+    assert main(["betti", "--space", "perf", "--max-degree", "12", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["max_degree"] == 12
+    assert sorted({e["degree"] for e in doc["entries"]}) == list(range(13))
+    assert doc["entries"][-1] == {"space": "perf", "degree": 12, "stratum": "total", "value": 84}
 
 
 def test_catalog_check_flags(capsys):

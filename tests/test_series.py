@@ -29,12 +29,17 @@ def test_mismatched_truncation_rejected():
 
 
 def test_series_is_not_a_sequence():
-    # a record, but `+` and an integer factor are no tuple operations
+    # a record, but `+` and an integer factor are no tuple operations, and a
+    # tuple on the left must not concatenate the record's fields
     s = ps.TruncatedSeries((1, 1))
     with pytest.raises(TypeError):
         s + s
     with pytest.raises(TypeError):
         2 * s
+    with pytest.raises(TypeError):
+        s * 2
+    with pytest.raises(TypeError):
+        (1,) + s
 
 
 def test_rational_inverse_agrees_with_integer_inverse():

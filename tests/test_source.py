@@ -138,6 +138,61 @@ def test_every_dataclass_field_is_read():
     assert unread == []
 
 
+# The one place each module may import `fractions` at run time: the two
+# rational oracles that the benchmark harness traces by name
+# (`bench/tracing.py` TRACED); ROADMAP item 1 moves them into the tests.
+FRACTIONS_ORACLES = {"matrices.py": "solve_rational", "series.py": "rational_inverse"}
+
+
+def _is_type_checking(test) -> bool:
+    return (isinstance(test, ast.Name) and test.id == "TYPE_CHECKING") or (
+        isinstance(test, ast.Attribute) and test.attr == "TYPE_CHECKING"
+    )
+
+
+def _fractions_imports(node, oracle):
+    """Lines under node that import `fractions`, skipping the body of an
+    `if TYPE_CHECKING:` block and the function named oracle."""
+    if isinstance(node, ast.If) and _is_type_checking(node.test):
+        children = node.orelse
+    elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == oracle:
+        return
+    else:
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            names = []
+        if any(name.split(".")[0] == "fractions" for name in names):
+            yield node.lineno
+        children = ast.iter_child_nodes(node)
+    for child in children:
+        yield from _fractions_imports(child, oracle)
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda p: p.name)
+def test_fractions_only_in_type_checking_and_the_rational_oracles(path):
+    # exact arithmetic in the package is integer arithmetic
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = list(_fractions_imports(tree, FRACTIONS_ORACLES.get(path.name)))
+    assert lines == [], f"{path.name} imports fractions at lines {lines}"
+
+
+def _fresh_modules(code: str) -> set[str]:
+    """The modules a fresh interpreter loads while running code, less those
+    it had loaded at start (`site` differs between machines).  They are
+    printed to stderr, so code must write nothing there."""
+    script = "import sys\nbefore = set(sys.modules)\n" + code + (
+        "\nprint(' '.join(sorted(set(sys.modules) - before)), file=sys.stderr)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC[0].parent.parent))
+    err = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    ).stderr
+    return set(err.split())
+
+
 # Modules that no layer needs at import time: `dataclasses` (which imports
 # `inspect`) is not used for records, and `fractions` (with `decimal`) and
 # `csv` are imported by the few functions that use them.
@@ -145,21 +200,45 @@ LAZY_MODULES = {"dataclasses", "inspect", "fractions", "decimal", "csv"}
 
 
 def test_importing_the_package_loads_no_lazy_module():
-    # a fresh interpreter, since pytest has loaded most of the standard
-    # library; the modules it had loaded before the import (`site` differs
-    # between machines) are not counted
-    code = (
-        "import sys\n"
-        "before = set(sys.modules)\n"
+    # a fresh interpreter, since pytest has loaded most of the standard library
+    loaded = _fresh_modules(
         "import perfcone.matrices, perfcone.series, perfcone.polyhedral, perfcone.cones\n"
         "import perfcone.stabilizers, perfcone.invariants, perfcone.betti, perfcone.brackets\n"
         "import perfcone.voronoi, perfcone.verify, perfcone.cli\n"
-        "print(' '.join(sorted(set(sys.modules) - before)))\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(SRC[0].parent.parent))
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    ).stdout
-    loaded = set(out.split())
     assert "perfcone.cli" in loaded
     assert loaded & LAZY_MODULES == set()
+
+
+def test_voronoi_walk_and_faces_load_no_fractions():
+    # the line search of `neighbor` runs in integers
+    loaded = _fresh_modules(
+        "from perfcone import voronoi\n"
+        "for g in (2, 3, 4, 5):\n"
+        "    voronoi.enumerate_perfect(g)\n"
+        "for g in (2, 3, 4):\n"
+        "    voronoi.classify_faces(g, 6)\n"
+    )
+    assert "perfcone.voronoi" in loaded
+    assert loaded & {"fractions", "decimal", "numbers"} == set()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["betti", "--space", "perf", "--max-degree", "12"],
+        ["catalog", "list"],
+        ["stabilizer", "K3"],
+        ["molien", "C4", "--max-degree", "6"],
+        ["koszul", "1+1", "--max-total", "4"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_table_commands_load_no_unused_layer(argv):
+    # each command imports the layers it runs inside its handler
+    loaded = _fresh_modules(
+        f"from perfcone.cli import main\nassert main({argv!r}) == 0\n"
+    )
+    assert "perfcone.cli" in loaded
+    unused = {"perfcone.brackets", "perfcone.voronoi", "perfcone.polyhedral", "perfcone.verify"}
+    assert loaded & unused == set()

@@ -185,23 +185,68 @@ def test_integer_search_matches_fraction_oracle_on_random_forms():
     assert 100 < sum(verdicts) < 350
 
 
+def fraction_neighbor(p, facet, pencils):
+    """Oracle: the line search of `neighbor` over `Fraction`, on the Fraction
+    shortest-vector search; each form Q + rho*R it tries goes to pencils."""
+    g, q, mu = p.form.g, p.form.matrix, p.minimum
+    r = vr._normal_form_matrix(facet.normal, g)
+    facet_set = {p.min_vectors[i] for i in facet.rays}
+    rho, good, bad = Fraction(1), Fraction(0), None
+    for _ in range(1000):
+        m = [[q[i][j] + rho * r[i][j] for j in range(g)] for i in range(g)]
+        pencils.append(m)
+        found = fraction_min(m)
+        if found is None:
+            bad, rho = rho, (good + rho) / 2
+            continue
+        mur, vecs = found
+        if mur == mu:
+            if any(v not in facet_set for v in vecs):
+                return vr.perfect_form(m)
+            good = rho
+            rho = (good + bad) / 2 if bad is not None else 2 * rho
+            continue
+        crossings = [
+            Fraction(mu - vr._form_value(q, v), vr._form_value(r, v))
+            for v in vecs
+            if vr._form_value(r, v) < 0
+        ]
+        assert mur < mu and good < min(crossings) <= rho
+        bad, rho = rho, min(crossings)
+    raise AssertionError("Fraction line search did not terminate")
+
+
+def primitive(matrix):
+    content = math.gcd(*(x for row in matrix for x in row))
+    return [[x // content for x in row] for row in matrix]
+
+
 def test_integer_search_matches_fraction_oracle_on_neighbor_pencils(monkeypatch):
-    # every form Q + rho*R the line search scales, over the whole g <= 4 walk
-    tried = []
-    scale = vr._integral
-
-    def recorded(matrix):
-        tried.append([list(row) for row in matrix])
-        return scale(matrix)
-
-    monkeypatch.setattr(vr, "_integral", recorded)
+    # every facet of every g <= 4 walk domain: the integer search tries the
+    # same pencils, each scaled to d*Q + n*R, and finds the same neighbor
+    search = vr._minimum
+    pencils = []
+    monkeypatch.setattr(vr, "_minimum", lambda m: pencils.append(m) or search(m))
+    total = 0
     for g in (2, 3, 4):
-        _neighbors(g)
-    monkeypatch.undo()
-    pencils = [m for m in tried if any(isinstance(x, Fraction) for row in m for x in row)]
-    assert len(pencils) > 50
-    for matrix in pencils:
-        assert_matches_fraction_oracle(matrix)
+        for p in vr.enumerate_perfect(g):
+            for facet in vr.facets(p):
+                if mx.rank([p.min_vectors[i] for i in facet.rays]) != g:
+                    continue
+                expected = []
+                oracle = fraction_neighbor(p, facet, expected)
+                pencils.clear()
+                assert vr.neighbor(p, facet) == oracle
+                # the last search is `perfect_form`'s, on the neighbor itself
+                assert pencils[-1] == oracle.form.matrix
+                tried = pencils[:-1]
+                assert len(tried) == len(expected)
+                for m, f in zip(tried, expected):
+                    assert all(type(x) is int for row in m for x in row)
+                    assert primitive(m) == primitive(vr._integral(f)[0])
+                    assert_matches_fraction_oracle(m)
+                total += len(tried)
+    assert total > 50
 
 
 def leading_minors_positive(matrix):
