@@ -60,13 +60,10 @@ class BettiReport(NamedTuple):
     rows: tuple[tuple[str, tuple[int, ...]], ...]
     totals: tuple[int, ...]
 
-    def _degrees(self) -> list[int]:
-        if all(self.totals[k] == 0 for k in range(1, self.max_degree + 1, 2)):
-            return list(range(0, self.max_degree + 1, 2))
-        return list(range(self.max_degree + 1))
-
     def to_text(self, breakdown: bool = False) -> str:
-        degrees = self._degrees()
+        # every series is the lambda series times a series in t^2, placed at
+        # an even degree, so odd degrees are zero and left out
+        degrees = range(0, self.max_degree + 1, 2)
         names = [name for name, _ in self.rows] if breakdown else []
         width = max([len("stratum")] + [len(n) for n in names + ["total"]])
         cols = [max(len(str(d)), max((len(str(r[1][d])) for r in self.rows), default=1), len(str(self.totals[d]))) for d in degrees]

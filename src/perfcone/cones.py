@@ -60,8 +60,19 @@ def sym2_coordinates(v: IntVector) -> IntVector:
     return tuple(v[r] * v[s] for r, s in sym2_pairs(len(v)))
 
 
+def _integers(entries: Sequence) -> IntVector:
+    """The entries as a tuple, or ValueError naming the first that is not an
+    int: a `Fraction`, a float or a bool is rejected, never converted."""
+    entries = tuple(entries)
+    for x in entries:
+        if type(x) is not int:
+            raise ValueError(f"entry {x!r} is not an integer")
+    return entries
+
+
 class Cone:
-    """An ordered set of primitive rank-1 form generators in Z^ambient."""
+    """An ordered set of primitive rank-1 form generators in Z^ambient; a
+    generator entry that is not an int raises ValueError."""
 
     __slots__ = ("ambient", "generators", "name")
 
@@ -70,7 +81,7 @@ class Cone:
             raise ValueError("ambient rank must be >= 1")
         gens = []
         for g in generators:
-            g = tuple(int(x) for x in g)
+            g = _integers(g)
             if len(g) != ambient:
                 raise ValueError("generator length does not match ambient rank")
             if all(x == 0 for x in g):

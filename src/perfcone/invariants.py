@@ -98,8 +98,6 @@ class KoszulReport(NamedTuple):
 
 
 def _symdim(nvars: int, deg: int) -> int:
-    if deg < 0:
-        return 0
     if nvars == 0:
         return 1 if deg == 0 else 0
     return comb(nvars + deg - 1, deg)

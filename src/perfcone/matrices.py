@@ -1,9 +1,9 @@
-"""Exact integer and rational linear algebra on small dense matrices.
+"""Exact integer linear algebra on small dense matrices.
 
-Matrices are tuples of tuples (rows) of Python ints or Fractions; vectors are
-tuples.  Everything is exact: no floating point is used anywhere in this
-package.  Sizes stay tiny (at most ~25 rows/columns), so the algorithms favour
-clarity over asymptotics.
+Matrices are tuples of tuples (rows) of Python ints; vectors are tuples.
+Everything is exact: no floating point is used anywhere in this package.
+Sizes stay tiny (at most ~25 rows/columns), so the algorithms favour clarity
+over asymptotics.
 
 Elimination is fraction-free (Bareiss): `det`, `rank`, `independent_indices`
 and `adjugate` work in integers, dividing only where the division is exact.
@@ -16,13 +16,14 @@ the saturation of a span with coordinates on it, completed to a unimodular
 matrix (`span_basis`), are one or two `hnf` calls, which keep the transform;
 the index of a span in its saturation (`lattice_index`) is two eliminations
 without one.
-`solve_rational`, Gauss-Jordan over Q, has no caller in the package; it is
-the rational oracle of the tests.
+`solve_rational`, Gauss-Jordan over Q, is the one `Fraction` function: a
+test oracle with no caller in the package, kept because the benchmark
+harness traces it by name (`bench/tracing.py`).
 """
 
 from __future__ import annotations
 
-from math import gcd, lcm, prod
+from math import gcd, prod
 from typing import TYPE_CHECKING, Optional, Sequence
 
 if TYPE_CHECKING:
@@ -134,16 +135,10 @@ def det(a: Sequence[Sequence[int]]) -> int:
     return sign * m[-1][-1] if n else 1
 
 
-def rank(a: Sequence[Sequence]) -> int:
-    """Rank over the rationals, by fraction-free elimination.
-
-    Integer or `Fraction` entries; each row is first scaled to integers by
-    the lcm of its denominators.
-    """
-    m = []
-    for row in a:
-        den = lcm(*(x.denominator for x in row))
-        m.append([x.numerator * (den // x.denominator) for x in row])
+def rank(a: Sequence[Sequence[int]]) -> int:
+    """Rank over the rationals of an integer matrix, by fraction-free
+    elimination of a copy of its rows."""
+    m = [list(row) for row in a]
     return len(_bareiss(m, len(m[0]) if m else 0)[0])
 
 
@@ -200,16 +195,12 @@ def hnf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     return tuple(tuple(row[:cols]) for row in m), tuple(tuple(row[cols:]) for row in m)
 
 
-def kernel_basis(a: IntMatrix, cols: Optional[int] = None) -> tuple[IntVector, ...]:
-    """Basis of the integer kernel {x : a*x = 0}; the lattice is saturated.
-
-    `cols` must be supplied when `a` has no rows.
-    """
-    rows, ncols = shape(a)
-    if ncols == 0:
-        ncols = cols if cols is not None else 0
-    if rows == 0:
-        return tuple(identity(ncols))
+def kernel_basis(a: IntMatrix, cols: int) -> tuple[IntVector, ...]:
+    """Basis of the integer kernel {x : a*x = 0} in Z^cols; the lattice is
+    saturated.  `cols` is the number of columns of `a`, which has none to
+    count when it has no rows."""
+    if not a:
+        return identity(cols)
     # column-HNF via hnf of the transpose: a * u^T has zero columns exactly
     # where h has zero rows, and the matching rows of u span the kernel.
     h, u = hnf(transpose(a))

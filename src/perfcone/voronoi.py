@@ -1,12 +1,13 @@
 """Desk-scale Voronoi reduction: shortest vectors, perfect domains, the
 neighbor walk, arithmetic equivalence and face classification for g <= 5.
 
-Everything is exact, in integers.  A rational form from outside is scaled to
-integers once (`_integral`); a fraction-free LDL^T (`_ldl`, Bareiss without
-pivoting) both tests positive-definiteness and drives a Fincke-Pohst
-shortest-vector search in integers (`_short_vectors`).  Neighbors come from
-an exact line search on the integer pencils d*Q + n*R, for rho = n/d kept as
-a pair of integers.  Equivalence of forms comes from
+Everything is exact, in integers: a form is an integer matrix, and any other
+entry raises ValueError where the form is built (`QuadraticForm`,
+`perfect_form`).  A fraction-free LDL^T (`_ldl`, Bareiss without pivoting)
+both tests positive-definiteness and drives a Fincke-Pohst shortest-vector
+search in integers (`_short_vectors`).  Neighbors come from an exact line
+search on the integer pencils d*Q + n*R, for rho = n/d kept as a pair of
+integers.  Equivalence of forms comes from
 `cones._assignment_search`, the one integral-symmetry search, over the
 minimal vectors, with a congruence check on every map it yields; their
 automorphisms come from the stabilizer chain on the same search
@@ -27,6 +28,7 @@ from . import polyhedral
 from .cones import (
     Cone,
     _assignment_search,
+    _integers,
     cone_dim,
     cones_equivalent,
     describe,
@@ -44,18 +46,21 @@ class _QuadraticFormFields(NamedTuple):
 
 
 class QuadraticForm(_QuadraticFormFields):
-    """Positive-definite integral quadratic form, as a symmetric matrix."""
+    """Positive-definite integral quadratic form, as a symmetric integer
+    matrix (a tuple of rows); an entry that is not an int raises
+    ValueError."""
 
     __slots__ = ()
 
     def __new__(cls, g, matrix):
+        matrix = tuple(_integers(row) for row in matrix)
         if len(matrix) != g or any(len(r) != g for r in matrix):
             raise ValueError("matrix size does not match rank")
         for i in range(g):
             for j in range(g):
                 if matrix[i][j] != matrix[j][i]:
                     raise ValueError("matrix is not symmetric")
-        if not _is_positive_definite(matrix):
+        if _ldl(matrix) is None:
             raise ValueError("form is not positive definite")
         return _QuadraticFormFields.__new__(cls, g, matrix)
 
@@ -70,13 +75,6 @@ class PerfectForm(NamedTuple):
     form: QuadraticForm
     minimum: int
     min_vectors: tuple[IntVector, ...]
-
-
-def _integral(matrix) -> tuple[list[list[int]], int]:
-    """(S * matrix, S) for the least S > 0 that makes the rational matrix
-    integral."""
-    scale = lcm(*(x.denominator for row in matrix for x in row))
-    return [[x.numerator * (scale // x.denominator) for x in row] for row in matrix], scale
 
 
 def _ldl(m) -> Optional[list[list[int]]]:
@@ -101,10 +99,6 @@ def _ldl(m) -> Optional[list[list[int]]]:
             rows[i] = [(p * x - f * y) // prev for x, y in zip(rows[i], top)]
         prev = p
     return rows
-
-
-def _is_positive_definite(matrix) -> bool:
-    return _ldl(_integral(matrix)[0]) is not None
 
 
 def _short_vectors(m, bound: int) -> Optional[list[tuple[int, IntVector]]]:
@@ -164,11 +158,12 @@ def min_vectors(q: QuadraticForm) -> tuple[int, tuple[IntVector, ...]]:
 
 
 def perfect_form(matrix) -> PerfectForm:
-    """Normalize to a primitive integral matrix and cache the minimum data."""
-    m, _ = _integral(matrix)
-    content = vec_content([x for row in m for x in row])
-    m = tuple(tuple(x // content for x in row) for row in m)
-    q = QuadraticForm(len(m), m)
+    """Divide the integer matrix by the gcd of its entries and cache the
+    minimum data; an entry that is not an int raises ValueError."""
+    m = [_integers(row) for row in matrix]
+    # a zero matrix has content 0; `QuadraticForm` rejects it unscaled
+    content = vec_content([x for row in m for x in row]) or 1
+    q = QuadraticForm(len(m), [[x // content for x in row] for row in m])
     mu, vecs = min_vectors(q)
     return PerfectForm(form=q, minimum=mu, min_vectors=vecs)
 

@@ -2,6 +2,7 @@ import collections
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -46,6 +47,14 @@ def test_cone_rank_examples():
     assert cn.cone_rank(cn.catalog_cone("C4")) == 3
     assert cn.cone_rank(cn.catalog_cone("NS")) == 5
     assert cn.cone_rank(cn.Cone(1, [(1,)])) == 1
+
+
+@pytest.mark.parametrize("entry", [Fraction(1, 2), 1.9, True], ids=["half", "float", "bool"])
+def test_cone_rejects_an_entry_that_is_not_an_integer(entry):
+    # an entry is never converted: int(1/2) = 0 and int(1.9) = 1 would give
+    # a different cone, and a bool would be printed as one
+    with pytest.raises(ValueError, match=re.escape(f"entry {entry!r} is not an integer")):
+        cn.Cone(2, [(entry, 1), (1, 0)])
 
 
 def test_unknown_catalog_name_is_a_value_error():

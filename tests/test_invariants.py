@@ -233,7 +233,7 @@ def dense_strand_cohomology(c, n):
     Only usable for small cones, where the monomial bases stay tiny.
     Monomials are ordered lexicographically.
     """
-    w_basis = [list(map(Fraction, v)) for v in cn.orth_lattice(c)]
+    w_basis = cn.orth_lattice(c)
     w = len(w_basis)
     m = len(cn.sym2_pairs(c.ambient))
 
@@ -251,7 +251,7 @@ def dense_strand_cohomology(c, n):
     mats = []
     for q in range(1, n + 1):
         rows = len(spaces[q - 1])
-        matrix = [[Fraction(0)] * len(spaces[q]) for _ in range(rows)]
+        matrix = [[0] * len(spaces[q]) for _ in range(rows)]
         for cidx, (s, mu) in enumerate(spaces[q]):
             for pos, j in enumerate(s):
                 rest = tuple(x for x in s if x != j)

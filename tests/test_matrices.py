@@ -1,7 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 
 import pytest
 
@@ -163,7 +163,7 @@ def test_rank_identity_and_snf_consistency():
 
 def test_kernel_basis_is_saturated_kernel():
     a = mat([[1, 2, 3], [2, 4, 6]])
-    ker = mx.kernel_basis(a)
+    ker = mx.kernel_basis(a, cols=3)
     assert len(ker) == 2
     for v in ker:
         assert mx.mat_vec(a, v) == (0, 0)
@@ -205,8 +205,9 @@ def test_primitive_and_sign_canonical():
     # a kernel basis row is a row of a unimodular matrix, so primitive
     rng = random.Random(41)
     for _ in range(100):
-        a = _random_matrix(rng, rng.randint(1, 3), rng.randint(2, 5), rng.choice([None, 1]))
-        assert all(mx.vec_content(v) == 1 for v in mx.kernel_basis(a))
+        rows, cols = rng.randint(1, 3), rng.randint(2, 5)
+        a = _random_matrix(rng, rows, cols, rng.choice([None, 1]))
+        assert all(mx.vec_content(v) == 1 for v in mx.kernel_basis(a, cols=cols))
     assert mx.sign_canonical((-1, 2)) == (1, -2)
     assert mx.sign_canonical((0, -2)) == (0, 2)
 
@@ -329,6 +330,16 @@ def test_bareiss_rank_matches_fraction_oracle_on_integer_matrices():
         assert mx.rank(a) == fraction_rank(a)
 
 
+def integer_rows(a):
+    """Each rational row times the lcm of its denominators, which keeps the
+    rank: `rank` takes integer rows only."""
+    out = []
+    for row in a:
+        den = lcm(*(Fraction(x).denominator for x in row))
+        out.append([int(x * den) for x in row])
+    return out
+
+
 def test_bareiss_rank_matches_fraction_oracle_on_rational_matrices():
     rng = random.Random(6)
     for _ in range(300):
@@ -339,9 +350,10 @@ def test_bareiss_rank_matches_fraction_oracle_on_rational_matrices():
         ]
         if rows > 1 and rng.random() < 0.5:
             a[-1] = [x + Fraction(1, 3) * y for x, y in zip(a[0], a[1 % rows])]
-        assert mx.rank(a) == fraction_rank(a)
+        assert mx.rank(integer_rows(a)) == fraction_rank(a)
     assert mx.rank([]) == 0
-    assert mx.rank([[Fraction(1, 2), Fraction(1, 3)], [3, 2]]) == 1
+    assert integer_rows([[Fraction(1, 2), Fraction(1, 3)], [3, 2]]) == [[3, 2], [3, 2]]
+    assert mx.rank([[3, 2], [3, 2]]) == 1
 
 
 def test_independent_indices_match_greedy_rank_loop():

@@ -179,6 +179,26 @@ def test_fractions_only_in_type_checking_and_the_rational_oracles(path):
     assert lines == [], f"{path.name} imports fractions at lines {lines}"
 
 
+def _rational_reads(node, oracle):
+    """Lines under node that read `.numerator` or `.denominator`, skipping
+    the function named oracle."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == oracle:
+        return
+    if isinstance(node, ast.Attribute) and node.attr in ("numerator", "denominator"):
+        yield node.lineno
+    for child in ast.iter_child_nodes(node):
+        yield from _rational_reads(child, oracle)
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda p: p.name)
+def test_no_numerator_or_denominator_outside_the_rational_oracles(path):
+    # no layer takes a rational and scales it to integers: forms, cones and
+    # matrices are integer from where they are built
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = list(_rational_reads(tree, FRACTIONS_ORACLES.get(path.name)))
+    assert lines == [], f"{path.name} reads a numerator or denominator at lines {lines}"
+
+
 def _fresh_modules(code: str) -> set[str]:
     """The modules a fresh interpreter loads while running code, less those
     it had loaded at start (`site` differs between machines).  They are

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -143,9 +144,26 @@ def fraction_min(matrix):
     return best, tuple(sorted(vec for val, vec in shorts if val == best))
 
 
+def integral(matrix):
+    """(S * matrix, S) for the least S > 0 that makes the rational matrix
+    integral: forms in the package are integer matrices only."""
+    scale = math.lcm(*(Fraction(x).denominator for row in matrix for x in row))
+    return [[int(x * scale) for x in row] for row in matrix], scale
+
+
+def positive_definite(m):
+    """`QuadraticForm`'s verdict on the symmetric integer matrix m."""
+    try:
+        vr.QuadraticForm(len(m), m)
+    except ValueError as e:
+        assert str(e) == "form is not positive definite"
+        return False
+    return True
+
+
 def integer_min(matrix):
     """The integer path on a rational form, in the oracle's terms."""
-    m, scale = vr._integral(matrix)
+    m, scale = integral(matrix)
     found = vr._minimum(m)
     if found is None:
         return None
@@ -171,7 +189,7 @@ def random_rational_symmetric(rng, n):
 
 def assert_matches_fraction_oracle(matrix):
     expected = fraction_min(matrix)
-    assert vr._is_positive_definite(matrix) == (expected is not None), matrix
+    assert positive_definite(integral(matrix)[0]) == (expected is not None), matrix
     assert integer_min(matrix) == expected, matrix
 
 
@@ -181,7 +199,7 @@ def test_integer_search_matches_fraction_oracle_on_random_forms():
     for _ in range(400):
         matrix = random_rational_symmetric(rng, rng.randint(1, 4))
         assert_matches_fraction_oracle(matrix)
-        verdicts.append(vr._is_positive_definite(matrix))
+        verdicts.append(positive_definite(integral(matrix)[0]))
     assert 100 < sum(verdicts) < 350
 
 
@@ -202,7 +220,7 @@ def fraction_neighbor(p, facet, pencils):
         mur, vecs = found
         if mur == mu:
             if any(v not in facet_set for v in vecs):
-                return vr.perfect_form(m)
+                return vr.perfect_form(integral(m)[0])
             good = rho
             rho = (good + bad) / 2 if bad is not None else 2 * rho
             continue
@@ -243,7 +261,7 @@ def test_integer_search_matches_fraction_oracle_on_neighbor_pencils(monkeypatch)
                 assert len(tried) == len(expected)
                 for m, f in zip(tried, expected):
                     assert all(type(x) is int for row in m for x in row)
-                    assert primitive(m) == primitive(vr._integral(f)[0])
+                    assert primitive(m) == primitive(integral(f)[0])
                     assert_matches_fraction_oracle(m)
                 total += len(tried)
     assert total > 50
@@ -271,7 +289,7 @@ HYPERBOLIC_SUM = ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0))
     ],
 )
 def test_positive_definite_verdict_is_sylvester(matrix):
-    assert vr._is_positive_definite(matrix) == leading_minors_positive(matrix)
+    assert positive_definite(matrix) == leading_minors_positive(matrix)
     assert integer_min(matrix) == fraction_min(matrix)
 
 
@@ -291,7 +309,7 @@ def test_positive_definite_verdicts_on_random_integer_forms():
         n = rng.randint(1, 4)
         b = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
         m = tuple(tuple(b[i][j] + b[j][i] + rng.randint(0, 4) * (i == j) for j in range(n)) for i in range(n))
-        assert vr._is_positive_definite(m) == leading_minors_positive(m), m
+        assert positive_definite(m) == leading_minors_positive(m), m
 
 
 def test_ldl_rows_give_the_form():
@@ -312,15 +330,21 @@ def test_ldl_rows_give_the_form():
             assert value == sum(m[i][j] * x[i] * x[j] for i in range(n) for j in range(n))
 
 
-def test_integral_scales_by_the_least_common_denominator():
-    m, scale = vr._integral([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 3), 2]])
-    assert (m, scale) == ([[3, 2], [2, 12]], 6)
-    assert vr._integral(A2) == ([[2, 1], [1, 2]], 1)
-
-
 def test_rejects_non_positive_definite():
     with pytest.raises(ValueError):
         vr.QuadraticForm(2, ((1, 2), (2, 1)))
+    with pytest.raises(ValueError, match="form is not positive definite"):
+        vr.perfect_form(((0, 0), (0, 0)))
+
+
+def test_forms_reject_an_entry_that_is_not_an_integer():
+    # positive definite over Q, but a form is an integer matrix
+    matrix = ((2, Fraction(1, 2)), (Fraction(1, 2), 2))
+    message = re.escape("entry Fraction(1, 2) is not an integer")
+    with pytest.raises(ValueError, match=message):
+        vr.QuadraticForm(2, matrix)
+    with pytest.raises(ValueError, match=message):
+        vr.perfect_form(matrix)
 
 
 def test_domain_a2_is_k3():
